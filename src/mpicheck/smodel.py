@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .verdicts import (DEADLOCK_FREE, Deadlock, MdgCycle, StuckQueues,
                        UnmatchedTotals, Verdict)
 
@@ -79,30 +77,46 @@ def _totals(queues: dict):
 
 
 def build_mdg(queues: dict) -> Mdg:
+    """The contracted MDG in time linear in the events, apart from sorting
+    the distinct symbols.  Edges are ordered by (tail symbol name, tail k,
+    head symbol name, head k): tails in symbol-name order, then each pair's
+    successors, at most two (one per endpoint).  Edge ends are the very
+    tuples of `pairs`, so lookups by pair hit on identity."""
     sends, recvs = _totals(queues)
     paired_n = {s: min(sends[s], recvs[s]) for s in set(sends) | set(recvs)}
     pairs = []
-    for s, k in paired_n.items():
-        pairs.extend((s, i) for i in range(k))
-    edges = set()
+    first = {}      # symbol -> (its number, index of its pair 0, its pairs)
+    for i, (s, k) in enumerate(paired_n.items()):
+        first[s] = (i, len(pairs), k)
+        pairs.extend((s, j) for j in range(k))
+    succ = [[] for _ in pairs]
     unpaired = []
     for n, q in queues.items():
-        seen = Counter()
-        prev = None
+        seen = {}            # within one node a symbol has a single role
+        prev = -1
         for s in q:
-            role = "send" if n == s.src else "recv"
-            k = seen[(s, role)]
-            seen[(s, role)] += 1
-            if k >= paired_n.get(s, 0):
-                unpaired.append((n, s, role, k))
+            i, base, n_pairs = first[s]
+            k = seen.get(i, 0)
+            seen[i] = k + 1
+            if k >= n_pairs:
+                unpaired.append((n, s, "send" if n == s.src else "recv", k))
                 continue
-            cur = (s, k)
-            if prev is not None and prev != cur:
-                edges.add((prev, cur))
+            cur = base + k
+            if prev >= 0 and cur not in succ[prev]:
+                succ[prev].append(cur)
             prev = cur
-    return Mdg(tuple(pairs), tuple(sorted(
-        edges, key=lambda e: (str(e[0][0]), e[0][1], str(e[1][0]), e[1][1]))),
-        tuple(unpaired))
+    edges = []
+    for s in sorted(paired_n, key=str):
+        _, base, n_pairs = first[s]
+        for u in range(base, base + n_pairs):
+            out = succ[u]
+            if len(out) > 1:
+                out.sort(key=lambda v: (str(pairs[v][0]), pairs[v][1]))
+            edges.extend((pairs[u], pairs[v]) for v in out)
+    return Mdg(tuple(pairs), tuple(edges), tuple(unpaired))
+
+
+_WHITE, _GREY, _BLACK = 0, 1, 2
 
 
 def find_deadlock_cycle(mdg: Mdg):
@@ -110,48 +124,60 @@ def find_deadlock_cycle(mdg: Mdg):
 
     A contracted cycle corresponds exactly to a raw-MDG circle of length
     greater than 2, since matched-pair 2-circles are contracted away.
+
+    Iterative white/grey/black depth-first search (Tarjan 1972): roots in
+    `mdg.pairs` order, successors in `mdg.edges` order, and the cycle is the
+    search path from the grey pair hit by the first back edge.  Every pair
+    and edge is visited once, so the time is O(pairs + edges).
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(mdg.pairs)
-    g.add_edges_from(mdg.edges)
-    try:
-        cyc = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    return tuple(u for u, _ in cyc)
+    index = {p: i for i, p in enumerate(mdg.pairs)}
+    succ = [[] for _ in mdg.pairs]
+    for u, v in mdg.edges:
+        succ[index[u]].append(index[v])
+    colour = [_WHITE] * len(succ)
+    for root, c in enumerate(colour):
+        if c != _WHITE:
+            continue
+        colour[root] = _GREY
+        path = [root]
+        todo = [iter(succ[root])]
+        while todo:
+            for v in todo[-1]:
+                if colour[v] == _WHITE:
+                    colour[v] = _GREY
+                    path.append(v)
+                    todo.append(iter(succ[v]))
+                    break
+                if colour[v] == _GREY:
+                    return tuple(mdg.pairs[i]
+                                 for i in path[path.index(v):])
+            else:
+                colour[path.pop()] = _BLACK
+                todo.pop()
+    return None
 
 
 def mdg_says_deadlock(mdg: Mdg) -> bool:
     return bool(mdg.unpaired) or find_deadlock_cycle(mdg) is not None
 
 
-def check_smodel(queues: dict, cross_check: bool = True) -> Verdict:
-    """Queue verdict, cross-checked against the MDG test; the witness prefers
-    a pair cycle, then unmatched totals, then the stuck-queue snapshot."""
+def check_smodel(queues: dict) -> Verdict:
+    """Queue verdict, cross-checked against the MDG test, which runs once per
+    call; a deadlock's witness is the pair cycle, else the totals of the
+    first unpaired message."""
     verdict = check_by_queues(queues)
-    if not cross_check and isinstance(verdict, Deadlock):
-        return _with_best_witness(queues, verdict)
-    if cross_check:
-        mdg = build_mdg(queues)
-        if mdg_says_deadlock(mdg) != isinstance(verdict, Deadlock):
-            raise InternalDisagreement(
-                "queue matching and MDG cycle test disagree on this model")
-        if isinstance(verdict, Deadlock):
-            return _with_best_witness(queues, verdict, mdg)
-    return verdict
-
-
-def _with_best_witness(queues, verdict, mdg=None) -> Verdict:
-    if mdg is None:
-        mdg = build_mdg(queues)
+    mdg = build_mdg(queues)
     cyc = find_deadlock_cycle(mdg)
+    if (bool(mdg.unpaired) or cyc is not None) != isinstance(verdict, Deadlock):
+        raise InternalDisagreement(
+            "queue matching and MDG cycle test disagree on this model")
+    if not isinstance(verdict, Deadlock):
+        return verdict
     if cyc is not None:
         return Deadlock(MdgCycle(cyc))
-    if mdg.unpaired:
-        _, s, _, _ = mdg.unpaired[0]
-        sends, recvs = _totals(queues)
-        return Deadlock(UnmatchedTotals(s, sends.get(s, 0), recvs.get(s, 0)))
-    return verdict
+    _, s, _, _ = mdg.unpaired[0]
+    sends, recvs = _totals(queues)
+    return Deadlock(UnmatchedTotals(s, sends.get(s, 0), recvs.get(s, 0)))
 
 
 def mdg_to_dot(mdg: Mdg, program=None) -> str:

@@ -5,6 +5,7 @@ holds; any assertion failure is a FAIL for that criterion.  Golden checks pin
 the bundled example programs; the statistical checks run a fresh random
 corpus against the exhaustive oracle.
 """
+import gc
 import os
 import random
 import time
@@ -15,6 +16,7 @@ import pytest
 import conftest
 from corpus import corpus
 from test_l2 import random_power_string
+from test_smodel import schedule_queues
 from mpicheck.analyze import analyze, check_program
 from mpicheck.l2 import (flatten_items, normalize, strip_outer_infinite,
                          to_power_string)
@@ -22,7 +24,8 @@ from mpicheck.model import ModelClass, Symbol, classify, unroll, validate
 from mpicheck.oracle import DeadlockFreeOracle, DeadlockReachable, explore
 from mpicheck.parser import parse
 from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
-from mpicheck.smodel import build_mdg, check_by_queues, mdg_says_deadlock
+from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
+                             mdg_says_deadlock)
 from mpicheck.verdicts import Deadlock, MdgCycle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -236,3 +239,28 @@ def test_criterion_7_slicing_balance(shared_corpus):
         sliced += 1
     assert sliced >= 100
     ok(7, f"send/recv totals balanced in all {sliced} sliced models")
+
+
+def test_criterion_8_loopfree_check_scaling():
+    # the whole loop-free check, MDG cross-check included, on a 64-node
+    # random schedule.  Sizes alternate so a slow spell of a shared host
+    # hits both, and the collector is paused as in timeit: its passes cost
+    # in proportion to the whole test process's heap, not the check's work.
+    sizes = (5 * 10**4, 10**5)
+    models = [schedule_queues(random.Random(8), 64, n) for n in sizes]
+    best = [float("inf")] * len(sizes)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            for i, queues in enumerate(models):
+                t0 = time.perf_counter()
+                verdict = check_smodel(queues)
+                best[i] = min(best[i], time.perf_counter() - t0)
+                assert bool(verdict)
+    finally:
+        gc.enable()
+    ratio = best[1] / best[0]
+    assert ratio <= 2.5, f"doubling the events scaled time by {ratio:.2f}"
+    ok(8, f"check_smodel scaling ratio {ratio:.2f} <= 2.5 on a 64-node "
+          f"random schedule of 5e4 -> 1e5 events")

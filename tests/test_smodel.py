@@ -1,13 +1,19 @@
 """Loop-free checking: queue matching, MDG construction, cross-checks."""
+import os
 import random
+import subprocess
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import gen_smodel_balanced, gen_smodel_random
-from mpicheck.model import Symbol, unroll
+import mpicheck
+from corpus import corpus, gen_smodel_balanced, gen_smodel_random
+from mpicheck import smodel
+from mpicheck.model import InfiniteLoop, Symbol, unroll
 from mpicheck.oracle import DeadlockFreeOracle, explore
-from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
+from mpicheck.smodel import (Mdg, build_mdg, check_by_queues, check_smodel,
                              find_deadlock_cycle, mdg_says_deadlock,
                              mdg_to_dot)
 from mpicheck.verdicts import Deadlock, MdgCycle, StuckQueues, UnmatchedTotals
@@ -97,3 +103,153 @@ def test_queue_and_mdg_match_oracle(seed, balanced):
     queue_dead = isinstance(check_by_queues(queues), Deadlock)
     assert mdg_says_deadlock(build_mdg(queues)) == queue_dead
     assert isinstance(explore(prog), DeadlockFreeOracle) != queue_dead
+
+
+def schedule_queues(rng, n_nodes, n_events, names="abcd"):
+    """Per-node projections of a random global rendezvous sequence: a
+    deadlock-free loop-free model of about `n_events` queue entries."""
+    queues = {n: [] for n in range(n_nodes)}
+    for _ in range(n_events // 2):
+        src, dst = rng.sample(range(n_nodes), 2)
+        s = Symbol(rng.choice(names), src, dst)
+        queues[src].append(s)
+        queues[dst].append(s)
+    return {n: tuple(q) for n, q in queues.items()}
+
+
+def _mutated(rng, queues):
+    """The model with one random edit: crossed receives between two nodes
+    (a pair cycle), a dropped event, or two neighbouring events swapped."""
+    qs = {n: list(q) for n, q in queues.items()}
+    kind = rng.randrange(3)
+    if kind == 0 or all(len(q) < 2 for q in qs.values()):
+        a, b = rng.sample(sorted(qs), 2)
+        xp, xq = Symbol("xp", a, b), Symbol("xq", b, a)
+        pa, pb = rng.randint(0, len(qs[a])), rng.randint(0, len(qs[b]))
+        qs[a][pa:pa] = [xq, xp]
+        qs[b][pb:pb] = [xp, xq]
+    else:
+        n = rng.choice([n for n, q in qs.items() if len(q) >= 2])
+        i = rng.randrange(len(qs[n]) - 1)
+        if kind == 1:
+            del qs[n][i]
+        else:
+            qs[n][i], qs[n][i + 1] = qs[n][i + 1], qs[n][i]
+    return {n: tuple(q) for n, q in qs.items()}
+
+
+def _random_graph(rng):
+    """An arbitrary digraph over pairs, edges in random order."""
+    pairs = tuple((Symbol("a", 0, 1), k) for k in range(rng.randint(1, 24)))
+    density = rng.choice((0.03, 0.08, 0.2))
+    edges = [(u, v) for u in pairs for v in pairs
+             if u != v and rng.random() < density]
+    rng.shuffle(edges)
+    return Mdg(pairs, tuple(edges), ())
+
+
+@pytest.fixture(scope="module")
+def equivalence_graphs():
+    """MDGs of the loop-free and finite-loop corpus programs and of random
+    64-node schedules (three in four mutated), over 2,000 together, plus
+    arbitrary digraphs."""
+    rng = random.Random(20261018)
+    graphs = []
+    for prog in corpus(4242, 1200):
+        try:
+            graphs.append(build_mdg(unroll(prog)))
+        except InfiniteLoop:
+            continue
+    for _ in range(1100):
+        queues = schedule_queues(rng, 64, rng.randint(32, 160))
+        if rng.random() < 0.75:
+            queues = _mutated(rng, queues)
+        graphs.append(build_mdg(queues))
+    graphs.extend(_random_graph(rng) for _ in range(600))
+    return graphs
+
+
+def test_cycle_search_matches_networkx(equivalence_graphs):
+    nx = pytest.importorskip("networkx")
+    cyclic = 0
+    for mdg in equivalence_graphs:
+        g = nx.DiGraph()
+        g.add_nodes_from(mdg.pairs)
+        g.add_edges_from(mdg.edges)
+        try:
+            expected = tuple(u for u, _ in nx.find_cycle(g))
+        except nx.NetworkXNoCycle:
+            expected = None
+        assert find_deadlock_cycle(mdg) == expected
+        cyclic += expected is not None
+    assert len(equivalence_graphs) >= 2600
+    assert 400 <= cyclic <= len(equivalence_graphs) - 400
+
+
+def test_cycle_is_closed_walk_over_mdg_edges(equivalence_graphs):
+    found = 0
+    for mdg in equivalence_graphs:
+        cyc = find_deadlock_cycle(mdg)
+        if cyc is None:
+            continue
+        found += 1
+        edges = set(mdg.edges)
+        assert len(cyc) >= 2 and len(set(cyc)) == len(cyc)
+        ring = cyc + cyc[:1]
+        assert all((ring[i], ring[i + 1]) in edges for i in range(len(cyc)))
+    assert found >= 400
+
+
+def test_deep_chain_needs_no_recursion():
+    # the MDG of a ping-pong of 10^5 pairs is one chain; a recursive search
+    # would overflow the interpreter stack
+    half = 10**5 // 2
+    chain = tuple((s, k) for k in range(half) for s in (A, B))
+    edges = tuple(zip(chain, chain[1:]))
+    assert find_deadlock_cycle(Mdg(chain, edges, ())) is None
+    # a back edge at the far end of the chain closes the only cycle
+    back = ((B, half - 1), (A, half - 1))
+    assert find_deadlock_cycle(Mdg(chain, edges + (back,), ())) == (
+        (A, half - 1), (B, half - 1))
+
+
+def test_one_cycle_search_per_check(monkeypatch):
+    calls = []
+
+    def counted(mdg):
+        calls.append(mdg)
+        return find_deadlock_cycle(mdg)
+
+    monkeypatch.setattr(smodel, "find_deadlock_cycle", counted)
+    rng = random.Random(5)
+    deadlocks = 0
+    for _ in range(300):
+        queues = schedule_queues(rng, 6, rng.randint(4, 40))
+        if rng.random() < 0.7:
+            queues = _mutated(rng, queues)
+        del calls[:]
+        verdict = check_smodel(queues)
+        assert len(calls) == 1
+        if not isinstance(verdict, Deadlock):
+            continue
+        deadlocks += 1
+        # the witness is the pair cycle, else the first unpaired event's
+        # totals
+        mdg = build_mdg(queues)
+        cyc = find_deadlock_cycle(mdg)
+        if cyc is not None:
+            assert verdict.witness == MdgCycle(cyc)
+        else:
+            s = mdg.unpaired[0][1]
+            assert isinstance(verdict.witness, UnmatchedTotals)
+            assert verdict.witness.symbol == s
+    assert deadlocks >= 100
+
+
+def test_import_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mpicheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, mpicheck, mpicheck.cli; "
+            "sys.exit('networkx' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
