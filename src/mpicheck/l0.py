@@ -149,8 +149,7 @@ def check_l0(program: Program, trace=None, max_events=None) -> Verdict:
     if trace is not None:
         comp_lcm = {c: lcm(*(solution.values[n] for n in c))
                     for c in solution.components}
-        loop_times = {n: sliced.body(n)[0].count
-                      for n in view.order if sliced.body(n)}
+        loop_times = {n: body[0].count for n, body in sliced.nodes if body}
         trace.add_reg("l0", group.equations, solution, comp_lcm, loop_times)
     queues = unroll(sliced, max_events)
     return check_smodel(queues)

@@ -5,6 +5,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class _Infinite:
@@ -73,9 +74,11 @@ class UnsupportedProgram(ModelError):
     siblings at the top level of a node)."""
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A message identity: name plus fixed sender and receiver nodes."""
+class Symbol(NamedTuple):
+    """A message identity: name plus fixed sender and receiver nodes.
+
+    A tuple, so hashing and equality run in C; the hash is that of the
+    plain tuple (name, src, dst), as it was for the frozen dataclass."""
 
     name: str
     src: int
@@ -176,14 +179,15 @@ def validate(program: Program) -> Program:
         for st in body:
             if isinstance(st, (Send, Recv)):
                 s = st.sym
-                if s.src == s.dst:
+                _, src, dst = s
+                if src == dst:
                     raise SelfMessage(f"{s} has identical endpoints")
-                if s.src not in seen or s.dst not in seen:
+                if src not in seen or dst not in seen:
                     raise DanglingEndpoint(f"{s} references an undeclared node")
-                if isinstance(st, Send) and nid != s.src:
+                if isinstance(st, Send) and nid != src:
                     raise MisplacedOperation(
                         f"send of {s} found in node {nid}, not its source")
-                if isinstance(st, Recv) and nid != s.dst:
+                if isinstance(st, Recv) and nid != dst:
                     raise MisplacedOperation(
                         f"recv of {s} found in node {nid}, not its destination")
             elif isinstance(st, For):

@@ -1,4 +1,4 @@
-"""Text format for programs: tokenizer, recursive-descent parser, renderer.
+"""Text format for programs: a one-regex tokenizer, a flat parser, renderer.
 
 Grammar (``.mdl`` files, UTF-8)::
 
@@ -9,11 +9,13 @@ Grammar (``.mdl`` files, UTF-8)::
               | "for" ("inf" | INTEGER) "{" stmt* "}"
 
 Statements are separated by newlines and/or commas; "#" starts a line
-comment.  Node names map to ranks in declaration order.
+comment.  An IDENT is a run of word characters not starting with a decimal
+digit; an INTEGER is a run of ASCII digits.  Node names map to ranks in
+declaration order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .model import INFINITE, For, Program, Recv, Send, Symbol
 
@@ -29,201 +31,140 @@ class MdlLexError(MdlSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # IDENT INT LBRACE RBRACE SEP EOF
-    text: str
-    line: int
-    col: int
+# Blanks and a comment, then one token: a brace, a separator, a digit run, a
+# name, any other single character (which is illegal), or the end of the
+# text (""), so that every position matches and nothing is skipped.
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?([{},\n]|\d+|[^\W\d]\w*|.|\Z)")
+_is_name = re.compile(r"[^\W\d]").match
+_is_legal = re.compile(r"[\w{},\n]|\Z").match
+_SEPS = ("\n", ",")
+_INFIX = {"send": "to", "recv": "from"}
+_OPERANDS = ("send", "recv", "to", "from")
 
 
-def _tokenize(text: str) -> list:
-    toks = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            toks.append(_Tok("SEP", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            toks.append(_Tok("SEP", ",", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "{":
-            toks.append(_Tok("LBRACE", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "}":
-            toks.append(_Tok("RBRACE", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise MdlLexError(f"illegal character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
-    return toks
+def _fail(text, toks, k, msg):
+    """Raise the error for token k, unless an illegal character comes first
+    anywhere in the text: lexing errors take precedence."""
+    cls = MdlSyntaxError
+    for j, t in enumerate(toks):
+        if not _is_legal(t):
+            cls, k, msg = MdlLexError, j, f"illegal character {t!r}"
+            break
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        if j == k:
+            break
+    # A token right after a comment sits where the comment starts.
+    hash_at = text.find("#", m.start(), m.start(1))
+    off = m.start(1) if hash_at < 0 else hash_at
+    line, col = text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+    raise cls(msg, line, col)
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+def _stmt_error(text, toks, i):
+    """Raise the first fault of the send or recv statement at token i."""
+    kw = _INFIX[toks[i]]
+    msg, got, peer = toks[i + 1:i + 4]
+    if not _is_name(msg):
+        _fail(text, toks, i + 1, f"expected message name, got {msg!r}")
+    if got != kw:
+        _fail(text, toks, i + 2, f"expected {kw!r}, got {got!r}")
+    _fail(text, toks, i + 3, f"expected node name, got {peer!r}")
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def skip_seps(self):
-        while self.peek().kind == "SEP":
-            self.next()
-
-    def expect(self, kind, what=None) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            raise MdlSyntaxError(
-                f"expected {what or kind}, got {t.text!r}", t.line, t.col)
-        return t
-
-    def expect_kw(self, word):
-        t = self.next()
-        if t.kind != "IDENT" or t.text != word:
-            raise MdlSyntaxError(
-                f"expected {word!r}, got {t.text!r}", t.line, t.col)
-        return t
-
-    def parse_program(self):
-        nodes = []  # (name, raw stmt list)
-        self.skip_seps()
-        if self.peek().kind == "EOF":
-            t = self.peek()
-            raise MdlSyntaxError("at least one node declaration required",
-                                 t.line, t.col)
-        while self.peek().kind != "EOF":
-            self.expect_kw("node")
-            name = self.expect("IDENT", "node name").text
-            self.skip_seps()
-            self.expect("LBRACE", "'{'")
-            body = self.parse_stmts()
-            nodes.append((name, body))
-            self.skip_seps()
-        return nodes
-
-    def parse_stmts(self):
-        stmts = []
-        while True:
-            self.skip_seps()
-            t = self.peek()
-            if t.kind == "RBRACE":
-                self.next()
-                return stmts
-            if t.kind == "EOF":
-                raise MdlSyntaxError("unexpected end of input, missing '}'",
-                                     t.line, t.col)
-            stmts.append(self.parse_stmt())
-
-    def parse_stmt(self):
-        t = self.next()
-        if t.kind != "IDENT":
-            raise MdlSyntaxError(f"expected a statement, got {t.text!r}",
-                                 t.line, t.col)
-        if t.text == "send":
-            msg = self.expect("IDENT", "message name").text
-            self.expect_kw("to")
-            peer = self.expect("IDENT", "node name").text
-            return ("send", msg, peer)
-        if t.text == "recv":
-            msg = self.expect("IDENT", "message name").text
-            self.expect_kw("from")
-            peer = self.expect("IDENT", "node name").text
-            return ("recv", msg, peer)
-        if t.text == "for":
-            c = self.next()
-            if c.kind == "IDENT" and c.text == "inf":
-                count = INFINITE
-            elif c.kind == "INT":
-                count = int(c.text)
-            else:
-                raise MdlSyntaxError(
-                    f"expected a loop count or 'inf', got {c.text!r}",
-                    c.line, c.col)
-            self.skip_seps()
-            self.expect("LBRACE", "'{'")
-            return ("for", count, self.parse_stmts())
-        raise MdlSyntaxError(f"unknown statement keyword {t.text!r}",
-                             t.line, t.col)
+def _skip(toks, i):
+    while toks[i] in _SEPS:
+        i += 1
+    return i
 
 
 def parse(text: str) -> Program:
     """Parse source text into a Program (unvalidated)."""
-    raw = _Parser(_tokenize(text)).parse_program()
+    toks = _TOKEN.findall(text)     # ends in "", the end of the text
+    toks += [""] * 3
+    # Ranks follow declaration order, and a body may name a node declared
+    # later, so find the declarations first: a "node" token that is not an
+    # operand.  Undeclared targets get fresh ranks afterwards, so validation
+    # can report the dangling endpoint with context.
     ranks = {}
-    for name, _ in raw:
-        if name not in ranks:
-            ranks[name] = len(ranks)
-
-    def rank_of(name):
-        # Undeclared targets get fresh ranks so validation can report
-        # the dangling endpoint with context.
-        if name not in ranks:
-            ranks[name] = len(ranks)
-        return ranks[name]
-
-    def build(stmts, here):
-        out = []
-        for st in stmts:
-            if st[0] == "send":
-                _, msg, peer = st
-                out.append(Send(Symbol(msg, here, rank_of(peer))))
-            elif st[0] == "recv":
-                _, msg, peer = st
-                out.append(Recv(Symbol(msg, rank_of(peer), here)))
-            else:
-                _, count, body = st
-                out.append(For(count, tuple(build(body, here))))
-        return out
-
-    bodies = []
-    for name, stmts in raw:
+    i = 0
+    for _ in range(toks.count("node")):
+        i = toks.index("node", i) + 1
+        if toks[i - 2] not in _OPERANDS and _is_name(toks[i]):
+            ranks.setdefault(toks[i], len(ranks))
+    symbols = {}                # (name, src, dst) -> its one Symbol
+    nodes = []
+    i = _skip(toks, 0)
+    if not toks[i]:
+        _fail(text, toks, i, "at least one node declaration required")
+    while toks[i]:
+        if toks[i] != "node":
+            _fail(text, toks, i, f"expected 'node', got {toks[i]!r}")
+        name = toks[i + 1]
+        if not _is_name(name):
+            _fail(text, toks, i + 1, f"expected node name, got {name!r}")
         here = ranks[name]
-        bodies.append((here, tuple(build(stmts, here))))
+        i = _skip(toks, i + 2)
+        if toks[i] != "{":
+            _fail(text, toks, i, f"expected '{{', got {toks[i]!r}")
+        i += 1
+        stmts = {}              # (keyword, message, peer) -> its statement
+        body = []
+        outer = []              # (count, enclosing body) per open loop
+        while True:
+            t = toks[i]
+            kw = _INFIX.get(t)
+            if kw:
+                key = (t, toks[i + 1], toks[i + 3])
+                st = stmts.get(key)
+                if toks[i + 2] != kw or st is None and not _is_name(key[1]):
+                    _stmt_error(text, toks, i)
+                if st is None:
+                    peer = ranks.get(key[2])
+                    if peer is None:
+                        if not _is_name(key[2]):
+                            _stmt_error(text, toks, i)
+                        peer = ranks[key[2]] = len(ranks)
+                    fields = ((key[1], here, peer) if t == "send"
+                              else (key[1], peer, here))
+                    sym = symbols.get(fields) or symbols.setdefault(
+                        fields, Symbol(*fields))
+                    st = stmts[key] = (Send if t == "send" else Recv)(sym)
+                body.append(st)
+                i += 4
+            elif t in _SEPS:
+                i += 1
+            elif t == "}":
+                i += 1
+                if not outer:
+                    break
+                count, enclosing = outer.pop()
+                enclosing.append(For(count, tuple(body)))
+                body = enclosing
+            elif t == "for":
+                c = toks[i + 1]
+                if c == "inf":
+                    count = INFINITE
+                elif c.isdigit() and c.isascii():
+                    count = int(c)
+                else:
+                    _fail(text, toks, i + 1,
+                          f"expected a loop count or 'inf', got {c!r}")
+                i = _skip(toks, i + 2)
+                if toks[i] != "{":
+                    _fail(text, toks, i, f"expected '{{', got {toks[i]!r}")
+                i += 1
+                outer.append((count, body))
+                body = []
+            elif not t:
+                _fail(text, toks, i, "unexpected end of input, missing '}'")
+            elif _is_name(t):
+                _fail(text, toks, i, f"unknown statement keyword {t!r}")
+            else:
+                _fail(text, toks, i, f"expected a statement, got {t!r}")
+        nodes.append((here, tuple(body)))
+        i = _skip(toks, i)
     names = tuple((r, n) for n, r in ranks.items())
-    return Program(tuple(bodies), names)
+    return Program(tuple(nodes), names)
 
 
 def render(program: Program) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -49,11 +50,12 @@ class RatioSolution:
     components: tuple  # tuple of sorted variable tuples
     values: dict       # variable -> positive int, per-component gcd 1
 
+    @cached_property
+    def _component(self) -> dict:
+        return {v: comp for comp in self.components for v in comp}
+
     def component_of(self, var):
-        for comp in self.components:
-            if var in comp:
-                return comp
-        raise KeyError(var)
+        return self._component[var]
 
 
 @dataclass
@@ -81,22 +83,21 @@ class _UnionFind:
         self.size = {v: 1 for v in variables}
 
     def find(self, v):
+        """(root, value(v) / value(root)), compressing the path."""
         path = []
         while self.parent[v] != v:
             path.append(v)
             v = self.parent[v]
+        if not path:
+            return v, (1, 1)
         root = v
-        num, den = 1, 1
+        num, den = self.ratio[path.pop()]   # already reduced, to the root
         for u in reversed(path):
             un, ud = self.ratio[u]
             num, den = _frac(num * un, den * ud)
             self.parent[u] = root
             self.ratio[u] = (num, den)
-        return root
-
-    def ratio_to_root(self, v):
-        self.find(v)
-        return self.ratio[v] if self.parent[v] != v else (1, 1)
+        return root, (num, den)
 
 
 def components(group: RatioEquationGroup) -> tuple:
@@ -125,10 +126,8 @@ def solve(group: RatioEquationGroup):
     uf = _UnionFind(group.variables)
     tree = {v: [] for v in group.variables}  # accepted spanning edges
     for eq in group.equations:
-        ri = uf.find(eq.i)
-        rj = uf.find(eq.j)
-        fin, fid = uf.ratio_to_root(eq.i)
-        fjn, fjd = uf.ratio_to_root(eq.j)
+        ri, (fin, fid) = uf.find(eq.i)
+        rj, (fjn, fjd) = uf.find(eq.j)
         # demanded: value(i) / value(j) = a / b
         if ri == rj:
             if fin * fjd * eq.b != fid * fjn * eq.a:
@@ -152,14 +151,14 @@ def solve(group: RatioEquationGroup):
         tree[eq.i].append((eq.j, eq))
         tree[eq.j].append((eq.i, eq))
 
-    groups = {}
+    groups = {}     # root -> {member: its ratio to the root}
     for v in group.variables:
-        root = uf.find(v)
-        groups.setdefault(root, []).append(v)
+        root, ratio = uf.find(v)
+        groups.setdefault(root, {})[v] = ratio
     comps = []
     values = {}
-    for members in groups.values():
-        ratios = {v: uf.ratio_to_root(v) for v in members}
+    for ratios in groups.values():
+        members = list(ratios)
         denom_lcm = lcm(*(d for _, d in ratios.values()))
         ints = {v: n * (denom_lcm // d) for v, (n, d) in ratios.items()}
         g = gcd(*ints.values())

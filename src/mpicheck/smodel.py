@@ -83,7 +83,10 @@ def build_mdg(queues: dict) -> Mdg:
     successors, at most two (one per endpoint).  Edge ends are the very
     tuples of `pairs`, so lookups by pair hit on identity."""
     sends, recvs = _totals(queues)
-    paired_n = {s: min(sends[s], recvs[s]) for s in set(sends) | set(recvs)}
+    # Pairs in order of the symbols' first appearance, so the cycle found
+    # does not depend on the hash seed.
+    paired_n = {s: min(sends[s], recvs[s])
+                for s in dict.fromkeys([*sends, *recvs])}
     pairs = []
     first = {}      # symbol -> (its number, index of its pair 0, its pairs)
     for i, (s, k) in enumerate(paired_n.items()):

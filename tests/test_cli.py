@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, machine output."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +63,15 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_ascii_loop_count_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.mdl"
+    bad.write_text("node P0 {\n  for \u00b2 { send a to P1 }\n}\nnode P1 { }",
+                   encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "(line 2, column 7)" in err
+
+
 def test_validation_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.mdl"
     bad.write_text("node P0 { send a to P0 }")
@@ -106,3 +117,19 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_check_json_independent_of_hash_seed():
+    src = os.path.join(HERE, os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpicheck.cli", "check", prog("prog2.mdl"),
+             "--json"], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        data = json.loads(proc.stdout)
+        assert data["witness"]["type"] == "mdg-cycle"
+        del data["timings"]
+        outs.append(data)
+    assert outs[0] == outs[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import generate
-from mpicheck.model import INFINITE, For, Recv, Send, validate
+from mpicheck.model import INFINITE, For, Recv, Send, Symbol, validate
 from mpicheck.parser import MdlLexError, MdlSyntaxError, parse, render
 
 SIMPLE = """
@@ -71,6 +71,108 @@ def test_missing_brace():
 def test_empty_input_rejected():
     with pytest.raises(MdlSyntaxError):
         parse("   \n  ")
+
+
+# (source, exception class, message, line, column), recorded from the
+# character-by-character lexer and recursive-descent parser this one
+# replaced.  Columns count characters; "\r" and "\t" are one column each.
+ERRORS = [
+    ('',
+     MdlSyntaxError, 'at least one node declaration required', 1, 1),
+    ('   \n\t \r\n',
+     MdlSyntaxError, 'at least one node declaration required', 3, 1),
+    ('# only a comment\n# and another',
+     MdlSyntaxError, 'at least one node declaration required', 2, 1),
+    ('node P0 {\n  send a\n}',
+     MdlSyntaxError, "expected 'to', got '\\n'", 2, 9),
+    ('node P0 { send a to P1',
+     MdlSyntaxError, "unexpected end of input, missing '}'", 1, 23),
+    ('node P0 {\n  send a to P1\n',
+     MdlSyntaxError, "unexpected end of input, missing '}'", 3, 1),
+    ('node P0\n{',
+     MdlSyntaxError, "unexpected end of input, missing '}'", 2, 2),
+    ('node P0 { send a to P1 $ }',
+     MdlLexError, "illegal character '$'", 1, 24),
+    ('node P0 { send to P1 }\nnode P1 { @ }',
+     MdlLexError, "illegal character '@'", 2, 11),
+    ('node P0 { for 0x3 { send a to P1 } }',
+     MdlSyntaxError, "expected '{', got 'x3'", 1, 16),
+    ('node P0 { for ever { send a to P1 } }',
+     MdlSyntaxError, "expected a loop count or 'inf', got 'ever'", 1, 15),
+    ('node P0 { for { send a to P1 } }',
+     MdlSyntaxError, "expected a loop count or 'inf', got '{'", 1, 15),
+    ('node P0 {\r\n  send a to\r\n}\r\n',
+     MdlSyntaxError, "expected node name, got '\\n'", 2, 13),
+    ('node P0 {\r\n\trecv a from P1 P2\r\n}',
+     MdlSyntaxError, "unknown statement keyword 'P2'", 2, 17),
+    ('node P0 {\n\tsend\ta\tto\t}',
+     MdlSyntaxError, "expected node name, got '}'", 2, 12),
+    ('node P0 { send a # to P1\n to P1 }',
+     MdlSyntaxError, "expected 'to', got '\\n'", 1, 18),
+    ('node P0 {\n  send a to P1 # no closing brace',
+     MdlSyntaxError, "unexpected end of input, missing '}'", 2, 16),
+    ('node',
+     MdlSyntaxError, "expected node name, got ''", 1, 5),
+    ('nodes P0 { }',
+     MdlSyntaxError, "expected 'node', got 'nodes'", 1, 1),
+    ('node P0 { } }',
+     MdlSyntaxError, "expected 'node', got '}'", 1, 13),
+    ('node P0 { 3 }',
+     MdlSyntaxError, "expected a statement, got '3'", 1, 11),
+    ('node P0 { bogus a to P1 }',
+     MdlSyntaxError, "unknown statement keyword 'bogus'", 1, 11),
+    ('node P0 { , , { }',
+     MdlSyntaxError, "expected a statement, got '{'", 1, 15),
+    ('node P0 { recv a to P1 }',
+     MdlSyntaxError, "expected 'from', got 'to'", 1, 18),
+    ('node P0 { send 3 to P1 }',
+     MdlSyntaxError, "expected message name, got '3'", 1, 16),
+    ('node 9 { }',
+     MdlSyntaxError, "expected node name, got '9'", 1, 6),
+    ('node P0 { for inf send a to P1 }',
+     MdlSyntaxError, "expected '{', got 'send'", 1, 19),
+    ('node P0 { for 2 {\n  for 3 { send a to P1 }\n }',
+     MdlSyntaxError, "unexpected end of input, missing '}'", 3, 3),
+    ('node P0 { send a to P1 }\n\nnode P1 { recv a from P0, }\nnode P2 { send b to, P1 }',
+     MdlSyntaxError, "expected node name, got ','", 4, 20),
+]
+
+
+@pytest.mark.parametrize("text, cls, msg, line, col", ERRORS)
+def test_error_golden(text, cls, msg, line, col):
+    with pytest.raises(MdlSyntaxError) as exc:
+        parse(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == f"{msg} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("count, col", [
+    ("\u00b2", 7),     # superscript two: str.isdigit, but not a count
+    ("\u0663", 7),     # Arabic-Indic three: a decimal digit, but not ASCII
+    ("3\u00b2", 8),    # "3" is the count; the "{" is missing
+])
+def test_loop_count_must_be_ascii_digits(count, col):
+    with pytest.raises(MdlSyntaxError) as exc:
+        parse(f"node P0 {{\n  for {count} {{ send a to P1 }}\n}}\nnode P1 {{}}")
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
+def test_equal_messages_share_one_symbol():
+    prog = parse("node P0 { send a to P1, send a to P1, for 2 { send a to P1 } }\n"
+                 "node P1 { recv a from P0, for 3 { recv a from P0 } }")
+    syms = [prog.body(0)[0].sym, prog.body(0)[1].sym,
+            prog.body(0)[2].body[0].sym, prog.body(1)[0].sym,
+            prog.body(1)[1].body[0].sym]
+    assert all(s is syms[0] for s in syms)
+    assert syms[0] == Symbol("a", 0, 1)
+
+
+def test_symbol_is_a_plain_value():
+    s = Symbol("a", 0, 1)
+    assert hash(s) == hash(("a", 0, 1))
+    assert str(s) == "a:0->1"
+    assert repr(s) == "Symbol(name='a', src=0, dst=1)"
 
 
 def test_render_parse_round_trip_fixed():
