@@ -6,30 +6,21 @@ from dataclasses import dataclass, field
 
 from . import l0, l2, smodel
 from .model import ModelClass, Program, classify, unroll, validate
+from .reg import Inconsistent
 from .trace import Trace
 from .verdicts import Deadlock, Verdict, witness_dict
 
 
-def check_program(program: Program, via: str = "auto", trace: Trace | None = None,
+def check_program(program: Program, trace: Trace | None = None,
                   max_events: int | None = None):
-    """Validate, dispatch by class (or forced route), return (verdict, phase)."""
+    """Validate, dispatch by class, return (verdict, phase)."""
     validate(program)
     cls = classify(program)
-    if via == "auto":
-        if cls is ModelClass.SMODEL:
-            via = "smodel"
-        elif cls is ModelClass.L0 and l0.as_l0_view(program) is not None:
-            via = "l0"
-        else:
-            via = "l2"
-    if via == "smodel":
-        queues = unroll(program, max_events)
-        return smodel.check_smodel(queues), "smodel"
-    if via == "l0":
+    if cls is ModelClass.SMODEL:
+        return smodel.check_smodel(unroll(program, max_events)), "smodel"
+    if cls is ModelClass.L0 and l0.as_l0_view(program) is not None:
         return l0.check_l0(program, trace, max_events), "l0"
-    if via == "l2":
-        return l2.check_l2(program, trace, max_events), "l2"
-    raise ValueError(f"unknown route {via!r}")
+    return l2.check_l2(program, trace, max_events), "l2"
 
 
 @dataclass
@@ -48,13 +39,13 @@ class Report:
                 "equations": [str(e) for e in rec.equations],
             }
             sol = rec.solution
-            if hasattr(sol, "values") and isinstance(getattr(sol, "values"), dict):
+            if isinstance(sol, Inconsistent):
+                entry["inconsistent"] = sol.detail
+            else:
                 entry["components"] = [
                     {"vars": [f"p{v}" for v in comp],
                      "values": {f"p{v}": sol.values[v] for v in comp}}
                     for comp in sol.components]
-            else:
-                entry["inconsistent"] = sol.detail
             if rec.lcm:
                 entry["lcm"] = {str(list(c)): v for c, v in rec.lcm.items()}
             if rec.loop_times:
@@ -80,11 +71,10 @@ class Report:
         }
 
 
-def analyze(program: Program, via: str = "auto",
-            max_events: int | None = None) -> Report:
+def analyze(program: Program, max_events: int | None = None) -> Report:
     trace = Trace()
     t0 = time.perf_counter()
-    verdict, phase = check_program(program, via, trace, max_events)
+    verdict, phase = check_program(program, trace, max_events)
     elapsed = time.perf_counter() - t0
     return Report(verdict, phase, trace, program,
                   {"checkSeconds": round(elapsed, 6)})

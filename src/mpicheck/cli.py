@@ -11,10 +11,14 @@ import sys
 
 from . import oracle
 from .analyze import analyze
-from .l2 import normalize, strip_outer_infinite, to_power_string
-from .model import ModelError, default_max_events, unroll, validate
+from .l2 import (flatten_items, normalize, strip_outer_infinite,
+                 to_power_string)
+from .model import (For, ModelError, default_max_events, is_infinite, unroll,
+                    validate)
 from .parser import MdlSyntaxError, parse
+from .reg import Inconsistent
 from .smodel import build_mdg, mdg_to_dot
+from .trace import Trace
 from .verdicts import Deadlock
 
 
@@ -39,7 +43,7 @@ class _Usage(Exception):
 def cmd_check(args) -> int:
     program = _load(args.path)
     try:
-        report = analyze(program, via=args.via, max_events=args.max_events)
+        report = analyze(program, max_events=args.max_events)
     except ModelError as exc:
         raise _Usage(f"{args.path}: {exc}")
     if args.json:
@@ -64,24 +68,7 @@ def _print_trace(report):
         for n, s in tr.string_map.items():
             print(f"    {name(n)} -> {s}")
     for rec in tr.reg_records:
-        print(f"  ratio equations ({rec.label}):")
-        for eq in rec.equations:
-            print(f"    {eq}")
-        sol = rec.solution
-        if hasattr(sol, "values") and isinstance(sol.values, dict):
-            for comp in sol.components:
-                vals = ":".join(str(sol.values[v]) for v in comp)
-                vars_ = ":".join(f"p{v}" for v in comp)
-                print(f"    solution {vars_} = {vals}")
-        else:
-            print(f"    inconsistent: {sol.detail}")
-        if rec.lcm:
-            for comp, v in rec.lcm.items():
-                print(f"    lcm{list(comp)} = {v}")
-        if rec.loop_times:
-            times = ", ".join(f"{name(n)}={t}"
-                              for n, t in rec.loop_times.items())
-            print(f"    sliced loop times: {times}")
+        _print_reg(rec, name)
     for i, snap in enumerate(tr.fpp_snapshots):
         body = ", ".join(f"{name(n)}: {p}" for n, p in sorted(snap.items()))
         print(f"  fpp[{i}]: {{{body}}}")
@@ -95,6 +82,29 @@ def _print_trace(report):
                 print(f"    set solution: {vals}")
             for act in rec.actions:
                 print(f"    {act}")
+
+
+def _print_reg(rec, name):
+    """Text form of one ratio record, for `check --trace` and `reg`."""
+    print(f"  ratio equations ({rec.label}):")
+    for eq in rec.equations:
+        print(f"    {eq}")
+    sol = rec.solution
+    if isinstance(sol, Inconsistent):
+        print(f"    inconsistent: {sol.detail}")
+        for eq in sol.equations:
+            print(f"      clashing: {eq}")
+    else:
+        for comp in sol.components:
+            vals = ":".join(str(sol.values[v]) for v in comp)
+            vars_ = ":".join(f"p{v}" for v in comp)
+            print(f"    solution {vars_} = {vals}")
+    if rec.lcm:
+        for comp, v in rec.lcm.items():
+            print(f"    lcm{list(comp)} = {v}")
+    if rec.loop_times:
+        times = ", ".join(f"{name(n)}={t}" for n, t in rec.loop_times.items())
+        print(f"    sliced loop times: {times}")
 
 
 def cmd_mdg(args) -> int:
@@ -116,7 +126,9 @@ def cmd_mdg(args) -> int:
 
 
 def _as_queues(program, max_events):
-    if all(not _has_inf(body) for _, body in program.nodes):
+    # validate() allows `for inf` at the top level only
+    if not any(isinstance(st, For) and is_infinite(st.count)
+               for _, body in program.nodes for st in body):
         return unroll(program, max_events)
     # slice infinite loops down to one consistent round first
     strings = {n: normalize(to_power_string(b)) for n, b in program.nodes}
@@ -124,51 +136,22 @@ def _as_queues(program, max_events):
     if verdict is not None:
         raise ModelError(
             "program has no consistent finite slice; cannot draw its MDG")
-    from .l2 import flatten_items
-
     cap = default_max_events() if max_events is None else max_events
     return {n: flatten_items(ps, cap=cap) for n, ps in finite.items()}
-
-
-def _has_inf(body):
-    from .model import For, is_infinite
-
-    for st in body:
-        if isinstance(st, For):
-            if is_infinite(st.count) or _has_inf(st.body):
-                return True
-    return False
 
 
 def cmd_reg(args) -> int:
     program = _load(args.path)
     strings = {n: normalize(to_power_string(b)) for n, b in program.nodes}
-    from .trace import Trace
-
     trace = Trace()
     try:
         _, verdict = strip_outer_infinite(strings, trace)
     except ModelError as exc:
         raise _Usage(f"{args.path}: {exc}")
-    name = program.name_of
-    if not trace.reg_records:
-        print("no equations")
-        return 0
-    rec = trace.reg_records[0]
-    if not rec.equations:
-        print("no equations; every node is its own component with value 1")
-    for eq in rec.equations:
-        print(eq)
-    sol = rec.solution
-    if hasattr(sol, "values") and isinstance(sol.values, dict):
-        for comp in sol.components:
-            vars_ = ":".join(f"p{v}" for v in comp)
-            vals = ":".join(str(sol.values[v]) for v in comp)
-            print(f"solution {vars_} = {vals}")
-    else:
-        print(f"inconsistent: {sol.detail}")
-        for eq in sol.equations:
-            print(f"  clashing: {eq}")
+    for rec in trace.reg_records:
+        _print_reg(rec, program.name_of)
+    if verdict is not None:
+        print(f"  deadlock: {verdict.witness.to_dict()}")
     return 0
 
 
@@ -200,8 +183,6 @@ def main(argv=None) -> int:
     p.add_argument("--trace", action="store_true",
                    help="print stage-by-stage details")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--via", choices=["auto", "smodel", "l0", "l2"],
-                   default="auto")
     p.add_argument("--max-events", type=int, default=None)
     p.set_defaults(fn=cmd_check)
 

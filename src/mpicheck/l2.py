@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
 
 from .model import (INFINITE, Program, Recv, Send, Symbol,
                     UnsupportedProgram, default_max_events, is_infinite)
-from .reg import Inconsistent, RatioEquationGroup, oriented, solve
+from .reg import Inconsistent, count_equations, ratio_stage, solve
 from .smodel import check_smodel
 from .trace import SetRecord
 from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
-                       UnmatchedTotals, Verdict)
+                       Verdict)
 
 
 @dataclass(frozen=True)
@@ -236,77 +235,32 @@ def string_symbols(items) -> set:
 
 
 def strip_outer_infinite(strings: dict, trace=None):
-    """Build the whole-program REG from per-outer-iteration counts, check
-    Theorem-2 consistency, and replicate infinite bodies LCM/p_i times.
+    """Run the ratio stage on per-outer-iteration counts (t = inf for a node
+    wrapped in an infinite loop, t = 1 for a finite one) and replicate each
+    infinite body LCM/p_i times.
 
     Returns (finite strings, None) or (None, Deadlock verdict).
     """
-    per_iter = {}
-    wrapped = {}
+    counts = {}
+    times = {}
     for n, ps in strings.items():
-        infs = [p for p in ps if is_infinite(p.exp)]
-        if infs:
+        if any(is_infinite(p.exp) for p in ps):
             if len(ps) != 1:
                 raise UnsupportedProgram(
                     f"node {n} mixes an infinite loop with other top-level "
                     "statements; the ratio method needs purely periodic nodes")
-            per_iter[n] = power_counts(ps[0].body)
-            wrapped[n] = True
+            counts[n] = power_counts(ps[0].body)
+            times[n] = INFINITE
         else:
-            per_iter[n] = power_counts(ps)
-            wrapped[n] = False
-
-    order = list(strings.keys())
-    equations = []
-    unmatched = []
-    seen = set()
-    for n in order:
-        for sym in per_iter[n]:
-            if sym in seen:
-                continue
-            seen.add(sym)
-            c_src = per_iter.get(sym.src, {}).get(sym, 0)
-            c_dst = per_iter.get(sym.dst, {}).get(sym, 0)
-            if c_src == 0 or c_dst == 0:
-                unmatched.append((sym, c_src, c_dst))
-                continue
-            equations.append(oriented(sym.src, sym.dst, c_src, c_dst, sym))
-    if unmatched:
-        sym, c_src, c_dst = unmatched[0]
-        return None, Deadlock(UnmatchedTotals(sym, c_src, c_dst))
-
-    group = RatioEquationGroup(tuple(order), tuple(equations))
-    solution = solve(group)
-    if isinstance(solution, Inconsistent):
-        if trace is not None:
-            trace.add_reg("outer", group.equations, solution)
-        return None, Deadlock(
-            RatioInconsistency(solution.detail, solution.equations))
-
-    # Theorem 2 with t=0 for infinite wrappers, t=1 for plain finite strings
-    for comp in solution.components:
-        products = {n: (0 if wrapped[n] else 1) * solution.values[n]
-                    for n in comp}
-        if len(set(products.values())) > 1:
-            detail = ("mixed infinite and finite node programs within one "
-                      f"related component {comp}")
-            if trace is not None:
-                trace.add_reg("outer", group.equations, solution)
-            return None, Deadlock(RatioInconsistency(detail))
-
-    comp_lcm = {c: lcm(*(solution.values[n] for n in c))
-                for c in solution.components}
-    if trace is not None:
-        trace.add_reg("outer", group.equations, solution, comp_lcm)
-
-    out = {}
-    for n, ps in strings.items():
-        if not wrapped[n]:
-            out[n] = ps
-            continue
-        times = comp_lcm[solution.component_of(n)] // solution.values[n]
-        out[n] = normalize((Power(ps[0].body, times),))
-    return out, None
+            counts[n] = power_counts(ps)
+            times[n] = 1
+    solution, deadlock = ratio_stage(tuple(strings), counts, times, "outer",
+                                     trace)
+    if deadlock is not None:
+        return None, deadlock
+    return {n: (normalize((Power(ps[0].body, solution.times(n)),))
+                if is_infinite(times[n]) else ps)
+            for n, ps in strings.items()}, None
 
 
 def fpp(strings: dict) -> dict:
@@ -423,29 +377,18 @@ def align_and_reduce(strings: dict, rset: RelatedSet, max_events,
     ("noprogress", None).
     """
     members = rset.members
-    counts = {n: power_counts(m.body) for n, m in members.items()}
-    equations = []
-    seen = set()
-    for n in sorted(members):
-        for sym in counts[n]:
-            if sym in seen:
-                continue
-            seen.add(sym)
-            equations.append(oriented(
-                sym.src, sym.dst, counts[sym.src][sym], counts[sym.dst][sym],
-                sym))
-    group = RatioEquationGroup(tuple(sorted(members)), tuple(equations))
+    order = sorted(members)
+    counts = {n: power_counts(members[n].body) for n in order}
+    group, _ = count_equations(order, counts)
     solution = solve(group)
     if isinstance(solution, Inconsistent):
         return "deadlock", Deadlock(
             RatioInconsistency(solution.detail, solution.equations))
 
-    full = lcm(*(solution.values[n] for n in members))
-    per_round = {n: full // solution.values[n] for n in members}
-    rounds = min(members[n].exp // per_round[n] for n in members)
+    per_round = {n: solution.times(n) for n in order}
+    rounds = min(members[n].exp // per_round[n] for n in order)
     if record is not None:
-        record.solutions.append(
-            (tuple(sorted(members)), dict(solution.values)))
+        record.solutions.append((tuple(order), dict(solution.values)))
     if rounds == 0:
         return "noprogress", None
 
@@ -466,8 +409,7 @@ def align_and_reduce(strings: dict, rset: RelatedSet, max_events,
             rest.append(Power(m.leftover, 1))
         new_strings[n] = tuple(rest) + strings[n][1:]
     if record is not None:
-        record.actions.append(
-            f"reduced {tuple(sorted(members))} by {rounds} round(s)")
+        record.actions.append(f"reduced {tuple(order)} by {rounds} round(s)")
     return "progress", new_strings
 
 

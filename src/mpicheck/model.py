@@ -5,6 +5,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -121,8 +122,12 @@ class Program:
     def body(self, nid) -> tuple:
         return dict(self.nodes)[nid]
 
+    @cached_property
+    def _name_map(self) -> dict:
+        return dict(self.names)
+
     def name_of(self, nid) -> str:
-        return dict(self.names).get(nid, f"P{nid}")
+        return self._name_map.get(nid, f"P{nid}")
 
 
 def make_program(bodies: dict, names: dict | None = None) -> Program:
@@ -143,28 +148,6 @@ class ModelClass(Enum):
     SMODEL = "smodel"
     L0 = "l0"
     L2 = "l2"
-
-
-def _walk(body):
-    for st in body:
-        yield st
-        if isinstance(st, For):
-            yield from _walk(st.body)
-
-
-def symbols_of(body) -> set:
-    out = set()
-    for st in _walk(body):
-        if isinstance(st, (Send, Recv)):
-            out.add(st.sym)
-    return out
-
-
-def program_symbols(program: Program) -> set:
-    out = set()
-    for _, body in program.nodes:
-        out |= symbols_of(body)
-    return out
 
 
 def validate(program: Program) -> Program:
@@ -286,15 +269,3 @@ def unroll(program: Program, max_events: int | None = None) -> dict:
         expand(body, out)
         queues[nid] = tuple(out)
     return queues
-
-
-def unrolled_program(program: Program, max_events: int | None = None) -> Program:
-    """The unrolled program as a loop-free Program (an S-Model)."""
-    queues = unroll(program, max_events)
-    bodies = {}
-    for nid, _ in program.nodes:
-        stmts = []
-        for s in queues[nid]:
-            stmts.append(Send(s) if s.src == nid else Recv(s))
-        bodies[nid] = stmts
-    return make_program(bodies, dict(program.names))

@@ -2,14 +2,19 @@
 
 Solved per connected component with a weighted union-find holding exact
 reduced fractions, so downstream LCM-based slicing gets exact integers.
+``ratio_stage`` is the whole ratio method both loop engines share: build
+the group from per-node counts, solve it, apply Theorem 2 and size the
+LCM slice.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
+
+from .model import is_infinite
+from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
 
 @dataclass(frozen=True)
@@ -49,13 +54,18 @@ class RatioEquationGroup:
 class RatioSolution:
     components: tuple  # tuple of sorted variable tuples
     values: dict       # variable -> positive int, per-component gcd 1
+    lcm: dict = field(init=False, repr=False, compare=False)  # comp -> LCM
 
-    @cached_property
-    def _component(self) -> dict:
-        return {v: comp for comp in self.components for v in comp}
+    def __post_init__(self):
+        self.lcm = {c: lcm(*[self.values[v] for v in c])
+                    for c in self.components}
+        # keyed by variable: a lookup by component would hash its tuple
+        self._times = {v: m // self.values[v]
+                       for c, m in self.lcm.items() for v in c}
 
-    def component_of(self, var):
-        return self._component[var]
+    def times(self, var):
+        """Loop count of `var` in the LCM slice: LCM / p_var."""
+        return self._times[var]
 
 
 @dataclass
@@ -98,26 +108,6 @@ class _UnionFind:
             self.parent[u] = root
             self.ratio[u] = (num, den)
         return root, (num, den)
-
-
-def components(group: RatioEquationGroup) -> tuple:
-    uf = {v: v for v in group.variables}
-
-    def find(v):
-        while uf[v] != v:
-            uf[v] = uf[uf[v]]
-            v = uf[v]
-        return v
-
-    for eq in group.equations:
-        ri, rj = find(eq.i), find(eq.j)
-        if ri != rj:
-            uf[ri] = rj
-    comps = {}
-    for v in group.variables:
-        comps.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(c, key=str)) for c in
-                 sorted(comps.values(), key=lambda c: str(min(c, key=str))))
 
 
 def solve(group: RatioEquationGroup):
@@ -187,3 +177,69 @@ def _chain(tree, src, dst):
         out.append(eq)
     out.reverse()
     return out
+
+
+def count_equations(order, counts):
+    """The group of per-node occurrence counts: one variable per node of
+    `order` and one equation per symbol, in first-appearance order, from its
+    counts at both endpoints (`counts`: node -> {symbol: count}).
+
+    Returns (group, unmatched), where unmatched lists (symbol, sends, recvs)
+    for each symbol counted at only one endpoint; those get no equation.
+    """
+    equations = []
+    unmatched = []
+    seen = set()
+    for n in order:
+        for sym in counts[n]:
+            if sym in seen:
+                continue
+            seen.add(sym)
+            c_src = counts[sym.src].get(sym, 0)
+            c_dst = counts[sym.dst].get(sym, 0)
+            if c_src and c_dst:
+                equations.append(oriented(sym.src, sym.dst, c_src, c_dst, sym))
+            else:
+                unmatched.append((sym, c_src, c_dst))
+    return RatioEquationGroup(tuple(order), tuple(equations)), unmatched
+
+
+def ratio_stage(order, counts, times, label, trace=None):
+    """Solve the group of `counts` and check Theorem 2 against the loop
+    counts `times`: p_n * t_n must be equal within each component, with an
+    infinite t_n counted as 0.  Components never synchronize with each
+    other, so their products are not compared.
+
+    Returns (solution, None), whose ``times(n)`` sizes the LCM slice, or
+    (None, Deadlock).  A solved group is recorded in `trace` under `label`,
+    with its LCMs when it passes.
+    """
+    group, unmatched = count_equations(order, counts)
+    if unmatched:
+        return None, Deadlock(UnmatchedTotals(*unmatched[0]))
+    solution = solve(group)
+    if isinstance(solution, Inconsistent):
+        conflict = RatioInconsistency(solution.detail, solution.equations)
+    else:
+        conflict = _unequal_products(solution, times)
+    if trace is not None:
+        trace.add_reg(label, group.equations, solution,
+                      solution.lcm if conflict is None else None)
+    if conflict is not None:
+        return None, Deadlock(conflict)
+    for eq in group.equations:
+        # each symbol's sends and receives balance in the slice
+        assert eq.a * solution.times(eq.i) == eq.b * solution.times(eq.j), \
+            f"sliced model unbalanced at {eq}"
+    return solution, None
+
+
+def _unequal_products(solution, times):
+    for comp in solution.components:
+        products = [solution.values[n] * (0 if is_infinite(times[n])
+                                          else times[n]) for n in comp]
+        if len(set(products)) > 1:
+            parts = ", ".join(f"p{n}*t{n}={p}" for n, p in zip(comp, products))
+            return RatioInconsistency(
+                f"unequal products within component {comp}: {parts}")
+    return None

@@ -28,11 +28,7 @@ class Trace:
     reg_records: list = field(default_factory=list)
     fpp_snapshots: list = field(default_factory=list)  # node -> rendered power
     set_records: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     def add_reg(self, label, equations, solution, lcm=None, loop_times=None):
         self.reg_records.append(
             RegRecord(label, tuple(equations), solution, lcm, loop_times))
-
-    def note(self, text):
-        self.notes.append(text)

@@ -46,9 +46,26 @@ def test_check_trace_prints_stages(capsys):
     assert "solution p0:p1:p2 = 1:2:1" in out
 
 
-def test_check_forced_route(capsys):
-    assert main(["check", prog("prog3.mdl"), "--via", "l2"]) == 0
-    assert "(phase l2)" in capsys.readouterr().out
+def test_json_reports_declared_node_names(tmp_path, capsys):
+    single = tmp_path / "single.mdl"
+    single.write_text("node root { for inf { send a to leaf } }\n"
+                      "node leaf { for inf { recv a from root } }\n"
+                      "node idle { }\n")
+    assert main(["check", str(single), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["phase"] == "l0"
+    assert data["nodes"] == {"root": 0, "leaf": 1, "idle": 2}
+    assert data["emptyNodes"] == ["idle"]
+    (rec,) = data["regSolutions"]
+    assert rec["slicedLoopTimes"] == {"root": 1, "leaf": 1}
+
+    nested = tmp_path / "nested.mdl"
+    nested.write_text("node root { for 2 { for 3 { send a to leaf } } }\n"
+                      "node leaf { for 6 { recv a from root } }\n")
+    assert main(["check", str(nested), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["phase"] == "l2"
+    assert data["fppTrace"][0] == {"root": "a^6", "leaf": "a^6"}
 
 
 def test_missing_file_exit_two(capsys):
@@ -97,6 +114,26 @@ def test_reg_prints_equations_and_solution(capsys):
     out = capsys.readouterr().out
     assert "p0 : p1 = 1 : 2" in out
     assert "solution p0:p1:p2 = 1:2:1" in out
+
+
+def test_reg_and_trace_print_records_alike(tmp_path, capsys):
+    bad = tmp_path / "bad.mdl"
+    bad.write_text("node P0 { for 2 { send a to P1 } }\n"
+                   "node P1 { for 3 { recv a from P0 } }\n")
+    assert main(["reg", str(bad)]) == 0
+    reg_out = capsys.readouterr().out
+    assert reg_out.splitlines() == [
+        "  ratio equations (outer):",
+        "    p0 : p1 = 2 : 3  [a:0->1]",
+        "    solution p0:p1 = 2:3",
+        "  deadlock: {'type': 'ratio-inconsistency', 'detail': 'unequal "
+        "products within component (0, 1): p0*t0=2, p1*t1=3', "
+        "'equations': []}",
+    ]
+    assert main(["check", str(bad), "--trace"]) == 1
+    trace_out = capsys.readouterr().out
+    assert "  ratio equations (l0):\n    p0 : p1 = 1 : 1  [a:0->1]\n" \
+           "    solution p0:p1 = 1:1\n" in trace_out
 
 
 def test_simulate_free(capsys):

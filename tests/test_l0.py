@@ -1,11 +1,13 @@
-"""Single-loop pipeline: view extraction, equations, consistency, slicing."""
+"""Single-loop pipeline: view extraction, equations, consistency, slicing.
+
+The equations and the Theorem-2 check are the shared ``reg.ratio_stage``,
+run here on the counts ``check_l0`` gives it."""
 import pytest
 
-from mpicheck.model import (INFINITE, For, Recv, Send, Symbol, make_program,
-                            unroll)
-from mpicheck.l0 import (as_l0_view, build_l0_reg, check_l0, ratio_consistent,
-                         slice_view)
-from mpicheck.reg import solve
+from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
+                            count_occurrences, make_program, unroll)
+from mpicheck.l0 import as_l0_view, check_l0, slice_view
+from mpicheck.reg import count_equations, ratio_stage
 from mpicheck.trace import Trace
 from mpicheck.verdicts import (Deadlock, RatioInconsistency, UnmatchedTotals)
 
@@ -16,6 +18,16 @@ B = Symbol("b", 1, 0)
 def loop_prog(c0, body0, c1, body1):
     return make_program({0: [For(c0, tuple(body0))],
                          1: [For(c1, tuple(body1))]})
+
+
+def l0_counts(view):
+    return {n: count_occurrences(body) for n, (_, body) in view.loops.items()}
+
+
+def l0_stage(view, times=None):
+    if times is None:
+        times = {n: count for n, (count, _) in view.loops.items()}
+    return ratio_stage(view.order, l0_counts(view), times, "l0")
 
 
 def test_view_requires_single_top_level_loop():
@@ -37,8 +49,9 @@ def test_empty_node_joins_view_with_unit_loop():
 def test_build_reg_counts_both_endpoints():
     view = as_l0_view(loop_prog(3, [Send(A), Send(A)], 2, [Recv(A), Recv(A),
                                                            Recv(A)]))
-    group, unmatched = build_l0_reg(view)
+    group, unmatched = count_equations(view.order, l0_counts(view))
     assert unmatched == []
+    assert group.variables == (0, 1)
     (eq,) = group.equations
     assert (eq.i, eq.j, eq.a, eq.b) == (0, 1, 2, 3)
     assert eq.origin == A
@@ -46,25 +59,34 @@ def test_build_reg_counts_both_endpoints():
 
 def test_build_reg_reports_one_sided_symbols():
     view = as_l0_view(loop_prog(2, [Send(A)], 2, [Recv(B)]))
-    _, unmatched = build_l0_reg(view)
-    assert {s for s, _, _ in unmatched} == {A, B}
+    group, unmatched = count_equations(view.order, l0_counts(view))
+    assert group.equations == ()
+    assert unmatched == [(A, 1, 0), (B, 1, 0)]
+    solution, verdict = l0_stage(view)
+    assert solution is None
+    assert verdict.witness == UnmatchedTotals(A, 1, 0)
 
 
 def test_ratio_consistent_infinite_means_zero():
     view = as_l0_view(loop_prog(2, [Send(A)], 1, [Recv(A), Recv(A)]))
-    group, _ = build_l0_reg(view)
-    sol = solve(group)
-    assert ratio_consistent(sol, {0: INFINITE, 1: INFINITE}) is None
-    assert ratio_consistent(sol, {0: 2, 1: 1}) is None
-    assert ratio_consistent(sol, {0: 2, 1: 2}) is not None
-    assert ratio_consistent(sol, {0: INFINITE, 1: 2}) is not None
+    for times in ({0: INFINITE, 1: INFINITE}, {0: 2, 1: 1}):
+        solution, verdict = l0_stage(view, times)
+        assert verdict is None and solution.values == {0: 1, 1: 2}
+    solution, verdict = l0_stage(view, {0: 2, 1: 2})
+    assert solution is None
+    assert isinstance(verdict.witness, RatioInconsistency)
+    solution, verdict = l0_stage(view, {0: INFINITE, 1: 2})
+    assert solution is None
+    assert verdict.witness.detail == (
+        "unequal products within component (0, 1): p0*t0=0, p1*t1=4")
 
 
 def test_slice_replaces_counts_by_lcm_over_value():
     view = as_l0_view(loop_prog(INFINITE, [Send(A)], INFINITE,
                                 [Recv(A), Recv(A)]))
-    group, _ = build_l0_reg(view)
-    sliced = slice_view(view, solve(group))
+    solution, verdict = l0_stage(view)
+    assert verdict is None
+    sliced = slice_view(view, solution)
     assert sliced.body(0)[0].count == 2
     assert sliced.body(1)[0].count == 1
     queues = unroll(sliced)
@@ -77,7 +99,21 @@ def test_check_l0_free_and_traced():
                                  [Recv(A), Send(B)]), trace)
     assert bool(verdict)
     (rec,) = trace.reg_records
+    assert rec.label == "l0"
+    assert rec.lcm == {(0, 1): 1}
     assert rec.loop_times == {0: 1, 1: 1}
+
+
+def test_check_l0_slices_only_non_empty_nodes():
+    trace = Trace()
+    prog = make_program({0: [For(INFINITE, (Send(A), Send(A)))],
+                         1: [For(INFINITE, (Recv(A), Recv(A), Recv(A)))],
+                         2: []})
+    assert bool(check_l0(prog, trace))
+    (rec,) = trace.reg_records
+    assert rec.solution.values == {0: 2, 1: 3, 2: 1}
+    assert rec.lcm == {(0, 1): 6, (2,): 1}
+    assert rec.loop_times == {0: 3, 1: 2}
 
 
 def test_check_l0_unmatched_symbol_deadlocks():

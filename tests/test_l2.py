@@ -10,7 +10,9 @@ from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
 from mpicheck.l2 import (Power, align_and_reduce, check_l2, flatten_items,
                          fpp, normalize, power_counts, related_sets,
                          render_items, strip_outer_infinite, to_power_string)
-from mpicheck.verdicts import Deadlock
+from mpicheck.l0 import check_l0
+from mpicheck.trace import Trace
+from mpicheck.verdicts import Deadlock, RatioInconsistency
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -122,6 +124,37 @@ def test_strip_outer_infinite_flags_mixed_components():
     }
     _, verdict = strip_outer_infinite(strings)
     assert isinstance(verdict, Deadlock)
+
+
+def test_strip_outer_infinite_names_unequal_finite_products():
+    # every node finite: the conflict is unequal totals, not a mix of
+    # infinite and finite nodes
+    strings = {0: (Power((A,), 1),), 1: (Power((A,), 2),)}
+    _, verdict = strip_outer_infinite(strings)
+    assert verdict.witness == RatioInconsistency(
+        "unequal products within component (0, 1): p0*t0=1, p1*t1=2")
+
+
+def test_outer_stage_matches_l0_on_single_infinite_loops():
+    E = Symbol("e", 1, 2)
+    F = Symbol("f", 2, 0)
+    prog = make_program({
+        0: [For(INFINITE, (Send(A), Send(A), Recv(F)))],
+        1: [For(INFINITE, (Recv(A), Send(E)))],
+        2: [For(INFINITE, (Recv(E), Recv(E), Send(F)))],
+        3: [],
+    })
+    l0_trace, outer_trace = Trace(), Trace()
+    assert bool(check_l0(prog, l0_trace))
+    strings = {n: normalize(to_power_string(b)) for n, b in prog.nodes}
+    _, verdict = strip_outer_infinite(strings, outer_trace)
+    assert verdict is None
+    (l0_rec,), (outer_rec,) = l0_trace.reg_records, outer_trace.reg_records
+    assert (l0_rec.label, outer_rec.label) == ("l0", "outer")
+    assert l0_rec.equations == outer_rec.equations
+    assert l0_rec.solution.values == outer_rec.solution.values
+    assert l0_rec.solution.values == {0: 2, 1: 1, 2: 2, 3: 1}
+    assert l0_rec.lcm == outer_rec.lcm == {(0, 1, 2): 2, (3,): 1}
 
 
 def test_infinite_with_siblings_is_unsupported():

@@ -6,7 +6,7 @@ from mpicheck.model import (INFINITE, DanglingEndpoint, For, InfiniteInside,
                             ModelClass, NestedInfinite, Recv, Send,
                             SelfMessage, SizeExceeded, Symbol, classify,
                             count_occurrences, is_infinite, make_program,
-                            unroll, unrolled_program, validate, weighted_size)
+                            unroll, validate, weighted_size)
 
 A01 = Symbol("a", 0, 1)
 B10 = Symbol("b", 1, 0)
@@ -102,14 +102,6 @@ def test_unroll_respects_cap():
     prog = make_program({0: [For(100, (Send(A01),))], 1: []})
     with pytest.raises(SizeExceeded):
         unroll(prog, max_events=10)
-
-
-def test_unrolled_program_is_loop_free_equivalent():
-    prog = make_program({0: [For(2, (Send(A01),))],
-                         1: [Recv(A01), Recv(A01)]})
-    flat = unrolled_program(prog)
-    assert classify(flat) is ModelClass.SMODEL
-    assert unroll(flat) == unroll(prog)
 
 
 def test_names_default_and_custom():

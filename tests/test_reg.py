@@ -1,13 +1,26 @@
-"""Ratio equation groups: solving, components, conflict witnesses."""
+"""Ratio equation groups: solving, components, conflict witnesses, and the
+ratio stage both loop engines share."""
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpicheck import reg
+from mpicheck.model import INFINITE, Symbol
 from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
-                          RatioSolution, components, oriented, solve)
+                          RatioSolution, count_equations, oriented,
+                          ratio_stage, solve)
+from mpicheck.trace import Trace
+from mpicheck.verdicts import RatioInconsistency, UnmatchedTotals
+
+A = Symbol("a", 0, 1)
+B = Symbol("b", 1, 0)
+C = Symbol("c", 1, 2)
+D = Symbol("d", 3, 4)
 
 
 def test_single_equation():
@@ -29,8 +42,7 @@ def test_isolated_variable_gets_own_component():
     sol = solve(group)
     assert sol.components == ((0, 1), (2,))
     assert sol.values[2] == 1
-    assert sol.component_of(2) == (2,)
-    assert components(group) == ((0, 1), (2,))
+    assert sol.lcm == {(0, 1): 1, (2,): 1}
 
 
 def test_transitive_chain():
@@ -123,3 +135,78 @@ def test_unknown_variable_rejected():
     except ValueError:
         return
     raise AssertionError("expected a ValueError")
+
+
+def test_count_equations_one_per_symbol_in_first_appearance_order():
+    counts = {0: Counter({A: 2, B: 1}), 1: Counter({C: 1, B: 1, A: 4}),
+              2: Counter({C: 3})}
+    group, unmatched = count_equations((0, 1, 2), counts)
+    assert unmatched == []
+    assert group.variables == (0, 1, 2)
+    assert [str(e) for e in group.equations] == [
+        "p0 : p1 = 2 : 4  [a:0->1]",
+        "p0 : p1 = 1 : 1  [b:1->0]",
+        "p1 : p2 = 1 : 3  [c:1->2]",
+    ]
+
+
+def test_ratio_stage_slices_to_lcm_over_value():
+    counts = {0: Counter({A: 2}), 1: Counter({A: 3, C: 2}), 2: Counter({C: 1}),
+              3: Counter({D: 1}), 4: Counter({D: 1})}
+    times = dict.fromkeys(counts, INFINITE)
+    trace = Trace()
+    solution, verdict = ratio_stage(tuple(counts), counts, times, "x", trace)
+    assert verdict is None
+    assert solution.values == {0: 4, 1: 6, 2: 3, 3: 1, 4: 1}
+    assert solution.lcm == {(0, 1, 2): 12, (3, 4): 1}
+    assert {n: solution.times(n) for n in counts} == {
+        0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
+    # every symbol balances in the slice
+    for sym in (A, C, D):
+        assert (counts[sym.src][sym] * solution.times(sym.src)
+                == counts[sym.dst][sym] * solution.times(sym.dst))
+    (rec,) = trace.reg_records
+    assert rec.label == "x" and rec.solution is solution
+    assert rec.lcm == solution.lcm and rec.loop_times is None
+
+
+def test_ratio_stage_unmatched_totals_record_nothing():
+    counts = {0: Counter({A: 1}), 1: Counter()}
+    trace = Trace()
+    solution, verdict = ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", trace)
+    assert solution is None
+    assert verdict.witness == UnmatchedTotals(A, 1, 0)
+    assert trace.reg_records == []
+
+
+def test_ratio_stage_solver_conflict():
+    counts = {0: Counter({A: 1, B: 2}), 1: Counter({A: 1, B: 1})}
+    trace = Trace()
+    solution, verdict = ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", trace)
+    assert solution is None
+    assert isinstance(verdict.witness, RatioInconsistency)
+    assert len(verdict.witness.equations) == 2
+    (rec,) = trace.reg_records
+    assert isinstance(rec.solution, Inconsistent) and rec.lcm is None
+
+
+def test_ratio_stage_theorem_2_conflict():
+    # solvable counts, but the finite loop totals disagree: recorded
+    # without LCMs (infinite counts are covered in test_l0)
+    counts = {0: Counter({A: 1}), 1: Counter({A: 2}), 2: Counter()}
+    trace = Trace()
+    solution, verdict = ratio_stage((0, 1, 2), counts, {0: 1, 1: 1, 2: 5},
+                                    "x", trace)
+    assert solution is None
+    assert verdict.witness == RatioInconsistency(
+        "unequal products within component (0, 1): p0*t0=1, p1*t1=2")
+    (rec,) = trace.reg_records
+    assert rec.solution.values == {0: 1, 1: 2, 2: 1} and rec.lcm is None
+
+
+def test_ratio_stage_asserts_a_balanced_slice(monkeypatch):
+    counts = {0: Counter({A: 1}), 1: Counter({A: 2})}
+    wrong = RatioSolution(((0, 1),), {0: 1, 1: 1})
+    monkeypatch.setattr(reg, "solve", lambda group: wrong)
+    with pytest.raises(AssertionError, match="unbalanced"):
+        ratio_stage((0, 1), counts, {0: INFINITE, 1: INFINITE}, "x")
