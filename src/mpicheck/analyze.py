@@ -18,8 +18,8 @@ def check_program(program: Program, trace: Trace | None = None,
     cls = classify(program)
     if cls is ModelClass.SMODEL:
         return smodel.check_smodel(unroll(program, max_events)), "smodel"
-    if cls is ModelClass.L0 and l0.as_l0_view(program) is not None:
-        return l0.check_l0(program, trace, max_events), "l0"
+    if cls is ModelClass.L0 and (view := l0.as_l0_view(program)) is not None:
+        return l0.check_l0(view, trace, max_events), "l0"
     return l2.check_l2(program, trace, max_events), "l2"
 
 

@@ -13,13 +13,12 @@ from . import oracle
 from .analyze import analyze
 from .l2 import (flatten_items, normalize, strip_outer_infinite,
                  to_power_string)
-from .model import (For, ModelError, default_max_events, is_infinite, unroll,
+from .model import (MAX_EVENTS, For, ModelError, is_infinite, unroll,
                     validate)
 from .parser import MdlSyntaxError, parse
 from .reg import Inconsistent
 from .smodel import build_mdg, mdg_to_dot
-from .trace import Trace
-from .verdicts import Deadlock
+from .verdicts import Deadlock, witness_dict
 
 
 def _load(path):
@@ -136,22 +135,23 @@ def _as_queues(program, max_events):
     if verdict is not None:
         raise ModelError(
             "program has no consistent finite slice; cannot draw its MDG")
-    cap = default_max_events() if max_events is None else max_events
+    cap = MAX_EVENTS if max_events is None else max_events
     return {n: flatten_items(ps, cap=cap) for n, ps in finite.items()}
 
 
 def cmd_reg(args) -> int:
+    """The ratio records of the check, as `check --trace` prints them."""
     program = _load(args.path)
-    strings = {n: normalize(to_power_string(b)) for n, b in program.nodes}
-    trace = Trace()
     try:
-        _, verdict = strip_outer_infinite(strings, trace)
+        report = analyze(program)
     except ModelError as exc:
         raise _Usage(f"{args.path}: {exc}")
-    for rec in trace.reg_records:
+    for rec in report.trace.reg_records:
         _print_reg(rec, program.name_of)
-    if verdict is not None:
-        print(f"  deadlock: {verdict.witness.to_dict()}")
+    if not report.trace.reg_records:
+        print(f"  no ratio equations (phase {report.phase})")
+    if isinstance(report.verdict, Deadlock):
+        print(f"  deadlock: {witness_dict(report.verdict)}")
     return 0
 
 

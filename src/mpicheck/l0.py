@@ -49,11 +49,8 @@ def slice_view(view: L0View, solution) -> Program:
                          for n, (_, body) in view.loops.items()})
 
 
-def check_l0(program: Program, trace=None, max_events=None) -> Verdict:
+def check_l0(view: L0View, trace=None, max_events=None) -> Verdict:
     """REG -> Theorem-2 consistency -> slice -> unroll -> S-Model check."""
-    view = as_l0_view(program)
-    if view is None:
-        raise ValueError("program is not in canonical single-loop shape")
     loops = view.loops
     counts = {n: count_occurrences(body) for n, (_, body) in loops.items()}
     times = {n: count for n, (count, _) in loops.items()}

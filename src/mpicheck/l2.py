@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import (INFINITE, Program, Recv, Send, Symbol,
-                    UnsupportedProgram, default_max_events, is_infinite)
+from .model import (INFINITE, MAX_EVENTS, Program, Recv, Send, Symbol,
+                    UnsupportedProgram, is_infinite)
 from .reg import Inconsistent, count_equations, ratio_stage, solve
 from .smodel import check_smodel
 from .trace import SetRecord
@@ -270,7 +270,6 @@ def fpp(strings: dict) -> dict:
 
 @dataclass
 class SetMember:
-    node: int
     body: tuple
     exp: int
     leftover: tuple = ()  # tail of a trimmed literal run, stays in the string
@@ -278,95 +277,79 @@ class SetMember:
 
 @dataclass
 class RelatedSet:
-    nodes: tuple              # original component membership
-    members: dict             # node -> SetMember (after trimming), may be {}
+    nodes: tuple   # sorted; a waiting set names its whole pool component
+    members: dict  # node -> SetMember (after trimming), {} when waiting
     eligible: bool
-    symbols: frozenset
 
 
-def related_sets(pool: dict) -> list:
-    """Connected components of the pool under shared symbols, with members
-    trimmed or dropped until every symbol has both endpoints present.
+def _partner(sym, n):
+    return sym.dst if sym.src == n else sym.src
 
-    An exponent-1 literal run whose tail mentions a symbol with a missing
-    endpoint is split before that symbol; the head participates now and the
-    tail waits in the string.  True powers with a missing-endpoint symbol
-    drop out entirely (their node is blocked until the partner arrives).
-    """
-    syms = {n: string_symbols(p.body) for n, p in pool.items()}
-    comps = _components(list(pool), syms)
+
+def _groups(held: dict) -> list:
+    """Nodes of ``held`` (node -> symbols) linked by every symbol both of
+    whose endpoints hold it, in ascending order of their smallest node."""
+    seen = set()
     out = []
-    for comp in comps:
-        members = {n: SetMember(n, pool[n].body, pool[n].exp) for n in comp}
-        out.extend(_resolve(comp, members))
+    for n in sorted(held):
+        if n in seen:
+            continue
+        seen.add(n)
+        comp = [n]
+        for v in comp:  # comp grows as the walk reaches new nodes
+            for s in held[v]:
+                u = _partner(s, v)
+                if u not in seen and s in held.get(u, ()):
+                    seen.add(u)
+                    comp.append(u)
+        out.append(tuple(sorted(comp)))
     return out
 
 
-def _components(nodes, syms):
-    comps = []
-    left = set(nodes)
-    while left:
-        n = left.pop()
-        comp = {n}
-        frontier = [n]
-        while frontier:
-            v = frontier.pop()
-            for u in list(left):
-                if syms[v] & syms[u]:
-                    left.discard(u)
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
+def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
+    """Group the pool into related sets after trimming it to a fixpoint.
 
-
-def _resolve(orig_nodes, members) -> list:
-    """Trim/drop fixpoint; may split into several sets."""
-    while True:
-        if not members:
-            return [RelatedSet(tuple(orig_nodes), {}, False, frozenset())]
-        syms = {n: string_symbols(m.body) for n, m in members.items()}
-        comps = _components(list(members), syms)
-        if len(comps) > 1:
-            out = []
-            for comp in comps:
-                sub = {n: members[n] for n in comp}
-                out.extend(_resolve(comp, sub))
-            return out
-        comp = comps[0]
-        present = set().union(*(syms[n] for n in comp))
-        offending = set()
-        for s in present:
-            ok = (s.src in members and s in syms[s.src]
-                  and s.dst in members and s in syms[s.dst])
-            if not ok:
-                offending.add(s)
-        if not offending:
-            return [RelatedSet(tuple(comp), dict(members), True,
-                               frozenset(present))]
-        changed = False
-        for n in list(members):
-            m = members[n]
-            hit = string_symbols(m.body) & offending
-            if not hit:
-                continue
-            if m.exp == 1:
-                # an exponent-1 power is just its literal sequence; split it
-                # before the first symbol whose partner is not here yet
-                body = (m.body if _is_literal(m.body)
-                        else flatten_items(m.body, cap=default_max_events()))
-                pos = min(i for i, it in enumerate(body) if it in offending)
-                if pos == 0:
-                    del members[n]
-                else:
-                    m.leftover = body[pos:] + m.leftover
-                    m.body = body[:pos]
-            else:
-                del members[n]
-            changed = True
-        if not changed:
-            # cannot happen: every offending symbol lives in some member
-            return [RelatedSet(tuple(orig_nodes), {}, False, frozenset())]
+    A symbol is offending when the member of its sender or of its receiver
+    does not hold it.  An exponent-1 run is cut before its first offending
+    symbol: the head takes part now and the tail waits in the string (a
+    composite run is flattened first, at most ``cap`` events).  Any other
+    power holding an offending symbol drops out; its node is blocked until
+    the partner arrives.  Members only shrink, so the fixpoint does not
+    depend on the order of the cuts, and a symbol's two endpoints always
+    share a component, so trimming the whole pool at once is exact.  A pool
+    component left with no member is one waiting set.
+    """
+    held = {n: string_symbols(p.body) for n, p in pool.items()}
+    waiting = _groups(held)
+    members = {n: SetMember(p.body, p.exp) for n, p in pool.items()}
+    todo = list(members)
+    while todo:
+        n = todo.pop()
+        if n not in members:
+            continue
+        bad = {s for s in held[n] if s not in held.get(_partner(s, n), ())}
+        if not bad:
+            continue
+        m = members[n]
+        pos = 0
+        if m.exp == 1:
+            body = (m.body if _is_literal(m.body)
+                    else flatten_items(m.body, cap))
+            pos = next(i for i, s in enumerate(body) if s in bad)
+        if pos == 0:
+            del members[n]
+            lost = held.pop(n)
+        else:
+            m.body, m.leftover = body[:pos], body[pos:] + m.leftover
+            kept = set(m.body)
+            lost, held[n] = held[n] - kept, kept
+        todo.extend(_partner(s, n) for s in lost)
+    out = [RelatedSet(g, {n: members[n] for n in g}, True)
+           for g in _groups(held)]
+    out.extend(RelatedSet(g, {}, False) for g in waiting
+               if not any(n in members for n in g))
+    out.sort(key=lambda rs: rs.nodes[0])
+    return out
 
 
 def align_and_reduce(strings: dict, rset: RelatedSet, max_events,
@@ -415,7 +398,7 @@ def align_and_reduce(strings: dict, rset: RelatedSet, max_events,
 
 def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
     """Normalize, strip outer infinity, then run the pool reduction loop."""
-    cap = default_max_events() if max_events is None else max_events
+    cap = MAX_EVENTS if max_events is None else max_events
     strings = {n: normalize(to_power_string(body))
                for n, body in program.nodes}
     if trace is not None:
@@ -432,7 +415,7 @@ def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
                 {n: render_items((p,)) for n, p in pool.items()})
         if not pool:
             return DEADLOCK_FREE
-        sets = related_sets(pool)
+        sets = related_sets(pool, cap)
         record = None
         if trace is not None:
             record = SetRecord(tuple(

@@ -1,7 +1,6 @@
 """Core program model: AST, validation, classification, counting, unrolling."""
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -242,13 +241,13 @@ def weighted_size(body) -> int:
     return total
 
 
-def default_max_events() -> int:
-    return int(os.environ.get("MPICHECK_MAX_EVENTS", 10**6))
+# Default cap on the events one check may unroll or flatten.
+MAX_EVENTS = 10**6
 
 
 def unroll(program: Program, max_events: int | None = None) -> dict:
     """Expand all finite loops into flat per-node symbol sequences."""
-    cap = default_max_events() if max_events is None else max_events
+    cap = MAX_EVENTS if max_events is None else max_events
     total = 0
     for _, body in program.nodes:
         total += weighted_size(body)

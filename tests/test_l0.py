@@ -2,8 +2,8 @@
 
 The equations and the Theorem-2 check are the shared ``reg.ratio_stage``,
 run here on the counts ``check_l0`` gives it."""
-import pytest
-
+from mpicheck import l0
+from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
                             count_occurrences, make_program, unroll)
 from mpicheck.l0 import as_l0_view, check_l0, slice_view
@@ -18,6 +18,10 @@ B = Symbol("b", 1, 0)
 def loop_prog(c0, body0, c1, body1):
     return make_program({0: [For(c0, tuple(body0))],
                          1: [For(c1, tuple(body1))]})
+
+
+def l0_view(*args):
+    return as_l0_view(loop_prog(*args))
 
 
 def l0_counts(view):
@@ -95,8 +99,8 @@ def test_slice_replaces_counts_by_lcm_over_value():
 
 def test_check_l0_free_and_traced():
     trace = Trace()
-    verdict = check_l0(loop_prog(INFINITE, [Send(A), Recv(B)], INFINITE,
-                                 [Recv(A), Send(B)]), trace)
+    verdict = check_l0(l0_view(INFINITE, [Send(A), Recv(B)], INFINITE,
+                               [Recv(A), Send(B)]), trace)
     assert bool(verdict)
     (rec,) = trace.reg_records
     assert rec.label == "l0"
@@ -109,7 +113,7 @@ def test_check_l0_slices_only_non_empty_nodes():
     prog = make_program({0: [For(INFINITE, (Send(A), Send(A)))],
                          1: [For(INFINITE, (Recv(A), Recv(A), Recv(A)))],
                          2: []})
-    assert bool(check_l0(prog, trace))
+    assert bool(check_l0(as_l0_view(prog), trace))
     (rec,) = trace.reg_records
     assert rec.solution.values == {0: 2, 1: 3, 2: 1}
     assert rec.lcm == {(0, 1): 6, (2,): 1}
@@ -117,23 +121,33 @@ def test_check_l0_slices_only_non_empty_nodes():
 
 
 def test_check_l0_unmatched_symbol_deadlocks():
-    verdict = check_l0(loop_prog(2, [Send(A)], 2, [Recv(B)]))
+    verdict = check_l0(l0_view(2, [Send(A)], 2, [Recv(B)]))
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, UnmatchedTotals)
 
 
 def test_check_l0_ratio_conflict_deadlocks():
     # finite loop totals disagree with the per-iteration ratio
-    verdict = check_l0(loop_prog(2, [Send(A)], 3, [Recv(A)]))
+    verdict = check_l0(l0_view(2, [Send(A)], 3, [Recv(A)]))
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, RatioInconsistency)
 
 
 def test_check_l0_mixed_infinite_and_finite_deadlocks():
-    verdict = check_l0(loop_prog(INFINITE, [Send(A)], 2, [Recv(A)]))
+    verdict = check_l0(l0_view(INFINITE, [Send(A)], 2, [Recv(A)]))
     assert isinstance(verdict, Deadlock)
 
 
-def test_check_l0_rejects_other_shapes():
-    with pytest.raises(ValueError):
-        check_l0(make_program({0: [Send(A)], 1: [Recv(A)]}))
+def test_analyze_builds_the_view_once(monkeypatch):
+    calls = []
+    real = l0.as_l0_view
+
+    def counting(program):
+        calls.append(program)
+        return real(program)
+
+    monkeypatch.setattr(l0, "as_l0_view", counting)
+    report = analyze(loop_prog(INFINITE, [Send(A), Recv(B)], INFINITE,
+                               [Recv(A), Send(B)]))
+    assert report.phase == "l0" and bool(report.verdict)
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 """Power strings: normalization rewrites, pools, related sets, reduction."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
                             UnsupportedProgram, make_program)
 from mpicheck.l2 import (Power, align_and_reduce, check_l2, flatten_items,
                          fpp, normalize, power_counts, related_sets,
-                         render_items, strip_outer_infinite, to_power_string)
-from mpicheck.l0 import check_l0
+                         render_items, string_symbols, strip_outer_infinite,
+                         to_power_string)
+from mpicheck.l0 import as_l0_view, check_l0
 from mpicheck.trace import Trace
 from mpicheck.verdicts import Deadlock, RatioInconsistency
 
@@ -78,14 +80,14 @@ def test_flatten_and_counts():
         flatten_items(ps, cap=5)
 
 
-def _random_items(rng, depth, budget):
+def _random_items(rng, depth, budget, alphabet=(A, B, C, D)):
     out = []
     while budget[0] > 0 and rng.random() < 0.8:
         if depth == 0 or rng.random() < 0.6:
-            out.append(rng.choice((A, B, C, D)))
+            out.append(rng.choice(alphabet))
             budget[0] -= 1
         else:
-            inner = _random_items(rng, depth - 1, budget)
+            inner = _random_items(rng, depth - 1, budget, alphabet)
             if inner:
                 out.append(Power(tuple(inner), rng.randint(1, 4)))
     return out
@@ -145,7 +147,7 @@ def test_outer_stage_matches_l0_on_single_infinite_loops():
         3: [],
     })
     l0_trace, outer_trace = Trace(), Trace()
-    assert bool(check_l0(prog, l0_trace))
+    assert bool(check_l0(as_l0_view(prog), l0_trace))
     strings = {n: normalize(to_power_string(b)) for n, b in prog.nodes}
     _, verdict = strip_outer_infinite(strings, outer_trace)
     assert verdict is None
@@ -187,6 +189,96 @@ def test_related_sets_drop_blocked_power():
     pool = {0: Power((A, C), 3), 1: Power((A,), 1)}
     sets = related_sets(pool)
     assert all(not rs.eligible for rs in sets)
+
+
+def random_pool(rng):
+    """A pool over up to five nodes whose entries use a few shared
+    messages, each entry holding only messages it sends or receives."""
+    n_nodes = rng.randint(2, 5)
+    links = [Symbol(name, i, j) for name in "xy" for i in range(n_nodes)
+             for j in range(n_nodes) if i != j]
+    links = rng.sample(links, rng.randint(1, 2 * n_nodes))
+    pool = {}
+    for n in range(n_nodes):
+        mine = [s for s in links if n in (s.src, s.dst)]
+        if not mine or rng.random() < 0.1:
+            continue
+        items = _random_items(rng, 2, [6], mine)
+        if items:
+            pool[n] = Power(tuple(items), rng.choice((1, 1, 2, 3)))
+    return pool
+
+
+def _partner(sym, n):
+    return sym.dst if sym.src == n else sym.src
+
+
+def test_related_sets_meet_their_spec_on_random_pools():
+    seen = Counter()
+    for seed in range(600):
+        pool = random_pool(random.Random(seed))
+        sets = related_sets(pool)
+        firsts = [rs.nodes[0] for rs in sets]
+        assert firsts == sorted(firsts)
+        placed = [n for rs in sets for n in rs.nodes]
+        assert len(placed) == len(set(placed)) and set(placed) <= set(pool)
+        held = {}
+        for rs in sets:
+            assert list(rs.nodes) == sorted(rs.nodes)
+            assert rs.eligible == bool(rs.members)
+            assert not rs.members or set(rs.members) == set(rs.nodes)
+            for n, m in rs.members.items():
+                held[n] = (string_symbols(m.body), rs)
+        for n, (syms, rs) in held.items():
+            # every symbol is held by both endpoints, inside the same set
+            for s in syms:
+                p = _partner(s, n)
+                assert p in held and s in held[p][0] and held[p][1] is rs
+            m = rs.members[n]
+            if pool[n].exp == 1:
+                assert m.body and m.exp == 1
+                assert (flatten_items(m.body) + m.leftover
+                        == flatten_items(pool[n].body))
+            else:
+                assert (m.body, m.exp, m.leftover) == (pool[n].body,
+                                                       pool[n].exp, ())
+        waiting = {n: rs for rs in sets if not rs.eligible for n in rs.nodes}
+        original = {n: string_symbols(p.body) for n, p in pool.items()}
+        for n, entry in pool.items():
+            flat = flatten_items(entry.body)
+            if n in held:
+                m = held[n][1].members[n]
+                if not m.leftover:
+                    seen["whole"] += 1
+                    continue
+                seen["trimmed"] += 1
+                blocker = [m.leftover[0]]
+            else:
+                seen["dropped"] += 1
+                blocker = flat[:1] if entry.exp == 1 else flat
+            # restoring the next symbol (or the whole power) would leave
+            # one whose partner does not hold it
+            assert any(s not in held.get(_partner(s, n), ((),))[0]
+                       for s in blocker)
+            # a waiting set is a whole pool component with no member
+            if n in waiting:
+                for s in original[n]:
+                    p = _partner(s, n)
+                    if s in original.get(p, ()):
+                        assert waiting.get(p) is waiting[n]
+        seen["eligible"] += sum(rs.eligible for rs in sets)
+        seen["waiting"] += sum(not rs.eligible for rs in sets)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_related_sets_flatten_within_cap():
+    # the run is cut before c, so its five events are flattened first
+    pool = {0: Power((Power((A, A), 2), C), 1), 1: Power((A,), 4)}
+    with pytest.raises(UnsupportedProgram):
+        related_sets(pool, cap=3)
+    (rs,) = related_sets(pool, cap=5)
+    assert rs.members[0].body == (A,) * 4
+    assert rs.members[0].leftover == (C,)
 
 
 def test_align_and_reduce_progress():
