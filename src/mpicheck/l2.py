@@ -183,18 +183,19 @@ def flatten_items(items, cap=None) -> tuple:
     return tuple(out)
 
 
-def power_counts(items) -> Counter:
-    """Occurrence counts of a body with exponent weighting."""
-    out = Counter()
+def power_counts(items, times=1, out=None) -> Counter:
+    """Occurrence counts of a body with exponent weighting, `times` over,
+    added into `out`.  One walk with a running multiplier, so the keys come
+    in order of first appearance."""
+    if out is None:
+        out = Counter()
     for it in items:
         if isinstance(it, Symbol):
-            out[it] += 1
+            out[it] += times
         else:
             if is_infinite(it.exp):
                 raise UnsupportedProgram("cannot count an infinite power")
-            inner = power_counts(it.body)
-            for s, c in inner.items():
-                out[s] += it.exp * c
+            power_counts(it.body, times * it.exp, out)
     return out
 
 
@@ -352,48 +353,85 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
     return out
 
 
-def align_and_reduce(strings: dict, rset: RelatedSet, max_events,
+def align_and_reduce(strings: dict, sets: list, max_events,
                      record: SetRecord | None = None):
-    """One unified reducible/expansible step for an eligible related set.
+    """One pool round: reduce every eligible set of `sets` at once.
+
+    The sets are disjoint in nodes and symbols, so one ratio solve over all
+    their members and one kernel call on the union of their round queues
+    decide each set as a solve and a kernel call per set would.  Nodes are
+    ordered set by set, so each set's equations, values and conflict witness
+    are the ones it would get alone, and the first set in set order that
+    deadlocks wins: the sets before a ratio conflict are solved and checked
+    again without it, and a deadlocked round is checked again set by set.
 
     Returns ("deadlock", verdict), ("progress", new strings) or
     ("noprogress", None).
     """
-    members = rset.members
-    order = sorted(members)
-    counts = {n: power_counts(members[n].body) for n in order}
-    group, _ = count_equations(order, counts)
-    solution = solve(group)
+    sets = [rs for rs in sets if rs.eligible]
+    counts = {n: power_counts(m.body)
+              for rs in sets for n, m in rs.members.items()}
+    solution = _solve(sets, counts)
+    conflict = None
     if isinstance(solution, Inconsistent):
-        return "deadlock", Deadlock(
+        bad = solution.equations[-1].i
+        first = next(k for k, rs in enumerate(sets) if bad in rs.members)
+        conflict = Deadlock(
             RatioInconsistency(solution.detail, solution.equations))
+        sets = sets[:first]
+        solution = _solve(sets, counts)
 
-    per_round = {n: solution.times(n) for n in order}
-    rounds = min(members[n].exp // per_round[n] for n in order)
+    per_round = {n: solution.times(n) for rs in sets for n in rs.nodes}
+    rounds = [min(rs.members[n].exp // per_round[n] for n in rs.nodes)
+              for rs in sets]
+    live = [k for k, r in enumerate(rounds) if r > 0]
+
+    def round_queues(ks):
+        return {n: flatten_items(m.body, cap=max_events) * per_round[n]
+                for k in ks for n, m in sets[k].members.items()}
+
+    stop, verdict = len(sets), None
+    try:
+        whole = check_smodel(round_queues(live)) if live else DEADLOCK_FREE
+    except UnsupportedProgram:
+        whole = None  # a set is over the cap: the pass below raises there
+    if whole is None or isinstance(whole, Deadlock):
+        for k in live:
+            verdict = check_smodel(round_queues((k,)))
+            if isinstance(verdict, Deadlock):
+                stop = k
+                break
     if record is not None:
-        record.solutions.append((tuple(order), dict(solution.values)))
-    if rounds == 0:
+        # a set is one ratio component, so its values come in node order
+        record.solutions.extend(
+            (rs.nodes, {n: solution.values[n] for n in rs.nodes})
+            for rs in sets[:stop + 1])
+        record.actions.extend(
+            f"reduced {sets[k].nodes} by {rounds[k]} round(s)"
+            for k in live if k < stop)
+    if stop < len(sets):
+        return "deadlock", verdict
+    if conflict is not None:
+        return "deadlock", conflict
+    if not live:
         return "noprogress", None
 
-    round_queues = {
-        n: flatten_items(members[n].body, cap=max_events) * per_round[n]
-        for n in members}
-    verdict = check_smodel(round_queues)
-    if isinstance(verdict, Deadlock):
-        return "deadlock", verdict
-
     new_strings = dict(strings)
-    for n, m in members.items():
-        rest = []
-        new_exp = m.exp - rounds * per_round[n]
-        if new_exp > 0:
-            rest.append(Power(m.body, new_exp))
-        if m.leftover:
-            rest.append(Power(m.leftover, 1))
-        new_strings[n] = tuple(rest) + strings[n][1:]
-    if record is not None:
-        record.actions.append(f"reduced {tuple(order)} by {rounds} round(s)")
+    for k in live:
+        for n, m in sets[k].members.items():
+            rest = []
+            new_exp = m.exp - rounds[k] * per_round[n]
+            if new_exp > 0:
+                rest.append(Power(m.body, new_exp))
+            if m.leftover:
+                rest.append(Power(m.leftover, 1))
+            new_strings[n] = tuple(rest) + strings[n][1:]
     return "progress", new_strings
+
+
+def _solve(sets, counts):
+    order = [n for rs in sets for n in rs.nodes]
+    return solve(count_equations(order, counts)[0])
 
 
 def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
@@ -402,7 +440,7 @@ def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
     strings = {n: normalize(to_power_string(body))
                for n, body in program.nodes}
     if trace is not None:
-        trace.string_map = {n: render_items(ps) for n, ps in strings.items()}
+        trace.strings = strings
 
     strings, verdict = strip_outer_infinite(strings, trace)
     if verdict is not None:
@@ -411,8 +449,7 @@ def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
     while True:
         pool = fpp(strings)
         if trace is not None:
-            trace.fpp_snapshots.append(
-                {n: render_items((p,)) for n, p in pool.items()})
+            trace.pools.append(pool)
         if not pool:
             return DEADLOCK_FREE
         sets = related_sets(pool, cap)
@@ -421,17 +458,11 @@ def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
             record = SetRecord(tuple(
                 (rs.nodes, rs.eligible) for rs in sets))
             trace.set_records.append(record)
-        progressed = False
-        for rs in sets:
-            if not rs.eligible:
-                continue
-            kind, payload = align_and_reduce(strings, rs, cap, record)
-            if kind == "deadlock":
-                return payload
-            if kind == "progress":
-                strings = payload
-                progressed = True
-        if not progressed:
+        kind, payload = align_and_reduce(strings, sets, cap, record)
+        if kind == "deadlock":
+            return payload
+        if kind == "noprogress":
             snapshot = tuple(sorted(
                 (n, render_items((p,))) for n, p in pool.items()))
             return Deadlock(FppStuck(snapshot))
+        strings = payload

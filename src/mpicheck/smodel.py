@@ -26,32 +26,34 @@ def check_by_queues(queues: dict, rng=None) -> Verdict:
     event count.  `rng` randomizes the processing order (verdict must not
     depend on it).
     """
-    qs = {n: q for n, q in queues.items()}
-    idx = {n: 0 for n in queues}
-    pending = deque(queues.keys()) if rng is None else list(queues.keys())
+    nodes = list(queues)
+    rank = {n: i for i, n in enumerate(nodes)}
+    qs = list(queues.values())
+    ends = [len(q) for q in qs]
+    idx = [0] * len(qs)
+    pending = deque(range(len(qs))) if rng is None else list(range(len(qs)))
     while pending:
         if rng is None:
-            n = pending.popleft()
+            i = pending.popleft()
         else:
-            n = pending.pop(rng.randrange(len(pending)))
-        q = qs[n]
-        if idx[n] >= len(q):
+            i = pending.pop(rng.randrange(len(pending)))
+        k = idx[i]
+        if k >= ends[i]:
             continue
-        s = q[idx[n]]
-        other = s.dst if n == s.src else s.src
-        if other == n or other not in qs:
+        s = qs[i][k]
+        _, src, dst = s
+        j = rank.get(dst if nodes[i] == src else src)
+        if j is None or j == i:
             continue
-        oq = qs[other]
-        if idx[other] < len(oq) and oq[idx[other]] == s:
-            idx[n] += 1
-            idx[other] += 1
-            pending.append(n)
-            pending.append(other)
-    if all(idx[n] >= len(qs[n]) for n in qs):
-        return DEADLOCK_FREE
-    remaining = tuple(
-        (n, tuple(qs[n][idx[n]:])) for n in qs if idx[n] < len(qs[n]))
-    return Deadlock(StuckQueues(remaining))
+        kj = idx[j]
+        if kj < ends[j] and qs[j][kj] == s:
+            idx[i] = k + 1
+            idx[j] = kj + 1
+            pending.append(i)
+            pending.append(j)
+    remaining = tuple((nodes[i], tuple(q[idx[i]:]))
+                      for i, q in enumerate(qs) if idx[i] < ends[i])
+    return Deadlock(StuckQueues(remaining)) if remaining else DEADLOCK_FREE
 
 
 @dataclass(frozen=True)

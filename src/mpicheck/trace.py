@@ -24,10 +24,23 @@ class SetRecord:
 
 @dataclass
 class Trace:
-    string_map: dict = field(default_factory=dict)   # node -> rendered string
+    """The nested-loop engine keeps its power strings and pools raw; they
+    are rendered only when read."""
+
     reg_records: list = field(default_factory=list)
-    fpp_snapshots: list = field(default_factory=list)  # node -> rendered power
     set_records: list = field(default_factory=list)
+    strings: dict = field(default_factory=dict)  # node -> power string
+    pools: list = field(default_factory=list)    # node -> leading power
+
+    @property
+    def string_map(self) -> dict:
+        """node -> rendered string; a string's items are all powers."""
+        return {n: " ".join(map(str, ps)) for n, ps in self.strings.items()}
+
+    @property
+    def fpp_snapshots(self) -> list:
+        """One node -> rendered power dict per pool round."""
+        return [{n: str(p) for n, p in pool.items()} for pool in self.pools]
 
     def add_reg(self, label, equations, solution, lcm=None, loop_times=None):
         self.reg_records.append(

@@ -176,3 +176,24 @@ def test_check_json_independent_of_hash_seed():
         del data["timings"]
         outs.append(data)
     assert outs[0] == outs[1]
+
+
+def test_check_trace_on_mid_round_deadlock(tmp_path, capsys):
+    from test_l2 import ROUND_DEADLOCK
+    path = tmp_path / "round.mdl"
+    path.write_text(ROUND_DEADLOCK)
+    assert main(["check", str(path), "--trace"]) == 1
+    _, *lines = capsys.readouterr().out.splitlines()
+    pool = lines.index("  fpp[0]: {P0: a^4, P1: (aa)^2, P2: (cd)^2, "
+                       "P3: (dc)^2, P4: e^3, P5: e^3}")
+    assert lines[0] == ("  witness: {'type': 'mdg-cycle', "
+                        "'pairs': ['c:2->3#0', 'd:3->2#0']}")
+    assert lines[2:4] == ["    P0 -> a^4 b", "    P1 -> (aa)^2 b"]
+    assert lines[pool + 1:] == [
+        "    related set ('P0', 'P1'): eligible",
+        "    related set ('P2', 'P3'): eligible",
+        "    related set ('P4', 'P5'): eligible",
+        "    set solution: p0=1, p1=2",
+        "    set solution: p2=1, p3=1",
+        "    reduced (0, 1) by 2 round(s)",
+    ]

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpicheck import l2
+from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
-                            UnsupportedProgram, make_program)
+                            UnsupportedProgram, make_program, validate)
+from mpicheck.parser import parse
 from mpicheck.l2 import (Power, align_and_reduce, check_l2, flatten_items,
                          fpp, normalize, power_counts, related_sets,
                          render_items, string_symbols, strip_outer_infinite,
                          to_power_string)
 from mpicheck.l0 import as_l0_view, check_l0
 from mpicheck.trace import Trace
-from mpicheck.verdicts import Deadlock, RatioInconsistency
+from mpicheck.verdicts import Deadlock, MdgCycle, RatioInconsistency
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -78,6 +81,14 @@ def test_flatten_and_counts():
         flatten_items((Power((A,), INFINITE),))
     with pytest.raises(UnsupportedProgram):
         flatten_items(ps, cap=5)
+
+
+def test_power_counts_keys_in_first_appearance_order():
+    ps = (Power((C, Power((B, Power((A,), 2)), 3), C, D), 2),)
+    counts = power_counts(ps)
+    assert list(counts.items()) == [(C, 4), (B, 6), (A, 12), (D, 2)]
+    assert power_counts(ps[0].body, 5, counts) is counts
+    assert counts == {C: 14, B: 21, A: 42, D: 7}
 
 
 def _random_items(rng, depth, budget, alphabet=(A, B, C, D)):
@@ -283,8 +294,8 @@ def test_related_sets_flatten_within_cap():
 
 def test_align_and_reduce_progress():
     strings = {0: (Power((A,), 4),), 1: (Power((A, A), 2),)}
-    (rs,) = related_sets(fpp(strings))
-    kind, new = align_and_reduce(strings, rs, 10**5)
+    sets = related_sets(fpp(strings))
+    kind, new = align_and_reduce(strings, sets, 10**5)
     assert kind == "progress"
     assert new == {0: (), 1: ()}
 
@@ -293,8 +304,8 @@ def test_align_and_reduce_noprogress_on_short_exponent():
     # per-round needs two iterations of node 0 but only one is available
     strings = {0: (Power((A,), 1), Power((B,), 1)),
                1: (Power((A, A), 1),)}
-    (rs,) = related_sets(fpp(strings))
-    kind, _ = align_and_reduce(strings, rs, 10**5)
+    sets = related_sets(fpp(strings))
+    kind, _ = align_and_reduce(strings, sets, 10**5)
     assert kind == "noprogress"
 
 
@@ -312,3 +323,121 @@ def test_check_l2_free_on_staggered_nesting():
         1: [For(INFINITE, (Recv(A), Recv(A), Send(B)))],
     })
     assert bool(check_l2(prog))
+
+
+# Three pairs in separate related sets; the middle pair's loop is crossed.
+ROUND_TEXT = """\
+node P0 { for 4 { send a to P1 } send b to P1 }
+node P1 { for 2 { recv a from P0, recv a from P0 } recv b from P0 }
+node P2 { for 2 { send c to P3, recv d from P3 } send c to P3 }
+node P3 { for 2 { MIDDLE } recv c from P2 }
+node P4 { for 3 { send e to P5 } send f to P5 }
+node P5 { for 3 { recv e from P4 } recv f from P4 }
+"""
+ROUND_FREE = ROUND_TEXT.replace("MIDDLE", "recv c from P2, send d to P2")
+ROUND_DEADLOCK = ROUND_TEXT.replace("MIDDLE", "send d to P2, recv c from P2")
+# a pair whose loop bodies give conflicting ratios, c 1:2 against d 1:1
+CONFLICT_PAIR = """\
+node P{p} {{ for 2 {{ send c to P{q}, send d to P{q} }}
+    send c to P{q} send c to P{q} }}
+node P{q} {{ for 2 {{ recv c from P{p}, recv c from P{p},
+    recv d from P{p} }} }}
+"""
+# a pair whose loops both start with a send
+CROSSED_PAIR = """\
+node P{p} {{ for 2 {{ send {x} to P{q}, recv {y} from P{q} }}
+    send {x} to P{q} }}
+node P{q} {{ for 2 {{ send {y} to P{p}, recv {x} from P{p} }}
+    recv {x} from P{p} }}
+"""
+# a pair whose loop body unrolls to 31 events
+LONG_PAIR = """\
+node P{p} {{ for 2 {{ for 30 {{ send e to P{q} }} send f to P{q} }} }}
+node P{q} {{ for 2 {{ for 30 {{ recv e from P{p} }} recv f from P{p} }} }}
+"""
+
+
+def _report(text, max_events=None):
+    return analyze(validate(parse(text)), max_events)
+
+
+def _counting(monkeypatch, name, calls):
+    original = getattr(l2, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(l2, name, wrapper)
+
+
+def test_pool_round_makes_one_solve_and_one_kernel_call(monkeypatch):
+    calls = Counter()
+    for name in ("fpp", "solve", "check_smodel"):
+        _counting(monkeypatch, name, calls)
+    rep = _report(ROUND_FREE)
+    assert bool(rep.verdict) and rep.phase == "l2"
+    records = rep.trace.set_records
+    assert len(records) == 2
+    assert all(len(rec.partition) == 3 and all(e for _, e in rec.partition)
+               for rec in records)
+    # two reducing rounds, then the empty pool
+    assert calls == {"fpp": 3, "solve": 2, "check_smodel": 2}
+
+
+def test_kernel_deadlock_in_earlier_set_beats_later_ratio_conflict():
+    crossed = CROSSED_PAIR.format(p=0, q=1, x="a", y="b")
+    rep = _report(crossed + CONFLICT_PAIR.format(p=2, q=3))
+    assert rep.verdict == _report(crossed).verdict
+    assert isinstance(rep.verdict.witness, MdgCycle)
+    (rec,) = rep.trace.set_records
+    assert rec.solutions == [((0, 1), {0: 1, 1: 1})] and rec.actions == []
+
+
+def test_ratio_conflict_in_earlier_set_beats_later_kernel_deadlock():
+    conflict = CONFLICT_PAIR.format(p=0, q=1)
+    rep = _report(conflict + CROSSED_PAIR.format(p=2, q=3, x="a", y="b"))
+    alone = _report(conflict).verdict
+    assert isinstance(alone.witness, RatioInconsistency)
+    assert rep.verdict == alone
+    (rec,) = rep.trace.set_records
+    assert rec.solutions == [] and rec.actions == []
+
+
+def test_first_of_two_kernel_deadlocks_wins():
+    first = CROSSED_PAIR.format(p=0, q=1, x="a", y="b")
+    rep = _report(first + CROSSED_PAIR.format(p=2, q=3, x="e", y="f"))
+    assert rep.verdict == _report(first).verdict
+    (rec,) = rep.trace.set_records
+    assert rec.solutions == [((0, 1), {0: 1, 1: 1})]
+
+
+def test_set_past_the_event_cap_raises_only_when_reached():
+    crossed = CROSSED_PAIR.format(p=0, q=1, x="a", y="b")
+    rep = _report(crossed + LONG_PAIR.format(p=2, q=3), max_events=20)
+    assert rep.verdict == _report(crossed).verdict
+    with pytest.raises(UnsupportedProgram):
+        _report(LONG_PAIR.format(p=0, q=1)
+                + CROSSED_PAIR.format(p=2, q=3, x="a", y="b"), max_events=20)
+
+
+def test_mid_round_deadlock_records_sets_up_to_it():
+    rep = _report(ROUND_DEADLOCK)
+    assert rep.verdict.witness == MdgCycle(
+        ((Symbol("c", 2, 3), 0), (Symbol("d", 3, 2), 0)))
+    (rec,) = rep.trace.set_records
+    assert rec.partition == (((0, 1), True), ((2, 3), True), ((4, 5), True))
+    # the set after the deadlock is neither solved nor reduced
+    assert rec.solutions == [((0, 1), {0: 1, 1: 2}), ((2, 3), {2: 1, 3: 1})]
+    assert rec.actions == ["reduced (0, 1) by 2 round(s)"]
+
+
+def test_trace_renders_strings_and_pools_only_when_read(monkeypatch):
+    calls = Counter()
+    _counting(monkeypatch, "render_items", calls)
+    rep = _report(ROUND_FREE)
+    assert calls["render_items"] == 0
+    assert rep.trace.string_map[0] == "a^4 b"
+    assert rep.trace.fpp_snapshots[1] == {0: "b", 1: "b", 2: "c", 3: "c",
+                                          4: "f", 5: "f"}
+    assert calls["render_items"] > 0

@@ -42,6 +42,15 @@ def test_crossed_sends_deadlock():
     dict(verdict.witness.remaining)  # well-formed snapshot
 
 
+def test_stuck_queues_witness_keeps_queue_order():
+    x = Symbol("x", 2, 0)
+    queues = {1: (B, A), 0: (x, A, B), 2: (x,)}
+    want = StuckQueues(((1, (B, A)), (0, (A, B))))
+    assert check_by_queues(queues) == Deadlock(want)
+    for k in range(5):
+        assert check_by_queues(queues, rng=random.Random(k)) == Deadlock(want)
+
+
 def test_unmatched_send_deadlocks_with_totals_witness():
     queues = {0: (A, A), 1: (A,)}
     verdict = check_smodel(queues)
