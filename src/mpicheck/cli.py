@@ -11,10 +11,9 @@ import sys
 
 from . import oracle
 from .analyze import analyze
-from .l2 import (flatten_items, normalize, strip_outer_infinite,
-                 to_power_string)
-from .model import (MAX_EVENTS, For, ModelError, is_infinite, unroll,
-                    validate)
+from .l2 import normalize, strip_outer_infinite
+from .model import (MAX_EVENTS, For, ModelError, flatten_items, is_infinite,
+                    unroll, validate)
 from .parser import MdlSyntaxError, parse
 from .reg import Inconsistent
 from .smodel import build_mdg, mdg_to_dot
@@ -130,7 +129,7 @@ def _as_queues(program, max_events):
                for _, body in program.nodes for st in body):
         return unroll(program, max_events)
     # slice infinite loops down to one consistent round first
-    strings = {n: normalize(to_power_string(b)) for n, b in program.nodes}
+    strings = {n: normalize(b) for n, b in program.nodes}
     finite, verdict = strip_outer_infinite(strings)
     if verdict is not None:
         raise ModelError(

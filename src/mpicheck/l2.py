@@ -1,7 +1,7 @@
 """Nested-loop engine: power strings and the first-power-pool reduction loop.
 
-A node program becomes a sequence of powers (loops rendered as
-string-with-exponent).  Normalization applies two rewrites to a fixpoint:
+A node program becomes a power string: a tuple of loops (``For``), each
+loop's count its exponent.  Normalization applies two rewrites to a fixpoint:
 
 * power reduction:      (x^p1)^p2        -> x^(p1*p2)
 * left prefix reduction: x^p1 (xy)^p2    -> x^(p1+1) y (xy)^(p2-1)
@@ -13,11 +13,11 @@ drain (deadlock free) or nothing can move (deadlock).
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .model import (INFINITE, MAX_EVENTS, Program, Recv, Send, Symbol,
-                    UnsupportedProgram, is_infinite)
+from .model import (INFINITE, MAX_EVENTS, For, Program, Symbol,
+                    UnsupportedProgram, count_occurrences, flatten_items,
+                    is_infinite)
 from .reg import Inconsistent, count_equations, ratio_stage, solve
 from .smodel import check_smodel
 from .trace import SetRecord
@@ -25,18 +25,9 @@ from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
                        Verdict)
 
 
-@dataclass(frozen=True)
-class Power:
-    body: tuple   # items: Symbol or nested Power
-    exp: object   # positive int, or INFINITE
-
-    def __str__(self):
-        return render_items((self,))
-
-
-# A node's power string is a tuple of Powers; bare literal runs are wrapped
-# as exponent-1 powers so the pool and the reduction step treat everything
-# uniformly.  Inside power bodies literals stay bare.
+# A node's power string is a tuple of Fors; bare literal runs are wrapped
+# as count-1 loops so the pool and the reduction step treat everything
+# uniformly.  Inside loop bodies literals stay bare.
 
 
 def _mul(e1, e2):
@@ -50,7 +41,7 @@ def _is_literal(items) -> bool:
 
 
 def _wrap_runs(items) -> tuple:
-    """Group maximal runs of bare literals into exponent-1 powers."""
+    """Group maximal runs of bare literals into count-1 loops."""
     out = []
     run = []
     for it in items:
@@ -58,33 +49,17 @@ def _wrap_runs(items) -> tuple:
             run.append(it)
         else:
             if run:
-                out.append(Power(tuple(run), 1))
+                out.append(For(1, tuple(run)))
                 run = []
             out.append(it)
     if run:
-        out.append(Power(tuple(run), 1))
+        out.append(For(1, tuple(run)))
     return tuple(out)
-
-
-def to_power_string(body) -> tuple:
-    """Map statements to a power string: loops become powers, literal runs
-    become exponent-1 powers at the top level."""
-
-    def items(stmts):
-        out = []
-        for st in stmts:
-            if isinstance(st, (Send, Recv)):
-                out.append(st.sym)
-            else:
-                out.append(Power(items(st.body), st.count))
-        return tuple(out)
-
-    return _wrap_runs(items(body))
 
 
 def _norm_body(items) -> tuple:
     """Normalize a power body: recurse, collapse single-power bodies,
-    splice exponent-1 sub-powers into bare items."""
+    splice count-1 sub-powers into bare items."""
     out = []
     for it in items:
         if isinstance(it, Symbol):
@@ -93,136 +68,70 @@ def _norm_body(items) -> tuple:
         p = _norm_power(it)
         if p is None:
             continue
-        if p.exp == 1:
+        if p.count == 1:
             out.extend(p.body)
         else:
             out.append(p)
     return tuple(out)
 
 
-def _norm_power(p: Power):
+def _norm_power(p: For):
     body = _norm_body(p.body)
-    exp = p.exp
-    while len(body) == 1 and isinstance(body[0], Power):
+    count = p.count
+    while len(body) == 1 and isinstance(body[0], For):
         inner = body[0]
-        exp = _mul(exp, inner.exp)
+        count = _mul(count, inner.count)
         body = inner.body
-    if not body or exp == 0:
+    if not body or count == 0:
         return None
-    return Power(body, exp)
+    return For(count, body)
 
 
-def normalize(ps: tuple) -> tuple:
-    """Fixpoint of both rewrites over a top-level power sequence."""
+def normalize(body: tuple) -> tuple:
+    """The power string of a statement body: the fixpoint of both
+    rewrites."""
     powers = []
-    for p in _wrap_runs(ps):
+    for p in _wrap_runs(body):
         q = _norm_power(p)
         if q is None:
             continue
-        if q.exp == 1 and not _is_literal(q.body):
-            # exponent-1 composite wrapper: splice its content
+        if q.count == 1 and not _is_literal(q.body):
+            # count-1 composite wrapper: splice its content
             powers.extend(_wrap_runs(q.body))
         else:
             powers.append(q)
-    return _left_prefix_fixpoint(tuple(powers))
+    return _left_prefix_fixpoint(powers)
 
 
-def _left_prefix_fixpoint(powers: tuple) -> tuple:
-    changed = True
-    while changed:
-        changed = False
-        out = list(powers)
-        i = 0
-        while i + 1 < len(out):
-            a, b = out[i], out[i + 1]
-            if (is_infinite(a.exp) or is_infinite(b.exp)
-                    or len(a.body) > len(b.body)
-                    or b.body[:len(a.body)] != a.body):
-                i += 1
-                continue
-            y = b.body[len(a.body):]
-            if not y:
-                # same base: merge exponents
-                out[i] = Power(a.body, a.exp + b.exp)
-                del out[i + 1]
-            else:
-                repl = [Power(a.body, a.exp + 1)]
-                repl.extend(_wrap_runs(y))
-                if b.exp - 1 == 1:
-                    if _is_literal(b.body):
-                        repl.append(Power(b.body, 1))
-                    else:
-                        repl.extend(_wrap_runs(b.body))
-                elif b.exp - 1 > 1:
-                    repl.append(Power(b.body, b.exp - 1))
-                out[i:i + 2] = repl
-            changed = True
-        powers = tuple(out)
-    return powers
-
-
-def flatten_items(items, cap=None) -> tuple:
-    """Fully unrolled symbol sequence of a body or power sequence."""
-    out = []
-
-    def go(items):
-        for it in items:
-            if isinstance(it, Symbol):
-                out.append(it)
-                if cap is not None and len(out) > cap:
-                    raise UnsupportedProgram(
-                        f"expansion exceeds cap of {cap} events")
-            else:
-                if is_infinite(it.exp):
-                    raise UnsupportedProgram(
-                        "cannot flatten an infinite power")
-                for _ in range(it.exp):
-                    go(it.body)
-
-    go(items)
+def _left_prefix_fixpoint(out: list) -> tuple:
+    """Rewrite ``out`` in place.  One left-to-right scan reaches the
+    fixpoint: a rewrite at (i, i+1) keeps the body of ``out[i]`` and a
+    finite count, so no rewrite becomes applicable left of i."""
+    i = 0
+    while i + 1 < len(out):
+        a, b = out[i], out[i + 1]
+        if (is_infinite(a.count) or is_infinite(b.count)
+                or len(a.body) > len(b.body)
+                or b.body[:len(a.body)] != a.body):
+            i += 1
+            continue
+        y = b.body[len(a.body):]
+        if not y:
+            # same base: merge counts
+            out[i] = For(a.count + b.count, a.body)
+            del out[i + 1]
+        else:
+            repl = [For(a.count + 1, a.body)]
+            repl.extend(_wrap_runs(y))
+            if b.count - 1 == 1:
+                if _is_literal(b.body):
+                    repl.append(For(1, b.body))
+                else:
+                    repl.extend(_wrap_runs(b.body))
+            elif b.count - 1 > 1:
+                repl.append(For(b.count - 1, b.body))
+            out[i:i + 2] = repl
     return tuple(out)
-
-
-def power_counts(items, times=1, out=None) -> Counter:
-    """Occurrence counts of a body with exponent weighting, `times` over,
-    added into `out`.  One walk with a running multiplier, so the keys come
-    in order of first appearance."""
-    if out is None:
-        out = Counter()
-    for it in items:
-        if isinstance(it, Symbol):
-            out[it] += times
-        else:
-            if is_infinite(it.exp):
-                raise UnsupportedProgram("cannot count an infinite power")
-            power_counts(it.body, times * it.exp, out)
-    return out
-
-
-def render_items(items) -> str:
-    """Compact rendering: literals run together, exponent-1 powers bare,
-    infinite exponents written ^inf."""
-    parts = []
-    run = []
-    for it in items:
-        if isinstance(it, Symbol):
-            run.append(it.name)
-            continue
-        if run:
-            parts.append("".join(run))
-            run = []
-        body = render_items(it.body)
-        if it.exp == 1:
-            parts.append(body)
-            continue
-        exp = "inf" if is_infinite(it.exp) else str(it.exp)
-        if len(it.body) == 1 and isinstance(it.body[0], Symbol):
-            parts.append(f"{body}^{exp}")
-        else:
-            parts.append(f"({body})^{exp}")
-    if run:
-        parts.append("".join(run))
-    return " ".join(parts)
 
 
 def string_symbols(items) -> set:
@@ -245,21 +154,21 @@ def strip_outer_infinite(strings: dict, trace=None):
     counts = {}
     times = {}
     for n, ps in strings.items():
-        if any(is_infinite(p.exp) for p in ps):
+        if any(is_infinite(p.count) for p in ps):
             if len(ps) != 1:
                 raise UnsupportedProgram(
                     f"node {n} mixes an infinite loop with other top-level "
                     "statements; the ratio method needs purely periodic nodes")
-            counts[n] = power_counts(ps[0].body)
+            counts[n] = count_occurrences(ps[0].body)
             times[n] = INFINITE
         else:
-            counts[n] = power_counts(ps)
+            counts[n] = count_occurrences(ps)
             times[n] = 1
     solution, deadlock = ratio_stage(tuple(strings), counts, times, "outer",
                                      trace)
     if deadlock is not None:
         return None, deadlock
-    return {n: (normalize((Power(ps[0].body, solution.times(n)),))
+    return {n: (normalize((For(solution.times(n), ps[0].body),))
                 if is_infinite(times[n]) else ps)
             for n, ps in strings.items()}, None
 
@@ -272,7 +181,7 @@ def fpp(strings: dict) -> dict:
 @dataclass
 class SetMember:
     body: tuple
-    exp: int
+    count: int
     leftover: tuple = ()  # tail of a trimmed literal run, stays in the string
 
 
@@ -322,7 +231,7 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
     """
     held = {n: string_symbols(p.body) for n, p in pool.items()}
     waiting = _groups(held)
-    members = {n: SetMember(p.body, p.exp) for n, p in pool.items()}
+    members = {n: SetMember(p.body, p.count) for n, p in pool.items()}
     todo = list(members)
     while todo:
         n = todo.pop()
@@ -333,7 +242,7 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
             continue
         m = members[n]
         pos = 0
-        if m.exp == 1:
+        if m.count == 1:
             body = (m.body if _is_literal(m.body)
                     else flatten_items(m.body, cap))
             pos = next(i for i, s in enumerate(body) if s in bad)
@@ -369,7 +278,7 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     ("noprogress", None).
     """
     sets = [rs for rs in sets if rs.eligible]
-    counts = {n: power_counts(m.body)
+    counts = {n: count_occurrences(m.body)
               for rs in sets for n, m in rs.members.items()}
     solution = _solve(sets, counts)
     conflict = None
@@ -382,7 +291,7 @@ def align_and_reduce(strings: dict, sets: list, max_events,
         solution = _solve(sets, counts)
 
     per_round = {n: solution.times(n) for rs in sets for n in rs.nodes}
-    rounds = [min(rs.members[n].exp // per_round[n] for n in rs.nodes)
+    rounds = [min(rs.members[n].count // per_round[n] for n in rs.nodes)
               for rs in sets]
     live = [k for k, r in enumerate(rounds) if r > 0]
 
@@ -420,11 +329,11 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     for k in live:
         for n, m in sets[k].members.items():
             rest = []
-            new_exp = m.exp - rounds[k] * per_round[n]
-            if new_exp > 0:
-                rest.append(Power(m.body, new_exp))
+            left = m.count - rounds[k] * per_round[n]
+            if left > 0:
+                rest.append(For(left, m.body))
             if m.leftover:
-                rest.append(Power(m.leftover, 1))
+                rest.append(For(1, m.leftover))
             new_strings[n] = tuple(rest) + strings[n][1:]
     return "progress", new_strings
 
@@ -437,8 +346,7 @@ def _solve(sets, counts):
 def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
     """Normalize, strip outer infinity, then run the pool reduction loop."""
     cap = MAX_EVENTS if max_events is None else max_events
-    strings = {n: normalize(to_power_string(body))
-               for n, body in program.nodes}
+    strings = {n: normalize(body) for n, body in program.nodes}
     if trace is not None:
         trace.strings = strings
 
@@ -463,6 +371,6 @@ def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
             return payload
         if kind == "noprogress":
             snapshot = tuple(sorted(
-                (n, render_items((p,))) for n, p in pool.items()))
+                (n, str(p)) for n, p in pool.items()))
             return Deadlock(FppStuck(snapshot))
         strings = payload

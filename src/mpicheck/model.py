@@ -89,19 +89,16 @@ class Symbol(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Send:
-    sym: Symbol
-
-
-@dataclass(frozen=True)
-class Recv:
-    sym: Symbol
-
-
-@dataclass(frozen=True)
 class For:
+    """A loop over a body of Symbols and Fors.  A Symbol in node n is a send
+    when n is its source and a receive otherwise.  The nested-loop engine's
+    power strings are tuples of For, with ``count`` as the exponent."""
+
     count: object  # positive int, or INFINITE
     body: tuple
+
+    def __str__(self):
+        return render_items((self,))
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,16 @@ class Program:
     nodes: tuple
     names: tuple = ()
 
-    def bodies(self) -> dict:
-        return dict(self.nodes)
-
     def node_ids(self) -> list:
         return [n for n, _ in self.nodes]
 
     def body(self, nid) -> tuple:
-        return dict(self.nodes)[nid]
+        return self.nodes[self.rank[nid]][1]
+
+    @cached_property
+    def rank(self) -> dict:
+        """node id -> position in ``nodes``"""
+        return {n: k for k, (n, _) in enumerate(self.nodes)}
 
     @cached_property
     def _name_map(self) -> dict:
@@ -127,6 +126,12 @@ class Program:
 
     def name_of(self, nid) -> str:
         return self._name_map.get(nid, f"P{nid}")
+
+    @cached_property
+    def _valid(self) -> bool:
+        # a raise is not cached, so an invalid program raises every time
+        _check(self)
+        return True
 
 
 def make_program(bodies: dict, names: dict | None = None) -> Program:
@@ -150,7 +155,13 @@ class ModelClass(Enum):
 
 
 def validate(program: Program) -> Program:
-    """Check well-formedness; returns the program unchanged or raises."""
+    """Check well-formedness; returns the program unchanged or raises.  The
+    walk runs once per Program."""
+    program._valid
+    return program
+
+
+def _check(program: Program):
     seen = set()
     for nid, _ in program.nodes:
         if nid in seen:
@@ -159,19 +170,17 @@ def validate(program: Program) -> Program:
 
     def check(nid, body, top):
         for st in body:
-            if isinstance(st, (Send, Recv)):
-                s = st.sym
-                _, src, dst = s
+            if isinstance(st, Symbol):
+                _, src, dst = st
                 if src == dst:
-                    raise SelfMessage(f"{s} has identical endpoints")
+                    raise SelfMessage(f"{st} has identical endpoints")
                 if src not in seen or dst not in seen:
-                    raise DanglingEndpoint(f"{s} references an undeclared node")
-                if isinstance(st, Send) and nid != src:
+                    raise DanglingEndpoint(
+                        f"{st} references an undeclared node")
+                if nid != src and nid != dst:
                     raise MisplacedOperation(
-                        f"send of {s} found in node {nid}, not its source")
-                if isinstance(st, Recv) and nid != dst:
-                    raise MisplacedOperation(
-                        f"recv of {s} found in node {nid}, not its destination")
+                        f"{st} found in node {nid}, which is neither its "
+                        "source nor its destination")
             elif isinstance(st, For):
                 if is_infinite(st.count):
                     if not top:
@@ -190,7 +199,6 @@ def validate(program: Program) -> Program:
         check(nid, body, True)
     if not program.nodes:
         raise ModelError("a program needs at least one node")
-    return program
 
 
 def classify(program: Program) -> ModelClass:
@@ -213,18 +221,19 @@ def classify(program: Program) -> ModelClass:
     return ModelClass.L2 if has_nested else ModelClass.L0
 
 
-def count_occurrences(body) -> Counter:
-    """Per-iteration occurrence counts, nested finite loops weighted in."""
-    out = Counter()
+def count_occurrences(body, times=1, out=None) -> Counter:
+    """Occurrence counts of a body with nested finite loops weighted in,
+    ``times`` over, added into ``out``.  One walk with a running multiplier,
+    so the keys come in order of first appearance."""
+    if out is None:
+        out = Counter()
     for st in body:
-        if isinstance(st, (Send, Recv)):
-            out[st.sym] += 1
-        elif isinstance(st, For):
+        if isinstance(st, For):
             if is_infinite(st.count):
                 raise InfiniteInside("infinite loop inside a counted scope")
-            inner = count_occurrences(st.body)
-            for s, c in inner.items():
-                out[s] += st.count * c
+            count_occurrences(st.body, times * st.count, out)
+        else:
+            out[st] += times
     return out
 
 
@@ -232,13 +241,62 @@ def weighted_size(body) -> int:
     """Number of events the body unrolls to; raises on infinite counts."""
     total = 0
     for st in body:
-        if isinstance(st, (Send, Recv)):
-            total += 1
-        elif isinstance(st, For):
+        if isinstance(st, For):
             if is_infinite(st.count):
                 raise InfiniteLoop("cannot size an infinite loop")
             total += st.count * weighted_size(st.body)
+        else:
+            total += 1
     return total
+
+
+def flatten_items(body, cap=None) -> tuple:
+    """Fully unrolled symbol sequence of a body or power string; at most
+    ``cap`` events when given."""
+    out = []
+
+    def go(items):
+        for st in items:
+            if isinstance(st, For):
+                if is_infinite(st.count):
+                    raise UnsupportedProgram(
+                        "cannot flatten an infinite power")
+                for _ in range(st.count):
+                    go(st.body)
+            else:
+                out.append(st)
+                if cap is not None and len(out) > cap:
+                    raise UnsupportedProgram(
+                        f"expansion exceeds cap of {cap} events")
+
+    go(body)
+    return tuple(out)
+
+
+def render_items(items) -> str:
+    """Compact rendering: literals run together, count-1 loops bare,
+    infinite counts written ^inf."""
+    parts = []
+    run = []
+    for it in items:
+        if isinstance(it, Symbol):
+            run.append(it.name)
+            continue
+        if run:
+            parts.append("".join(run))
+            run = []
+        body = render_items(it.body)
+        if it.count == 1:
+            parts.append(body)
+            continue
+        count = "inf" if is_infinite(it.count) else str(it.count)
+        if len(it.body) == 1 and isinstance(it.body[0], Symbol):
+            parts.append(f"{body}^{count}")
+        else:
+            parts.append(f"({body})^{count}")
+    if run:
+        parts.append("".join(run))
+    return " ".join(parts)
 
 
 # Default cap on the events one check may unroll or flatten.
@@ -253,18 +311,4 @@ def unroll(program: Program, max_events: int | None = None) -> dict:
         total += weighted_size(body)
         if total > cap:
             raise SizeExceeded(f"unrolled size exceeds cap of {cap} events")
-
-    def expand(body, out):
-        for st in body:
-            if isinstance(st, (Send, Recv)):
-                out.append(st.sym)
-            elif isinstance(st, For):
-                for _ in range(st.count):
-                    expand(st.body, out)
-
-    queues = {}
-    for nid, body in program.nodes:
-        out = []
-        expand(body, out)
-        queues[nid] = tuple(out)
-    return queues
+    return {nid: flatten_items(body) for nid, body in program.nodes}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import For, Program, Recv, Send, is_infinite
+from .model import For, Program, is_infinite
 
 TERMINATED = "terminated"
 
@@ -95,35 +95,32 @@ def initial_state(program: Program) -> tuple:
 
 
 def enabled(program: Program, gstate: tuple) -> set:
-    """Symbols whose send and receive are both at their nodes' fronts."""
-    order = program.node_ids()
-    pos = dict(zip(order, gstate))
-    bodies = program.bodies()
+    """Symbols whose send and receive are both at their nodes' fronts.  A
+    symbol at node n's front is a send when n is its source."""
+    nodes = program.nodes
+    rank = program.rank
     out = set()
-    for nid in order:
-        st = pos[nid]
+    for (nid, body), st in zip(nodes, gstate):
         if st == TERMINATED:
             continue
-        ev = _current(bodies[nid], st)
-        if not isinstance(ev, Send):
+        s = _current(body, st)
+        if s.src != nid or s.dst == nid:
             continue
-        s = ev.sym
-        peer = pos.get(s.dst)
-        if peer is None or peer == TERMINATED:
+        k = rank.get(s.dst)
+        if k is None or gstate[k] == TERMINATED:
             continue
-        pev = _current(bodies[s.dst], peer)
-        if isinstance(pev, Recv) and pev.sym == s:
+        if _current(nodes[k][1], gstate[k]) == s:
             out.add(s)
     return out
 
 
 def step(program: Program, gstate: tuple, sym) -> tuple:
-    order = program.node_ids()
-    bodies = program.bodies()
+    nodes = program.nodes
+    rank = program.rank
     out = list(gstate)
     for node in (sym.src, sym.dst):
-        k = order.index(node)
-        out[k] = _advance(bodies[node], out[k])
+        k = rank[node]
+        out[k] = _advance(nodes[k][1], out[k])
     return tuple(out)
 
 

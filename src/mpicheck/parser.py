@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .model import INFINITE, For, Program, Recv, Send, Symbol
+from .model import INFINITE, For, Program, Symbol
 
 
 class MdlSyntaxError(Exception):
@@ -107,7 +107,7 @@ def parse(text: str) -> Program:
         if toks[i] != "{":
             _fail(text, toks, i, f"expected '{{', got {toks[i]!r}")
         i += 1
-        stmts = {}              # (keyword, message, peer) -> its statement
+        stmts = {}              # (keyword, message, peer) -> its Symbol
         body = []
         outer = []              # (count, enclosing body) per open loop
         while True:
@@ -126,9 +126,9 @@ def parse(text: str) -> Program:
                         peer = ranks[key[2]] = len(ranks)
                     fields = ((key[1], here, peer) if t == "send"
                               else (key[1], peer, here))
-                    sym = symbols.get(fields) or symbols.setdefault(
+                    st = symbols.get(fields) or symbols.setdefault(
                         fields, Symbol(*fields))
-                    st = stmts[key] = (Send if t == "send" else Recv)(sym)
+                    stmts[key] = st
                 body.append(st)
                 i += 4
             elif t in _SEPS:
@@ -173,12 +173,13 @@ def render(program: Program) -> str:
 
     def emit(stmt, nid, depth):
         pad = "  " * depth
-        if isinstance(stmt, Send):
-            lines.append(f"{pad}send {stmt.sym.name} "
-                         f"to {program.name_of(stmt.sym.dst)}")
-        elif isinstance(stmt, Recv):
-            lines.append(f"{pad}recv {stmt.sym.name} "
-                         f"from {program.name_of(stmt.sym.src)}")
+        if isinstance(stmt, Symbol):
+            if stmt.src == nid:
+                lines.append(f"{pad}send {stmt.name} "
+                             f"to {program.name_of(stmt.dst)}")
+            else:
+                lines.append(f"{pad}recv {stmt.name} "
+                             f"from {program.name_of(stmt.src)}")
         else:
             count = "inf" if stmt.count is INFINITE else str(stmt.count)
             lines.append(f"{pad}for {count} {{")

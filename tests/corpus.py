@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from mpicheck.model import (INFINITE, For, Program, Recv, Send, Symbol,
+from mpicheck.model import (INFINITE, For, Program, Symbol,
                             make_program, validate, weighted_size)
 
 MSG_NAMES = "abcdefgh"
@@ -37,8 +37,8 @@ def _schedule(rng: random.Random, n_nodes: int, length: int):
 def _bodies_from_schedule(schedule, n_nodes):
     bodies = {n: [] for n in range(n_nodes)}
     for sym in schedule:
-        bodies[sym.src].append(Send(sym))
-        bodies[sym.dst].append(Recv(sym))
+        bodies[sym.src].append(sym)
+        bodies[sym.dst].append(sym)
     return bodies
 
 
@@ -55,9 +55,9 @@ def gen_smodel_random(rng: random.Random) -> Program:
             peer = rng.choice([p for p in range(n_nodes) if p != n])
             name = rng.choice(MSG_NAMES[:3])
             if rng.random() < 0.5:
-                body.append(Send(Symbol(name, n, peer)))
+                body.append(Symbol(name, n, peer))
             else:
-                body.append(Recv(Symbol(name, peer, n)))
+                body.append(Symbol(name, peer, n))
         bodies[n] = body
     return make_program(bodies)
 
@@ -106,9 +106,9 @@ def gen_l0_random(rng: random.Random) -> Program:
             peer = rng.choice([p for p in range(n_nodes) if p != n])
             name = rng.choice(MSG_NAMES[:2])
             if rng.random() < 0.5:
-                body.append(Send(Symbol(name, n, peer)))
+                body.append(Symbol(name, n, peer))
             else:
-                body.append(Recv(Symbol(name, peer, n)))
+                body.append(Symbol(name, peer, n))
         bodies[n] = [For(rng.randint(1, MAX_COUNT), tuple(body))]
     return make_program(bodies)
 

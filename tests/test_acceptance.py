@@ -18,9 +18,9 @@ from corpus import corpus
 from test_l2 import random_power_string
 from test_smodel import schedule_queues
 from mpicheck.analyze import analyze, check_program
-from mpicheck.l2 import (flatten_items, normalize, strip_outer_infinite,
-                         to_power_string)
-from mpicheck.model import ModelClass, Symbol, classify, unroll, validate
+from mpicheck.l2 import normalize, strip_outer_infinite
+from mpicheck.model import (ModelClass, Symbol, classify, flatten_items,
+                            unroll, validate)
 from mpicheck.oracle import DeadlockFreeOracle, DeadlockReachable, explore
 from mpicheck.parser import parse
 from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
@@ -134,7 +134,7 @@ def _finite_queue_models(programs):
             continue
         except Exception:
             pass
-        strings = {n: normalize(to_power_string(b)) for n, b in prog.nodes}
+        strings = {n: normalize(b) for n, b in prog.nodes}
         try:
             finite, verdict = strip_outer_infinite(strings)
         except Exception:
@@ -219,7 +219,7 @@ def test_criterion_7_slicing_balance(shared_corpus):
     for prog in shared_corpus:
         if classify(prog) is ModelClass.SMODEL:
             continue
-        strings = {n: normalize(to_power_string(b)) for n, b in prog.nodes}
+        strings = {n: normalize(b) for n, b in prog.nodes}
         try:
             finite, verdict = strip_outer_infinite(strings)
         except Exception:

@@ -4,7 +4,7 @@ The equations and the Theorem-2 check are the shared ``reg.ratio_stage``,
 run here on the counts ``check_l0`` gives it."""
 from mpicheck import l0
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
+from mpicheck.model import (INFINITE, For, Symbol,
                             count_occurrences, make_program, unroll)
 from mpicheck.l0 import as_l0_view, check_l0, slice_view
 from mpicheck.reg import count_equations, ratio_stage
@@ -35,24 +35,24 @@ def l0_stage(view, times=None):
 
 
 def test_view_requires_single_top_level_loop():
-    assert as_l0_view(make_program({0: [Send(A)], 1: [Recv(A)]})) is None
-    nested = make_program({0: [For(2, (For(2, (Send(A),)),))],
-                           1: [For(4, (Recv(A),))]})
+    assert as_l0_view(make_program({0: [A], 1: [A]})) is None
+    nested = make_program({0: [For(2, (For(2, (A,)),))],
+                           1: [For(4, (A,))]})
     assert as_l0_view(nested) is None
-    view = as_l0_view(loop_prog(2, [Send(A)], 2, [Recv(A)]))
-    assert view.loops[0] == (2, (Send(A),))
+    view = as_l0_view(loop_prog(2, [A], 2, [A]))
+    assert view.loops[0] == (2, (A,))
 
 
 def test_empty_node_joins_view_with_unit_loop():
-    prog = make_program({0: [For(2, (Send(A),))], 1: [For(2, (Recv(A),))],
+    prog = make_program({0: [For(2, (A,))], 1: [For(2, (A,))],
                          2: []})
     view = as_l0_view(prog)
     assert view.loops[2] == (1, ())
 
 
 def test_build_reg_counts_both_endpoints():
-    view = as_l0_view(loop_prog(3, [Send(A), Send(A)], 2, [Recv(A), Recv(A),
-                                                           Recv(A)]))
+    view = as_l0_view(loop_prog(3, [A, A], 2, [A, A,
+                                                           A]))
     group, unmatched = count_equations(view.order, l0_counts(view))
     assert unmatched == []
     assert group.variables == (0, 1)
@@ -62,7 +62,7 @@ def test_build_reg_counts_both_endpoints():
 
 
 def test_build_reg_reports_one_sided_symbols():
-    view = as_l0_view(loop_prog(2, [Send(A)], 2, [Recv(B)]))
+    view = as_l0_view(loop_prog(2, [A], 2, [B]))
     group, unmatched = count_equations(view.order, l0_counts(view))
     assert group.equations == ()
     assert unmatched == [(A, 1, 0), (B, 1, 0)]
@@ -72,7 +72,7 @@ def test_build_reg_reports_one_sided_symbols():
 
 
 def test_ratio_consistent_infinite_means_zero():
-    view = as_l0_view(loop_prog(2, [Send(A)], 1, [Recv(A), Recv(A)]))
+    view = as_l0_view(loop_prog(2, [A], 1, [A, A]))
     for times in ({0: INFINITE, 1: INFINITE}, {0: 2, 1: 1}):
         solution, verdict = l0_stage(view, times)
         assert verdict is None and solution.values == {0: 1, 1: 2}
@@ -86,8 +86,8 @@ def test_ratio_consistent_infinite_means_zero():
 
 
 def test_slice_replaces_counts_by_lcm_over_value():
-    view = as_l0_view(loop_prog(INFINITE, [Send(A)], INFINITE,
-                                [Recv(A), Recv(A)]))
+    view = as_l0_view(loop_prog(INFINITE, [A], INFINITE,
+                                [A, A]))
     solution, verdict = l0_stage(view)
     assert verdict is None
     sliced = slice_view(view, solution)
@@ -99,8 +99,8 @@ def test_slice_replaces_counts_by_lcm_over_value():
 
 def test_check_l0_free_and_traced():
     trace = Trace()
-    verdict = check_l0(l0_view(INFINITE, [Send(A), Recv(B)], INFINITE,
-                               [Recv(A), Send(B)]), trace)
+    verdict = check_l0(l0_view(INFINITE, [A, B], INFINITE,
+                               [A, B]), trace)
     assert bool(verdict)
     (rec,) = trace.reg_records
     assert rec.label == "l0"
@@ -110,8 +110,8 @@ def test_check_l0_free_and_traced():
 
 def test_check_l0_slices_only_non_empty_nodes():
     trace = Trace()
-    prog = make_program({0: [For(INFINITE, (Send(A), Send(A)))],
-                         1: [For(INFINITE, (Recv(A), Recv(A), Recv(A)))],
+    prog = make_program({0: [For(INFINITE, (A, A))],
+                         1: [For(INFINITE, (A, A, A))],
                          2: []})
     assert bool(check_l0(as_l0_view(prog), trace))
     (rec,) = trace.reg_records
@@ -121,20 +121,20 @@ def test_check_l0_slices_only_non_empty_nodes():
 
 
 def test_check_l0_unmatched_symbol_deadlocks():
-    verdict = check_l0(l0_view(2, [Send(A)], 2, [Recv(B)]))
+    verdict = check_l0(l0_view(2, [A], 2, [B]))
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, UnmatchedTotals)
 
 
 def test_check_l0_ratio_conflict_deadlocks():
     # finite loop totals disagree with the per-iteration ratio
-    verdict = check_l0(l0_view(2, [Send(A)], 3, [Recv(A)]))
+    verdict = check_l0(l0_view(2, [A], 3, [A]))
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, RatioInconsistency)
 
 
 def test_check_l0_mixed_infinite_and_finite_deadlocks():
-    verdict = check_l0(l0_view(INFINITE, [Send(A)], 2, [Recv(A)]))
+    verdict = check_l0(l0_view(INFINITE, [A], 2, [A]))
     assert isinstance(verdict, Deadlock)
 
 
@@ -147,7 +147,7 @@ def test_analyze_builds_the_view_once(monkeypatch):
         return real(program)
 
     monkeypatch.setattr(l0, "as_l0_view", counting)
-    report = analyze(loop_prog(INFINITE, [Send(A), Recv(B)], INFINITE,
-                               [Recv(A), Send(B)]))
+    report = analyze(loop_prog(INFINITE, [A, B], INFINITE,
+                               [A, B]))
     assert report.phase == "l0" and bool(report.verdict)
     assert len(calls) == 1

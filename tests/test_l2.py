@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpicheck import l2
+from mpicheck import l2, model
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, For, Recv, Send, Symbol,
-                            UnsupportedProgram, make_program, validate)
+from mpicheck.model import (INFINITE, For, Symbol, UnsupportedProgram,
+                            count_occurrences, flatten_items, make_program,
+                            render_items, validate)
 from mpicheck.parser import parse
-from mpicheck.l2 import (Power, align_and_reduce, check_l2, flatten_items,
-                         fpp, normalize, power_counts, related_sets,
-                         render_items, string_symbols, strip_outer_infinite,
-                         to_power_string)
+from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
+                         related_sets, string_symbols, strip_outer_infinite)
 from mpicheck.l0 import as_l0_view, check_l0
 from mpicheck.trace import Trace
 from mpicheck.verdicts import Deadlock, MdgCycle, RatioInconsistency
@@ -25,69 +24,68 @@ C = Symbol("c", 0, 1)
 D = Symbol("d", 1, 0)
 
 
-def test_to_power_string_wraps_literal_runs():
-    body = (Send(A), Send(C), For(2, (Send(A),)))
-    ps = to_power_string(body)
-    assert ps == (Power((A, C), 1), Power((A,), 2))
+def test_normalize_wraps_literal_runs_of_a_statement_body():
+    body = (A, C, For(2, (A,)))
+    assert normalize(body) == (For(1, (A, C)), For(2, (A,)))
 
 
 def test_power_reduction():
-    ps = (Power((Power((A,), 2),), 3),)
-    assert normalize(ps) == (Power((A,), 6),)
+    ps = (For(3, (For(2, (A,)),)),)
+    assert normalize(ps) == (For(6, (A,)),)
 
 
 def test_power_reduction_under_infinity():
-    ps = (Power((Power((A,), 4),), INFINITE),)
-    assert normalize(ps) == (Power((A,), INFINITE),)
+    ps = (For(INFINITE, (For(4, (A,)),)),)
+    assert normalize(ps) == (For(INFINITE, (A,)),)
 
 
 def test_exponent_one_composite_is_spliced():
-    ps = (Power((A, Power((B,), 2)), 1),)
-    assert normalize(ps) == (Power((A,), 1), Power((B,), 2))
+    ps = (For(1, (A, For(2, (B,)))),)
+    assert normalize(ps) == (For(1, (A,)), For(2, (B,)))
 
 
 def test_left_prefix_reduction():
     # x (xy)^3  ->  x^2 y (xy)^2
     x, y = (A,), (B,)
-    ps = (Power(x, 1), Power(x + y, 3))
+    ps = (For(1, x), For(3, x + y))
     assert normalize(ps) == (
-        Power(x, 2), Power(y, 1), Power(x + y, 2))
+        For(2, x), For(1, y), For(2, x + y))
 
 
 def test_left_prefix_merges_equal_bases():
-    ps = (Power((A,), 2), Power((A,), 3))
-    assert normalize(ps) == (Power((A,), 5),)
+    ps = (For(2, (A,)), For(3, (A,)))
+    assert normalize(ps) == (For(5, (A,)),)
 
 
 def test_normalize_drops_empty_and_keeps_order():
     # empty powers vanish; distinct exponent-1 runs stay separate units
-    ps = (Power((), 3), Power((A,), 1), Power((B,), 1))
-    assert normalize(ps) == (Power((A,), 1), Power((B,), 1))
+    ps = (For(3, ()), For(1, (A,)), For(1, (B,)))
+    assert normalize(ps) == (For(1, (A,)), For(1, (B,)))
 
 
 def test_render_examples():
-    assert render_items((Power((B,), 4),)) == "b^4"
-    assert render_items((Power((A, C), 2),)) == "(ac)^2"
-    assert render_items((Power((A, C), 1),)) == "ac"
-    assert render_items((Power((Power((A, C), 2), B), INFINITE),)) \
+    assert render_items((For(4, (B,)),)) == "b^4"
+    assert render_items((For(2, (A, C)),)) == "(ac)^2"
+    assert render_items((For(1, (A, C)),)) == "ac"
+    assert render_items((For(INFINITE, (For(2, (A, C)), B)),)) \
         == "((ac)^2 b)^inf"
 
 
 def test_flatten_and_counts():
-    ps = (Power((A, Power((B,), 2)), 3),)
+    ps = (For(3, (A, For(2, (B,)))),)
     assert flatten_items(ps) == (A, B, B) * 3
-    assert power_counts(ps) == {A: 3, B: 6}
+    assert count_occurrences(ps) == {A: 3, B: 6}
     with pytest.raises(UnsupportedProgram):
-        flatten_items((Power((A,), INFINITE),))
+        flatten_items((For(INFINITE, (A,)),))
     with pytest.raises(UnsupportedProgram):
         flatten_items(ps, cap=5)
 
 
 def test_power_counts_keys_in_first_appearance_order():
-    ps = (Power((C, Power((B, Power((A,), 2)), 3), C, D), 2),)
-    counts = power_counts(ps)
+    ps = (For(2, (C, For(3, (B, For(2, (A,)))), C, D)),)
+    counts = count_occurrences(ps)
     assert list(counts.items()) == [(C, 4), (B, 6), (A, 12), (D, 2)]
-    assert power_counts(ps[0].body, 5, counts) is counts
+    assert count_occurrences(ps[0].body, 5, counts) is counts
     assert counts == {C: 14, B: 21, A: 42, D: 7}
 
 
@@ -100,7 +98,7 @@ def _random_items(rng, depth, budget, alphabet=(A, B, C, D)):
         else:
             inner = _random_items(rng, depth - 1, budget, alphabet)
             if inner:
-                out.append(Power(tuple(inner), rng.randint(1, 4)))
+                out.append(For(rng.randint(1, 4), tuple(inner)))
     return out
 
 
@@ -121,19 +119,19 @@ def test_normalize_preserves_sequence_and_is_idempotent(seed):
 
 def test_strip_outer_infinite_replicates_to_lcm():
     strings = {
-        0: normalize((Power((A,), INFINITE),)),
-        1: normalize((Power((A, A), INFINITE),)),
+        0: normalize((For(INFINITE, (A,)),)),
+        1: normalize((For(INFINITE, (A, A)),)),
     }
     finite, verdict = strip_outer_infinite(strings)
     assert verdict is None
-    assert finite[0] == (Power((A,), 2),)
-    assert finite[1] == (Power((A, A), 1),)
+    assert finite[0] == (For(2, (A,)),)
+    assert finite[1] == (For(1, (A, A)),)
 
 
 def test_strip_outer_infinite_flags_mixed_components():
     strings = {
-        0: normalize((Power((A,), INFINITE),)),
-        1: (Power((A,), 1),),
+        0: normalize((For(INFINITE, (A,)),)),
+        1: (For(1, (A,)),),
     }
     _, verdict = strip_outer_infinite(strings)
     assert isinstance(verdict, Deadlock)
@@ -142,7 +140,7 @@ def test_strip_outer_infinite_flags_mixed_components():
 def test_strip_outer_infinite_names_unequal_finite_products():
     # every node finite: the conflict is unequal totals, not a mix of
     # infinite and finite nodes
-    strings = {0: (Power((A,), 1),), 1: (Power((A,), 2),)}
+    strings = {0: (For(1, (A,)),), 1: (For(2, (A,)),)}
     _, verdict = strip_outer_infinite(strings)
     assert verdict.witness == RatioInconsistency(
         "unequal products within component (0, 1): p0*t0=1, p1*t1=2")
@@ -152,14 +150,14 @@ def test_outer_stage_matches_l0_on_single_infinite_loops():
     E = Symbol("e", 1, 2)
     F = Symbol("f", 2, 0)
     prog = make_program({
-        0: [For(INFINITE, (Send(A), Send(A), Recv(F)))],
-        1: [For(INFINITE, (Recv(A), Send(E)))],
-        2: [For(INFINITE, (Recv(E), Recv(E), Send(F)))],
+        0: [For(INFINITE, (A, A, F))],
+        1: [For(INFINITE, (A, E))],
+        2: [For(INFINITE, (E, E, F))],
         3: [],
     })
     l0_trace, outer_trace = Trace(), Trace()
     assert bool(check_l0(as_l0_view(prog), l0_trace))
-    strings = {n: normalize(to_power_string(b)) for n, b in prog.nodes}
+    strings = {n: normalize(b) for n, b in prog.nodes}
     _, verdict = strip_outer_infinite(strings, outer_trace)
     assert verdict is None
     (l0_rec,), (outer_rec,) = l0_trace.reg_records, outer_trace.reg_records
@@ -172,24 +170,24 @@ def test_outer_stage_matches_l0_on_single_infinite_loops():
 
 def test_infinite_with_siblings_is_unsupported():
     prog = make_program({
-        0: [Send(A), For(INFINITE, (Send(A),))],
-        1: [For(INFINITE, (Recv(A),))],
+        0: [A, For(INFINITE, (A,))],
+        1: [For(INFINITE, (A,))],
     })
     with pytest.raises(UnsupportedProgram):
         check_l2(prog)
 
 
 def test_related_sets_split_by_shared_symbols():
-    pool = fpp({0: (Power((A,), 2),), 1: (Power((A,), 2),),
-                2: (Power((Symbol("e", 2, 3),), 1),),
-                3: (Power((Symbol("e", 2, 3),), 1),)})
+    pool = fpp({0: (For(2, (A,)),), 1: (For(2, (A,)),),
+                2: (For(1, (Symbol("e", 2, 3),)),),
+                3: (For(1, (Symbol("e", 2, 3),)),)})
     sets = {rs.nodes: rs.eligible for rs in related_sets(pool)}
     assert sets == {(0, 1): True, (2, 3): True}
 
 
 def test_related_sets_trim_misaligned_run():
     # node 0 leads with "a b" but b's partner still sits behind a power
-    pool = {0: Power((A, C), 1), 1: Power((A,), 1)}
+    pool = {0: For(1, (A, C)), 1: For(1, (A,))}
     (rs,) = related_sets(pool)
     assert rs.eligible and rs.nodes == (0, 1)
     assert rs.members[0].body == (A,)
@@ -197,7 +195,7 @@ def test_related_sets_trim_misaligned_run():
 
 
 def test_related_sets_drop_blocked_power():
-    pool = {0: Power((A, C), 3), 1: Power((A,), 1)}
+    pool = {0: For(3, (A, C)), 1: For(1, (A,))}
     sets = related_sets(pool)
     assert all(not rs.eligible for rs in sets)
 
@@ -216,7 +214,7 @@ def random_pool(rng):
             continue
         items = _random_items(rng, 2, [6], mine)
         if items:
-            pool[n] = Power(tuple(items), rng.choice((1, 1, 2, 3)))
+            pool[n] = For(rng.choice((1, 1, 2, 3)), tuple(items))
     return pool
 
 
@@ -246,13 +244,13 @@ def test_related_sets_meet_their_spec_on_random_pools():
                 p = _partner(s, n)
                 assert p in held and s in held[p][0] and held[p][1] is rs
             m = rs.members[n]
-            if pool[n].exp == 1:
-                assert m.body and m.exp == 1
+            if pool[n].count == 1:
+                assert m.body and m.count == 1
                 assert (flatten_items(m.body) + m.leftover
                         == flatten_items(pool[n].body))
             else:
-                assert (m.body, m.exp, m.leftover) == (pool[n].body,
-                                                       pool[n].exp, ())
+                assert (m.body, m.count, m.leftover) == (pool[n].body,
+                                                       pool[n].count, ())
         waiting = {n: rs for rs in sets if not rs.eligible for n in rs.nodes}
         original = {n: string_symbols(p.body) for n, p in pool.items()}
         for n, entry in pool.items():
@@ -266,7 +264,7 @@ def test_related_sets_meet_their_spec_on_random_pools():
                 blocker = [m.leftover[0]]
             else:
                 seen["dropped"] += 1
-                blocker = flat[:1] if entry.exp == 1 else flat
+                blocker = flat[:1] if entry.count == 1 else flat
             # restoring the next symbol (or the whole power) would leave
             # one whose partner does not hold it
             assert any(s not in held.get(_partner(s, n), ((),))[0]
@@ -284,7 +282,7 @@ def test_related_sets_meet_their_spec_on_random_pools():
 
 def test_related_sets_flatten_within_cap():
     # the run is cut before c, so its five events are flattened first
-    pool = {0: Power((Power((A, A), 2), C), 1), 1: Power((A,), 4)}
+    pool = {0: For(1, (For(2, (A, A)), C)), 1: For(4, (A,))}
     with pytest.raises(UnsupportedProgram):
         related_sets(pool, cap=3)
     (rs,) = related_sets(pool, cap=5)
@@ -293,7 +291,7 @@ def test_related_sets_flatten_within_cap():
 
 
 def test_align_and_reduce_progress():
-    strings = {0: (Power((A,), 4),), 1: (Power((A, A), 2),)}
+    strings = {0: (For(4, (A,)),), 1: (For(2, (A, A)),)}
     sets = related_sets(fpp(strings))
     kind, new = align_and_reduce(strings, sets, 10**5)
     assert kind == "progress"
@@ -302,8 +300,8 @@ def test_align_and_reduce_progress():
 
 def test_align_and_reduce_noprogress_on_short_exponent():
     # per-round needs two iterations of node 0 but only one is available
-    strings = {0: (Power((A,), 1), Power((B,), 1)),
-               1: (Power((A, A), 1),)}
+    strings = {0: (For(1, (A,)), For(1, (B,))),
+               1: (For(1, (A, A)),)}
     sets = related_sets(fpp(strings))
     kind, _ = align_and_reduce(strings, sets, 10**5)
     assert kind == "noprogress"
@@ -311,16 +309,16 @@ def test_align_and_reduce_noprogress_on_short_exponent():
 
 def test_check_l2_deadlock_on_crossed_loops():
     prog = make_program({
-        0: [For(INFINITE, (Send(A), Recv(B)))],
-        1: [For(INFINITE, (Send(B), Recv(A)))],
+        0: [For(INFINITE, (A, B))],
+        1: [For(INFINITE, (B, A))],
     })
     assert isinstance(check_l2(prog), Deadlock)
 
 
 def test_check_l2_free_on_staggered_nesting():
     prog = make_program({
-        0: [For(INFINITE, (For(2, (Send(A),)), Recv(B)))],
-        1: [For(INFINITE, (Recv(A), Recv(A), Send(B)))],
+        0: [For(INFINITE, (For(2, (A,)), B))],
+        1: [For(INFINITE, (A, A, B))],
     })
     assert bool(check_l2(prog))
 
@@ -361,14 +359,14 @@ def _report(text, max_events=None):
     return analyze(validate(parse(text)), max_events)
 
 
-def _counting(monkeypatch, name, calls):
-    original = getattr(l2, name)
+def _counting(monkeypatch, name, calls, module=l2):
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(l2, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_pool_round_makes_one_solve_and_one_kernel_call(monkeypatch):
@@ -434,7 +432,7 @@ def test_mid_round_deadlock_records_sets_up_to_it():
 
 def test_trace_renders_strings_and_pools_only_when_read(monkeypatch):
     calls = Counter()
-    _counting(monkeypatch, "render_items", calls)
+    _counting(monkeypatch, "render_items", calls, model)
     rep = _report(ROUND_FREE)
     assert calls["render_items"] == 0
     assert rep.trace.string_map[0] == "a^4 b"

@@ -2,7 +2,8 @@
 import random
 
 from corpus import generate
-from mpicheck.model import (INFINITE, For, Recv, Send, Symbol, make_program)
+from mpicheck import oracle
+from mpicheck.model import (INFINITE, For, Symbol, make_program)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED, enabled, explore,
                              initial_state, replay, step)
@@ -18,19 +19,19 @@ def test_empty_program_is_free():
 
 
 def test_simple_exchange():
-    prog = make_program({0: [Send(A), Recv(B)], 1: [Recv(A), Send(B)]})
+    prog = make_program({0: [A, B], 1: [A, B]})
     assert isinstance(explore(prog), DeadlockFreeOracle)
 
 
 def test_crossed_sends_deadlock_immediately():
-    prog = make_program({0: [Send(A), Recv(B)], 1: [Send(B), Recv(A)]})
+    prog = make_program({0: [A, B], 1: [B, A]})
     verdict = explore(prog)
     assert isinstance(verdict, DeadlockReachable)
     assert verdict.trace == ()
 
 
 def test_blocked_on_terminated_peer_is_deadlock():
-    prog = make_program({0: [Send(A), Send(A)], 1: [Recv(A)]})
+    prog = make_program({0: [A, A], 1: [A]})
     verdict = explore(prog)
     assert isinstance(verdict, DeadlockReachable)
     assert verdict.trace == (A,)
@@ -38,8 +39,8 @@ def test_blocked_on_terminated_peer_is_deadlock():
 
 def test_infinite_loops_have_finite_state_space():
     prog = make_program({
-        0: [For(INFINITE, (Send(A), Recv(B)))],
-        1: [For(INFINITE, (Recv(A), Send(B)))],
+        0: [For(INFINITE, (A, B))],
+        1: [For(INFINITE, (A, B))],
     })
     verdict = explore(prog)
     assert isinstance(verdict, DeadlockFreeOracle)
@@ -48,15 +49,15 @@ def test_infinite_loops_have_finite_state_space():
 
 def test_state_bound_gives_inconclusive():
     prog = make_program({
-        0: [For(4, (Send(A),)), For(4, (Recv(B),))],
-        1: [For(4, (Recv(A),)), For(4, (Send(B),))],
+        0: [For(4, (A,)), For(4, (B,))],
+        1: [For(4, (A,)), For(4, (B,))],
     })
     assert isinstance(explore(prog, max_states=2), Inconclusive)
     assert isinstance(explore(prog), DeadlockFreeOracle)
 
 
 def test_enabled_and_step_agree_with_semantics():
-    prog = make_program({0: [Send(A)], 1: [Recv(A), Recv(A)]})
+    prog = make_program({0: [A], 1: [A, A]})
     state = initial_state(prog)
     assert enabled(prog, state) == {A}
     state = step(prog, state, A)
@@ -84,3 +85,27 @@ def test_exploration_is_deterministic():
     for _ in range(25):
         prog = generate(rng)
         assert explore(prog) == explore(prog)
+
+
+def test_sparse_unordered_node_ids():
+    a, b = Symbol("a", 7, 3), Symbol("b", 3, 7)
+    free = make_program({7: [a, b], 3: [a, b]})
+    assert free.rank == {7: 0, 3: 1}
+    assert explore(free) == DeadlockFreeOracle(3)
+    stuck = explore(make_program({7: [b, a], 3: [a, b]}))
+    assert isinstance(stuck, DeadlockReachable) and stuck.trace == ()
+
+
+def test_one_enabled_call_per_explored_state(monkeypatch):
+    calls = []
+    original = oracle.enabled
+
+    def counting(program, state):
+        calls.append(state)
+        return original(program, state)
+
+    monkeypatch.setattr(oracle, "enabled", counting)
+    verdict = explore(make_program({
+        0: [For(3, (A, B))], 1: [For(3, (A, B))]}))
+    assert isinstance(verdict, DeadlockFreeOracle)
+    assert len(calls) == verdict.states == 7

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import generate
-from mpicheck.model import INFINITE, For, Recv, Send, Symbol, validate
+from mpicheck.model import INFINITE, For, Symbol, validate
 from mpicheck.parser import MdlLexError, MdlSyntaxError, parse, render
 
 SIMPLE = """
@@ -24,9 +24,10 @@ def test_parse_simple():
     prog = parse(SIMPLE)
     assert prog.node_ids() == [0, 1]
     body0 = prog.body(0)
-    assert isinstance(body0[0], Send) and body0[0].sym.name == "a"
-    assert body0[0].sym.src == 0 and body0[0].sym.dst == 1
-    assert isinstance(body0[1], Recv) and body0[1].sym.src == 1
+    # a symbol in node n is a send when n is its source, else a receive
+    assert body0[0] == Symbol("a", 0, 1) and body0[0].src == 0
+    assert body0[1] == Symbol("b", 1, 0) and body0[1].src != 0
+    assert prog.body(1) == (Symbol("a", 0, 1), Symbol("b", 1, 0))
 
 
 def test_ranks_follow_declaration_order():
@@ -161,9 +162,9 @@ def test_loop_count_must_be_ascii_digits(count, col):
 def test_equal_messages_share_one_symbol():
     prog = parse("node P0 { send a to P1, send a to P1, for 2 { send a to P1 } }\n"
                  "node P1 { recv a from P0, for 3 { recv a from P0 } }")
-    syms = [prog.body(0)[0].sym, prog.body(0)[1].sym,
-            prog.body(0)[2].body[0].sym, prog.body(1)[0].sym,
-            prog.body(1)[1].body[0].sym]
+    syms = [prog.body(0)[0], prog.body(0)[1],
+            prog.body(0)[2].body[0], prog.body(1)[0],
+            prog.body(1)[1].body[0]]
     assert all(s is syms[0] for s in syms)
     assert syms[0] == Symbol("a", 0, 1)
 
@@ -188,3 +189,12 @@ def test_render_parse_round_trip_random(seed):
     again = parse(render(prog))
     assert again.nodes == prog.nodes
     assert again.names == prog.names
+
+
+def test_round_trip_of_a_node_that_sends_and_receives_one_name():
+    text = ("node P0 {\n  send a to P1\n  recv a from P1\n}\n"
+            "node P1 {\n  recv a from P0\n  send a to P0\n}\n")
+    prog = parse(text)
+    assert prog.body(0) == (Symbol("a", 0, 1), Symbol("a", 1, 0))
+    assert render(prog) == text
+    assert parse(render(prog)).nodes == prog.nodes
