@@ -1,26 +1,14 @@
-"""Dispatch and machine-readable reports."""
+"""The one entry point, and machine-readable reports."""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
 from . import l0, l2, smodel
-from .model import ModelClass, Program, classify, unroll, validate
+from .model import MAX_EVENTS, For, Program, unroll, validate
 from .reg import Inconsistent
 from .trace import Trace
 from .verdicts import Deadlock, Verdict, witness_dict
-
-
-def check_program(program: Program, trace: Trace | None = None,
-                  max_events: int | None = None):
-    """Validate, dispatch by class, return (verdict, phase)."""
-    validate(program)
-    cls = classify(program)
-    if cls is ModelClass.SMODEL:
-        return smodel.check_smodel(unroll(program, max_events)), "smodel"
-    if cls is ModelClass.L0 and (view := l0.as_l0_view(program)) is not None:
-        return l0.check_l0(view, trace, max_events), "l0"
-    return l2.check_l2(program, trace, max_events), "l2"
 
 
 @dataclass
@@ -71,10 +59,21 @@ class Report:
         }
 
 
-def analyze(program: Program, max_events: int | None = None) -> Report:
+def analyze(program: Program, max_events: int = MAX_EVENTS) -> Report:
+    """Validate, then route on the top-level statements alone: no loop goes
+    to the sequential model, one loop per node over a loop-free body to the
+    single-loop engine, anything else to the nested-loop engine."""
     trace = Trace()
     t0 = time.perf_counter()
-    verdict, phase = check_program(program, trace, max_events)
+    validate(program)
+    if not any(isinstance(st, For) for _, body in program.nodes
+               for st in body):
+        verdict = smodel.check_smodel(unroll(program, max_events))
+        phase = "smodel"
+    elif l0.is_single_loop(program):
+        verdict, phase = l0.check_l0(program, trace, max_events), "l0"
+    else:
+        verdict, phase = l2.check_l2(program, trace, max_events), "l2"
     elapsed = time.perf_counter() - t0
     return Report(verdict, phase, trace, program,
                   {"checkSeconds": round(elapsed, 6)})

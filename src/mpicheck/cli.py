@@ -17,6 +17,7 @@ from .model import (MAX_EVENTS, For, ModelError, flatten_items, is_infinite,
 from .parser import MdlSyntaxError, parse
 from .reg import Inconsistent
 from .smodel import build_mdg, mdg_to_dot
+from .trace import Trace
 from .verdicts import Deadlock, witness_dict
 
 
@@ -130,12 +131,11 @@ def _as_queues(program, max_events):
         return unroll(program, max_events)
     # slice infinite loops down to one consistent round first
     strings = {n: normalize(b) for n, b in program.nodes}
-    finite, verdict = strip_outer_infinite(strings)
+    finite, verdict = strip_outer_infinite(strings, Trace())
     if verdict is not None:
         raise ModelError(
             "program has no consistent finite slice; cannot draw its MDG")
-    cap = MAX_EVENTS if max_events is None else max_events
-    return {n: flatten_items(ps, cap=cap) for n, ps in finite.items()}
+    return {n: flatten_items(ps, cap=max_events) for n, ps in finite.items()}
 
 
 def cmd_reg(args) -> int:
@@ -182,14 +182,14 @@ def main(argv=None) -> int:
     p.add_argument("--trace", action="store_true",
                    help="print stage-by-stage details")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-events", type=int, default=None)
+    p.add_argument("--max-events", type=int, default=MAX_EVENTS)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("mdg", help="export the contracted message "
                                    "dependence graph as DOT")
     p.add_argument("path")
     p.add_argument("--dot", default="-", help="output file, - for stdout")
-    p.add_argument("--max-events", type=int, default=None)
+    p.add_argument("--max-events", type=int, default=MAX_EVENTS)
     p.set_defaults(fn=cmd_mdg)
 
     p = sub.add_parser("reg", help="print ratio equations and solution")

@@ -20,7 +20,7 @@ from .model import (INFINITE, MAX_EVENTS, For, Program, Symbol,
                     is_infinite)
 from .reg import Inconsistent, count_equations, ratio_stage, solve
 from .smodel import check_smodel
-from .trace import SetRecord
+from .trace import SetRecord, Trace
 from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
                        Verdict)
 
@@ -144,7 +144,7 @@ def string_symbols(items) -> set:
     return out
 
 
-def strip_outer_infinite(strings: dict, trace=None):
+def strip_outer_infinite(strings: dict, trace: Trace):
     """Run the ratio stage on per-outer-iteration counts (t = inf for a node
     wrapped in an infinite loop, t = 1 for a finite one) and replicate each
     infinite body LCM/p_i times.
@@ -263,7 +263,7 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
 
 
 def align_and_reduce(strings: dict, sets: list, max_events,
-                     record: SetRecord | None = None):
+                     record: SetRecord):
     """One pool round: reduce every eligible set of `sets` at once.
 
     The sets are disjoint in nodes and symbols, so one ratio solve over all
@@ -310,14 +310,13 @@ def align_and_reduce(strings: dict, sets: list, max_events,
             if isinstance(verdict, Deadlock):
                 stop = k
                 break
-    if record is not None:
-        # a set is one ratio component, so its values come in node order
-        record.solutions.extend(
-            (rs.nodes, {n: solution.values[n] for n in rs.nodes})
-            for rs in sets[:stop + 1])
-        record.actions.extend(
-            f"reduced {sets[k].nodes} by {rounds[k]} round(s)"
-            for k in live if k < stop)
+    # a set is one ratio component, so its values come in node order
+    record.solutions.extend(
+        (rs.nodes, {n: solution.values[n] for n in rs.nodes})
+        for rs in sets[:stop + 1])
+    record.actions.extend(
+        f"reduced {sets[k].nodes} by {rounds[k]} round(s)"
+        for k in live if k < stop)
     if stop < len(sets):
         return "deadlock", verdict
     if conflict is not None:
@@ -343,12 +342,11 @@ def _solve(sets, counts):
     return solve(count_equations(order, counts)[0])
 
 
-def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
+def check_l2(program: Program, trace: Trace,
+             max_events: int = MAX_EVENTS) -> Verdict:
     """Normalize, strip outer infinity, then run the pool reduction loop."""
-    cap = MAX_EVENTS if max_events is None else max_events
     strings = {n: normalize(body) for n, body in program.nodes}
-    if trace is not None:
-        trace.strings = strings
+    trace.strings = strings
 
     strings, verdict = strip_outer_infinite(strings, trace)
     if verdict is not None:
@@ -356,17 +354,13 @@ def check_l2(program: Program, trace=None, max_events=None) -> Verdict:
 
     while True:
         pool = fpp(strings)
-        if trace is not None:
-            trace.pools.append(pool)
+        trace.pools.append(pool)
         if not pool:
             return DEADLOCK_FREE
-        sets = related_sets(pool, cap)
-        record = None
-        if trace is not None:
-            record = SetRecord(tuple(
-                (rs.nodes, rs.eligible) for rs in sets))
-            trace.set_records.append(record)
-        kind, payload = align_and_reduce(strings, sets, cap, record)
+        sets = related_sets(pool, max_events)
+        record = SetRecord(tuple((rs.nodes, rs.eligible) for rs in sets))
+        trace.set_records.append(record)
+        kind, payload = align_and_reduce(strings, sets, max_events, record)
         if kind == "deadlock":
             return payload
         if kind == "noprogress":

@@ -1,9 +1,8 @@
-"""Core program model: AST, validation, classification, counting, unrolling."""
+"""Core program model: AST, validation, counting, unrolling."""
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -109,12 +108,6 @@ class Program:
     nodes: tuple
     names: tuple = ()
 
-    def node_ids(self) -> list:
-        return [n for n, _ in self.nodes]
-
-    def body(self, nid) -> tuple:
-        return self.nodes[self.rank[nid]][1]
-
     @cached_property
     def rank(self) -> dict:
         """node id -> position in ``nodes``"""
@@ -146,12 +139,6 @@ def make_program(bodies: dict, names: dict | None = None) -> Program:
     else:
         name_items = tuple(names.items())
     return Program(nodes, name_items)
-
-
-class ModelClass(Enum):
-    SMODEL = "smodel"
-    L0 = "l0"
-    L2 = "l2"
 
 
 def validate(program: Program) -> Program:
@@ -199,26 +186,6 @@ def _check(program: Program):
         check(nid, body, True)
     if not program.nodes:
         raise ModelError("a program needs at least one node")
-
-
-def classify(program: Program) -> ModelClass:
-    has_loop = False
-    has_nested = False
-
-    def scan(body, inside):
-        nonlocal has_loop, has_nested
-        for st in body:
-            if isinstance(st, For):
-                has_loop = True
-                if inside:
-                    has_nested = True
-                scan(st.body, True)
-
-    for _, body in program.nodes:
-        scan(body, False)
-    if not has_loop:
-        return ModelClass.SMODEL
-    return ModelClass.L2 if has_nested else ModelClass.L0
 
 
 def count_occurrences(body, times=1, out=None) -> Counter:
@@ -303,12 +270,12 @@ def render_items(items) -> str:
 MAX_EVENTS = 10**6
 
 
-def unroll(program: Program, max_events: int | None = None) -> dict:
+def unroll(program: Program, max_events: int = MAX_EVENTS) -> dict:
     """Expand all finite loops into flat per-node symbol sequences."""
-    cap = MAX_EVENTS if max_events is None else max_events
     total = 0
     for _, body in program.nodes:
         total += weighted_size(body)
-        if total > cap:
-            raise SizeExceeded(f"unrolled size exceeds cap of {cap} events")
+        if total > max_events:
+            raise SizeExceeded(
+                f"unrolled size exceeds cap of {max_events} events")
     return {nid: flatten_items(body) for nid, body in program.nodes}

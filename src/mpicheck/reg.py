@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .model import is_infinite
+from .trace import RegRecord, Trace
 from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
 
@@ -204,7 +205,7 @@ def count_equations(order, counts):
     return RatioEquationGroup(tuple(order), tuple(equations)), unmatched
 
 
-def ratio_stage(order, counts, times, label, trace=None):
+def ratio_stage(order, counts, times, label, trace: Trace):
     """Solve the group of `counts` and check Theorem 2 against the loop
     counts `times`: p_n * t_n must be equal within each component, with an
     infinite t_n counted as 0.  Components never synchronize with each
@@ -222,9 +223,9 @@ def ratio_stage(order, counts, times, label, trace=None):
         conflict = RatioInconsistency(solution.detail, solution.equations)
     else:
         conflict = _unequal_products(solution, times)
-    if trace is not None:
-        trace.add_reg(label, group.equations, solution,
-                      solution.lcm if conflict is None else None)
+    trace.reg_records.append(RegRecord(
+        label, group.equations, solution,
+        solution.lcm if conflict is None else None))
     if conflict is not None:
         return None, Deadlock(conflict)
     for eq in group.equations:

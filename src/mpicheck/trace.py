@@ -41,7 +41,3 @@ class Trace:
     def fpp_snapshots(self) -> list:
         """One node -> rendered power dict per pool round."""
         return [{n: str(p) for n, p in pool.items()} for pool in self.pools]
-
-    def add_reg(self, label, equations, solution, lcm=None, loop_times=None):
-        self.reg_records.append(
-            RegRecord(label, tuple(equations), solution, lcm, loop_times))

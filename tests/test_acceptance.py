@@ -17,15 +17,15 @@ import conftest
 from corpus import corpus
 from test_l2 import random_power_string
 from test_smodel import schedule_queues
-from mpicheck.analyze import analyze, check_program
+from mpicheck.analyze import analyze
 from mpicheck.l2 import normalize, strip_outer_infinite
-from mpicheck.model import (ModelClass, Symbol, classify, flatten_items,
-                            unroll, validate)
+from mpicheck.model import For, Symbol, flatten_items, unroll, validate
 from mpicheck.oracle import DeadlockFreeOracle, DeadlockReachable, explore
 from mpicheck.parser import parse
 from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
 from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
                              mdg_says_deadlock)
+from mpicheck.trace import Trace
 from mpicheck.verdicts import Deadlock, MdgCycle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -81,9 +81,9 @@ def test_criterion_2_golden_artifacts():
     assert list(rec.lcm.values()) == [2]
     assert rec.loop_times == {0: 2, 1: 1, 2: 2}
 
-    from mpicheck.l0 import as_l0_view, slice_view
+    from mpicheck.l0 import slice_view
     prog3 = load("prog3.mdl")
-    sliced = slice_view(as_l0_view(prog3), rec.solution)
+    sliced = slice_view(prog3, rec.solution)
     queues = unroll(sliced)
     seq = {n: "".join(s.name for s in q) for n, q in queues.items()}
     assert seq == {0: "acbacb", 1: "abadbd", 2: "cdcd"}
@@ -109,7 +109,7 @@ def test_criterion_3_oracle_equivalence(shared_corpus):
     t0 = time.perf_counter()
     free = 0
     for i, prog in enumerate(shared_corpus):
-        verdict, _ = check_program(prog)
+        verdict = analyze(prog).verdict
         oracle = explore(prog)
         assert isinstance(oracle, (DeadlockFreeOracle, DeadlockReachable)), i
         static_free = not isinstance(verdict, Deadlock)
@@ -136,7 +136,7 @@ def _finite_queue_models(programs):
             pass
         strings = {n: normalize(b) for n, b in prog.nodes}
         try:
-            finite, verdict = strip_outer_infinite(strings)
+            finite, verdict = strip_outer_infinite(strings, Trace())
         except Exception:
             continue
         if verdict is not None:
@@ -217,11 +217,12 @@ def test_criterion_6_normalization_soundness():
 def test_criterion_7_slicing_balance(shared_corpus):
     sliced = 0
     for prog in shared_corpus:
-        if classify(prog) is ModelClass.SMODEL:
+        if not any(isinstance(st, For) for _, body in prog.nodes
+                   for st in body):
             continue
         strings = {n: normalize(b) for n, b in prog.nodes}
         try:
-            finite, verdict = strip_outer_infinite(strings)
+            finite, verdict = strip_outer_infinite(strings, Trace())
         except Exception:
             continue
         if verdict is not None:

@@ -1,12 +1,13 @@
-"""Single-loop pipeline: view extraction, equations, consistency, slicing.
+"""Single-loop pipeline: routing, equations, consistency, slicing.
 
 The equations and the Theorem-2 check are the shared ``reg.ratio_stage``,
 run here on the counts ``check_l0`` gives it."""
-from mpicheck import l0
+import pytest
+
 from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, For, Symbol,
                             count_occurrences, make_program, unroll)
-from mpicheck.l0 import as_l0_view, check_l0, slice_view
+from mpicheck.l0 import check_l0, slice_view
 from mpicheck.reg import count_equations, ratio_stage
 from mpicheck.trace import Trace
 from mpicheck.verdicts import (Deadlock, RatioInconsistency, UnmatchedTotals)
@@ -20,40 +21,20 @@ def loop_prog(c0, body0, c1, body1):
                          1: [For(c1, tuple(body1))]})
 
 
-def l0_view(*args):
-    return as_l0_view(loop_prog(*args))
+def l0_counts(prog):
+    return {n: count_occurrences(body[0].body) for n, body in prog.nodes}
 
 
-def l0_counts(view):
-    return {n: count_occurrences(body) for n, (_, body) in view.loops.items()}
-
-
-def l0_stage(view, times=None):
+def l0_stage(prog, times=None):
     if times is None:
-        times = {n: count for n, (count, _) in view.loops.items()}
-    return ratio_stage(view.order, l0_counts(view), times, "l0")
-
-
-def test_view_requires_single_top_level_loop():
-    assert as_l0_view(make_program({0: [A], 1: [A]})) is None
-    nested = make_program({0: [For(2, (For(2, (A,)),))],
-                           1: [For(4, (A,))]})
-    assert as_l0_view(nested) is None
-    view = as_l0_view(loop_prog(2, [A], 2, [A]))
-    assert view.loops[0] == (2, (A,))
-
-
-def test_empty_node_joins_view_with_unit_loop():
-    prog = make_program({0: [For(2, (A,))], 1: [For(2, (A,))],
-                         2: []})
-    view = as_l0_view(prog)
-    assert view.loops[2] == (1, ())
+        times = {n: body[0].count for n, body in prog.nodes}
+    return ratio_stage(tuple(n for n, _ in prog.nodes), l0_counts(prog),
+                       times, "l0", Trace())
 
 
 def test_build_reg_counts_both_endpoints():
-    view = as_l0_view(loop_prog(3, [A, A], 2, [A, A,
-                                                           A]))
-    group, unmatched = count_equations(view.order, l0_counts(view))
+    prog = loop_prog(3, [A, A], 2, [A, A, A])
+    group, unmatched = count_equations((0, 1), l0_counts(prog))
     assert unmatched == []
     assert group.variables == (0, 1)
     (eq,) = group.equations
@@ -62,45 +43,44 @@ def test_build_reg_counts_both_endpoints():
 
 
 def test_build_reg_reports_one_sided_symbols():
-    view = as_l0_view(loop_prog(2, [A], 2, [B]))
-    group, unmatched = count_equations(view.order, l0_counts(view))
+    prog = loop_prog(2, [A], 2, [B])
+    group, unmatched = count_equations((0, 1), l0_counts(prog))
     assert group.equations == ()
     assert unmatched == [(A, 1, 0), (B, 1, 0)]
-    solution, verdict = l0_stage(view)
+    solution, verdict = l0_stage(prog)
     assert solution is None
     assert verdict.witness == UnmatchedTotals(A, 1, 0)
 
 
 def test_ratio_consistent_infinite_means_zero():
-    view = as_l0_view(loop_prog(2, [A], 1, [A, A]))
+    prog = loop_prog(2, [A], 1, [A, A])
     for times in ({0: INFINITE, 1: INFINITE}, {0: 2, 1: 1}):
-        solution, verdict = l0_stage(view, times)
+        solution, verdict = l0_stage(prog, times)
         assert verdict is None and solution.values == {0: 1, 1: 2}
-    solution, verdict = l0_stage(view, {0: 2, 1: 2})
+    solution, verdict = l0_stage(prog, {0: 2, 1: 2})
     assert solution is None
     assert isinstance(verdict.witness, RatioInconsistency)
-    solution, verdict = l0_stage(view, {0: INFINITE, 1: 2})
+    solution, verdict = l0_stage(prog, {0: INFINITE, 1: 2})
     assert solution is None
     assert verdict.witness.detail == (
         "unequal products within component (0, 1): p0*t0=0, p1*t1=4")
 
 
 def test_slice_replaces_counts_by_lcm_over_value():
-    view = as_l0_view(loop_prog(INFINITE, [A], INFINITE,
-                                [A, A]))
-    solution, verdict = l0_stage(view)
+    prog = loop_prog(INFINITE, [A], INFINITE, [A, A])
+    solution, verdict = l0_stage(prog)
     assert verdict is None
-    sliced = slice_view(view, solution)
-    assert sliced.body(0)[0].count == 2
-    assert sliced.body(1)[0].count == 1
+    sliced = slice_view(prog, solution)
+    (_, body0), (_, body1) = sliced.nodes
+    assert body0[0].count == 2
+    assert body1[0].count == 1
     queues = unroll(sliced)
     assert queues[0] == (A, A) and queues[1] == (A, A)
 
 
 def test_check_l0_free_and_traced():
     trace = Trace()
-    verdict = check_l0(l0_view(INFINITE, [A, B], INFINITE,
-                               [A, B]), trace)
+    verdict = check_l0(loop_prog(INFINITE, [A, B], INFINITE, [A, B]), trace)
     assert bool(verdict)
     (rec,) = trace.reg_records
     assert rec.label == "l0"
@@ -113,7 +93,7 @@ def test_check_l0_slices_only_non_empty_nodes():
     prog = make_program({0: [For(INFINITE, (A, A))],
                          1: [For(INFINITE, (A, A, A))],
                          2: []})
-    assert bool(check_l0(as_l0_view(prog), trace))
+    assert bool(check_l0(prog, trace))
     (rec,) = trace.reg_records
     assert rec.solution.values == {0: 2, 1: 3, 2: 1}
     assert rec.lcm == {(0, 1): 6, (2,): 1}
@@ -121,33 +101,32 @@ def test_check_l0_slices_only_non_empty_nodes():
 
 
 def test_check_l0_unmatched_symbol_deadlocks():
-    verdict = check_l0(l0_view(2, [A], 2, [B]))
+    verdict = check_l0(loop_prog(2, [A], 2, [B]), Trace())
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, UnmatchedTotals)
 
 
 def test_check_l0_ratio_conflict_deadlocks():
     # finite loop totals disagree with the per-iteration ratio
-    verdict = check_l0(l0_view(2, [A], 3, [A]))
+    verdict = check_l0(loop_prog(2, [A], 3, [A]), Trace())
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, RatioInconsistency)
 
 
 def test_check_l0_mixed_infinite_and_finite_deadlocks():
-    verdict = check_l0(l0_view(INFINITE, [A], 2, [A]))
+    verdict = check_l0(loop_prog(INFINITE, [A], 2, [A]), Trace())
     assert isinstance(verdict, Deadlock)
 
 
-def test_analyze_builds_the_view_once(monkeypatch):
-    calls = []
-    real = l0.as_l0_view
 
-    def counting(program):
-        calls.append(program)
-        return real(program)
-
-    monkeypatch.setattr(l0, "as_l0_view", counting)
-    report = analyze(loop_prog(INFINITE, [A, B], INFINITE,
-                               [A, B]))
-    assert report.phase == "l0" and bool(report.verdict)
-    assert len(calls) == 1
+@pytest.mark.parametrize("bodies, phase", [
+    ({0: [A, B], 1: [A, B]}, "smodel"),
+    ({0: [For(2, (A,))], 1: [For(2, (A,))], 2: []}, "l0"),
+    ({0: [For(INFINITE, (A, B))], 1: [For(INFINITE, (A, B))]}, "l0"),
+    # a bare message beside a loop is not the single-loop shape
+    ({0: [A, For(2, (A,))], 1: [For(3, (A,))]}, "l2"),
+    ({0: [For(2, (For(3, (A,)),))], 1: [For(6, (A,))]}, "l2"),
+], ids=["loop-free", "finite-loops-and-empty-node", "inf-loops",
+        "message-beside-loop", "nested-loop"])
+def test_analyze_routes_on_the_top_level_shape(bodies, phase):
+    assert analyze(make_program(bodies)).phase == phase

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from mpicheck import l2, model
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, For, Symbol, UnsupportedProgram,
-                            count_occurrences, flatten_items, make_program,
-                            render_items, validate)
+from mpicheck.model import (INFINITE, MAX_EVENTS, For, Symbol,
+                            UnsupportedProgram, count_occurrences,
+                            flatten_items, make_program, render_items,
+                            validate)
 from mpicheck.parser import parse
 from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
                          related_sets, string_symbols, strip_outer_infinite)
-from mpicheck.l0 import as_l0_view, check_l0
-from mpicheck.trace import Trace
+from mpicheck.l0 import check_l0
+from mpicheck.trace import SetRecord, Trace
 from mpicheck.verdicts import Deadlock, MdgCycle, RatioInconsistency
 
 A = Symbol("a", 0, 1)
@@ -122,7 +123,7 @@ def test_strip_outer_infinite_replicates_to_lcm():
         0: normalize((For(INFINITE, (A,)),)),
         1: normalize((For(INFINITE, (A, A)),)),
     }
-    finite, verdict = strip_outer_infinite(strings)
+    finite, verdict = strip_outer_infinite(strings, Trace())
     assert verdict is None
     assert finite[0] == (For(2, (A,)),)
     assert finite[1] == (For(1, (A, A)),)
@@ -133,7 +134,7 @@ def test_strip_outer_infinite_flags_mixed_components():
         0: normalize((For(INFINITE, (A,)),)),
         1: (For(1, (A,)),),
     }
-    _, verdict = strip_outer_infinite(strings)
+    _, verdict = strip_outer_infinite(strings, Trace())
     assert isinstance(verdict, Deadlock)
 
 
@@ -141,7 +142,7 @@ def test_strip_outer_infinite_names_unequal_finite_products():
     # every node finite: the conflict is unequal totals, not a mix of
     # infinite and finite nodes
     strings = {0: (For(1, (A,)),), 1: (For(2, (A,)),)}
-    _, verdict = strip_outer_infinite(strings)
+    _, verdict = strip_outer_infinite(strings, Trace())
     assert verdict.witness == RatioInconsistency(
         "unequal products within component (0, 1): p0*t0=1, p1*t1=2")
 
@@ -156,7 +157,7 @@ def test_outer_stage_matches_l0_on_single_infinite_loops():
         3: [],
     })
     l0_trace, outer_trace = Trace(), Trace()
-    assert bool(check_l0(as_l0_view(prog), l0_trace))
+    assert bool(check_l0(prog, l0_trace))
     strings = {n: normalize(b) for n, b in prog.nodes}
     _, verdict = strip_outer_infinite(strings, outer_trace)
     assert verdict is None
@@ -174,7 +175,7 @@ def test_infinite_with_siblings_is_unsupported():
         1: [For(INFINITE, (A,))],
     })
     with pytest.raises(UnsupportedProgram):
-        check_l2(prog)
+        check_l2(prog, Trace())
 
 
 def test_related_sets_split_by_shared_symbols():
@@ -293,7 +294,7 @@ def test_related_sets_flatten_within_cap():
 def test_align_and_reduce_progress():
     strings = {0: (For(4, (A,)),), 1: (For(2, (A, A)),)}
     sets = related_sets(fpp(strings))
-    kind, new = align_and_reduce(strings, sets, 10**5)
+    kind, new = align_and_reduce(strings, sets, 10**5, SetRecord(()))
     assert kind == "progress"
     assert new == {0: (), 1: ()}
 
@@ -303,7 +304,7 @@ def test_align_and_reduce_noprogress_on_short_exponent():
     strings = {0: (For(1, (A,)), For(1, (B,))),
                1: (For(1, (A, A)),)}
     sets = related_sets(fpp(strings))
-    kind, _ = align_and_reduce(strings, sets, 10**5)
+    kind, _ = align_and_reduce(strings, sets, 10**5, SetRecord(()))
     assert kind == "noprogress"
 
 
@@ -312,7 +313,7 @@ def test_check_l2_deadlock_on_crossed_loops():
         0: [For(INFINITE, (A, B))],
         1: [For(INFINITE, (B, A))],
     })
-    assert isinstance(check_l2(prog), Deadlock)
+    assert isinstance(check_l2(prog, Trace()), Deadlock)
 
 
 def test_check_l2_free_on_staggered_nesting():
@@ -320,7 +321,7 @@ def test_check_l2_free_on_staggered_nesting():
         0: [For(INFINITE, (For(2, (A,)), B))],
         1: [For(INFINITE, (A, A, B))],
     })
-    assert bool(check_l2(prog))
+    assert bool(check_l2(prog, Trace()))
 
 
 # Three pairs in separate related sets; the middle pair's loop is crossed.
@@ -355,7 +356,7 @@ node P{q} {{ for 2 {{ for 30 {{ recv e from P{p} }} recv f from P{p} }} }}
 """
 
 
-def _report(text, max_events=None):
+def _report(text, max_events=MAX_EVENTS):
     return analyze(validate(parse(text)), max_events)
 
 

@@ -1,13 +1,12 @@
-"""Program model: validation, classification, counting, unrolling."""
+"""Program model: validation, counting, unrolling."""
 import pytest
 
 from mpicheck import model
 from mpicheck.model import (INFINITE, DanglingEndpoint, For, InfiniteInside,
                             InfiniteLoop, InvalidLoopCount, MisplacedOperation,
-                            ModelClass, NestedInfinite, SelfMessage,
-                            SizeExceeded, Symbol, classify, count_occurrences,
-                            is_infinite, make_program, unroll, validate,
-                            weighted_size)
+                            NestedInfinite, SelfMessage, SizeExceeded, Symbol,
+                            count_occurrences, is_infinite, make_program,
+                            unroll, validate, weighted_size)
 
 A01 = Symbol("a", 0, 1)
 B10 = Symbol("b", 1, 0)
@@ -63,15 +62,6 @@ def test_infinite_singleton():
     assert is_infinite(INFINITE)
     assert not is_infinite(3)
     assert repr(INFINITE) == "inf"
-
-
-def test_classify():
-    assert classify(two_node()) is ModelClass.SMODEL
-    looped = make_program({0: [For(2, (A01,))], 1: [For(2, (A01,))]})
-    assert classify(looped) is ModelClass.L0
-    nested = make_program({0: [For(2, (For(3, (A01,)),))],
-                           1: [For(6, (A01,))]})
-    assert classify(nested) is ModelClass.L2
 
 
 def test_count_occurrences_weights_nested_loops():

@@ -22,12 +22,12 @@ node P1 {
 
 def test_parse_simple():
     prog = parse(SIMPLE)
-    assert prog.node_ids() == [0, 1]
-    body0 = prog.body(0)
+    assert [n for n, _ in prog.nodes] == [0, 1]
+    body0 = prog.nodes[0][1]
     # a symbol in node n is a send when n is its source, else a receive
     assert body0[0] == Symbol("a", 0, 1) and body0[0].src == 0
     assert body0[1] == Symbol("b", 1, 0) and body0[1].src != 0
-    assert prog.body(1) == (Symbol("a", 0, 1), Symbol("b", 1, 0))
+    assert prog.nodes[1][1] == (Symbol("a", 0, 1), Symbol("b", 1, 0))
 
 
 def test_ranks_follow_declaration_order():
@@ -41,7 +41,7 @@ def test_parse_loops_and_inf():
 node P0 { for inf { for 3 { send a to P1 } } }
 node P1 { for inf { for 3 { recv a from P0 } } }
 """)
-    loop = prog.body(0)[0]
+    loop = prog.nodes[0][1][0]
     assert isinstance(loop, For) and loop.count is INFINITE
     inner = loop.body[0]
     assert inner.count == 3
@@ -49,7 +49,7 @@ node P1 { for inf { for 3 { recv a from P0 } } }
 
 def test_comments_and_commas():
     prog = parse("node P0 { }  # trailing comment\n# full line\nnode P1 {}")
-    assert prog.body(0) == () and prog.body(1) == ()
+    assert prog.nodes[0][1] == () and prog.nodes[1][1] == ()
 
 
 def test_syntax_error_carries_position():
@@ -162,9 +162,8 @@ def test_loop_count_must_be_ascii_digits(count, col):
 def test_equal_messages_share_one_symbol():
     prog = parse("node P0 { send a to P1, send a to P1, for 2 { send a to P1 } }\n"
                  "node P1 { recv a from P0, for 3 { recv a from P0 } }")
-    syms = [prog.body(0)[0], prog.body(0)[1],
-            prog.body(0)[2].body[0], prog.body(1)[0],
-            prog.body(1)[1].body[0]]
+    (_, body0), (_, body1) = prog.nodes
+    syms = [body0[0], body0[1], body0[2].body[0], body1[0], body1[1].body[0]]
     assert all(s is syms[0] for s in syms)
     assert syms[0] == Symbol("a", 0, 1)
 
@@ -195,6 +194,6 @@ def test_round_trip_of_a_node_that_sends_and_receives_one_name():
     text = ("node P0 {\n  send a to P1\n  recv a from P1\n}\n"
             "node P1 {\n  recv a from P0\n  send a to P0\n}\n")
     prog = parse(text)
-    assert prog.body(0) == (Symbol("a", 0, 1), Symbol("a", 1, 0))
+    assert prog.nodes[0][1] == (Symbol("a", 0, 1), Symbol("a", 1, 0))
     assert render(prog) == text
     assert parse(render(prog)).nodes == prog.nodes

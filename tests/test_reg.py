@@ -209,4 +209,5 @@ def test_ratio_stage_asserts_a_balanced_slice(monkeypatch):
     wrong = RatioSolution(((0, 1),), {0: 1, 1: 1})
     monkeypatch.setattr(reg, "solve", lambda group: wrong)
     with pytest.raises(AssertionError, match="unbalanced"):
-        ratio_stage((0, 1), counts, {0: INFINITE, 1: INFINITE}, "x")
+        ratio_stage((0, 1), counts, {0: INFINITE, 1: INFINITE}, "x",
+                    Trace())
