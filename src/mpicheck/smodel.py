@@ -7,8 +7,9 @@ symbol pairs with its k-th receive instance.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .verdicts import (DEADLOCK_FREE, Deadlock, MdgCycle, StuckQueues,
                        UnmatchedTotals, Verdict)
@@ -59,66 +60,80 @@ def check_by_queues(queues: dict, rng=None) -> Verdict:
 @dataclass(frozen=True)
 class Mdg:
     """Contracted pair graph: one node per matched send/recv pair, a directed
-    edge between consecutive pairs in each process's program order."""
+    edge between consecutive pairs in each process's program order.
+
+    ``succ[u]`` holds the positions in ``pairs`` of the successors of pair
+    ``u``, in (symbol name, k) order.
+    """
 
     pairs: tuple           # ((symbol, k), ...)
-    edges: tuple           # (((symbol, k), (symbol, k)), ...)
+    succ: tuple            # ((position in pairs, ...), ...)
     unpaired: tuple        # ((node, symbol, role, k), ...)
 
-
-def _totals(queues: dict):
-    sends = Counter()
-    recvs = Counter()
-    for n, q in queues.items():
-        for s in q:
-            if n == s.src:
-                sends[s] += 1
-            else:
-                recvs[s] += 1
-    return sends, recvs
+    @cached_property
+    def edges(self) -> tuple:
+        """(((symbol, k), (symbol, k)), ...): tails in (symbol name, k)
+        order, then each tail's successors in ``succ`` order.  Derived on
+        first use; only the DOT export needs it."""
+        pairs, succ = self.pairs, self.succ
+        tails = sorted(range(len(pairs)),
+                       key=lambda u: (str(pairs[u][0]), pairs[u][1]))
+        return tuple((pairs[u], pairs[v]) for u in tails for v in succ[u])
 
 
 def build_mdg(queues: dict) -> Mdg:
     """The contracted MDG in time linear in the events, apart from sorting
-    the distinct symbols.  Edges are ordered by (tail symbol name, tail k,
-    head symbol name, head k): tails in symbol-name order, then each pair's
-    successors, at most two (one per endpoint).  Edge ends are the very
-    tuples of `pairs`, so lookups by pair hit on identity."""
-    sends, recvs = _totals(queues)
-    # Pairs in order of the symbols' first appearance, so the cycle found
-    # does not depend on the hash seed.
-    paired_n = {s: min(sends[s], recvs[s])
-                for s in dict.fromkeys([*sends, *recvs])}
+    the distinct symbols by name once.  Pairs are numbered in order of
+    their symbols' first appearance, so the cycle found does not depend on
+    the hash seed; each pair's successors, at most two (one per endpoint),
+    are kept in (symbol name, k) order as the queue walk finds them."""
+    sends = {}
+    recvs = {}
+    for n, q in queues.items():
+        for s in q:
+            if n == s.src:
+                sends[s] = sends.get(s, 0) + 1
+            else:
+                recvs[s] = recvs.get(s, 0) + 1
     pairs = []
-    first = {}      # symbol -> (its number, index of its pair 0, its pairs)
-    for i, (s, k) in enumerate(paired_n.items()):
-        first[s] = (i, len(pairs), k)
-        pairs.extend((s, j) for j in range(k))
-    succ = [[] for _ in pairs]
+    first = {}      # symbol -> (its number, index of its pair 0, end)
+    for i, s in enumerate(dict.fromkeys([*sends, *recvs])):
+        k = min(sends.get(s, 0), recvs.get(s, 0))
+        base = len(pairs)
+        first[s] = (i, base, base + k)
+        if k == 1:          # the common case, without a comprehension
+            pairs.append((s, 0))
+        else:
+            pairs.extend([(s, j) for j in range(k)])
+    # key[u] orders pair u by (symbol name, k)
+    key = [0] * len(pairs)
+    c = 0
+    for s in sorted(first, key=str):
+        _, base, end = first[s]
+        key[base:end] = range(c, c + end - base)
+        c += end - base
+    succ = [()] * len(pairs)
     unpaired = []
     for n, q in queues.items():
         seen = {}            # within one node a symbol has a single role
-        prev = -1
+        prev = None
         for s in q:
-            i, base, n_pairs = first[s]
-            k = seen.get(i, 0)
-            seen[i] = k + 1
-            if k >= n_pairs:
-                unpaired.append((n, s, "send" if n == s.src else "recv", k))
+            i, base, end = first[s]
+            cur = seen.get(i, base)
+            seen[i] = cur + 1
+            if cur >= end:
+                unpaired.append((n, s, "send" if n == s.src else "recv",
+                                 cur - base))
                 continue
-            cur = base + k
-            if prev >= 0 and cur not in succ[prev]:
-                succ[prev].append(cur)
+            if prev is not None:
+                out = succ[prev]
+                if not out:
+                    succ[prev] = (cur,)
+                elif cur not in out:
+                    succ[prev] = tuple(sorted((*out, cur),
+                                              key=key.__getitem__))
             prev = cur
-    edges = []
-    for s in sorted(paired_n, key=str):
-        _, base, n_pairs = first[s]
-        for u in range(base, base + n_pairs):
-            out = succ[u]
-            if len(out) > 1:
-                out.sort(key=lambda v: (str(pairs[v][0]), pairs[v][1]))
-            edges.extend((pairs[u], pairs[v]) for v in out)
-    return Mdg(tuple(pairs), tuple(edges), tuple(unpaired))
+    return Mdg(tuple(pairs), tuple(succ), tuple(unpaired))
 
 
 _WHITE, _GREY, _BLACK = 0, 1, 2
@@ -131,14 +146,11 @@ def find_deadlock_cycle(mdg: Mdg):
     greater than 2, since matched-pair 2-circles are contracted away.
 
     Iterative white/grey/black depth-first search (Tarjan 1972): roots in
-    `mdg.pairs` order, successors in `mdg.edges` order, and the cycle is the
+    `mdg.pairs` order, successors in `mdg.succ` order, and the cycle is the
     search path from the grey pair hit by the first back edge.  Every pair
     and edge is visited once, so the time is O(pairs + edges).
     """
-    index = {p: i for i, p in enumerate(mdg.pairs)}
-    succ = [[] for _ in mdg.pairs]
-    for u, v in mdg.edges:
-        succ[index[u]].append(index[v])
+    succ = mdg.succ
     colour = [_WHITE] * len(succ)
     for root, c in enumerate(colour):
         if c != _WHITE:
@@ -162,10 +174,6 @@ def find_deadlock_cycle(mdg: Mdg):
     return None
 
 
-def mdg_says_deadlock(mdg: Mdg) -> bool:
-    return bool(mdg.unpaired) or find_deadlock_cycle(mdg) is not None
-
-
 def check_smodel(queues: dict) -> Verdict:
     """Queue verdict, cross-checked against the MDG test, which runs once per
     call; a deadlock's witness is the pair cycle, else the totals of the
@@ -181,8 +189,8 @@ def check_smodel(queues: dict) -> Verdict:
     if cyc is not None:
         return Deadlock(MdgCycle(cyc))
     _, s, _, _ = mdg.unpaired[0]
-    sends, recvs = _totals(queues)
-    return Deadlock(UnmatchedTotals(s, sends.get(s, 0), recvs.get(s, 0)))
+    return Deadlock(UnmatchedTotals(s, queues.get(s.src, ()).count(s),
+                                    queues.get(s.dst, ()).count(s)))
 
 
 def mdg_to_dot(mdg: Mdg, program=None) -> str:

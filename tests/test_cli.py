@@ -102,6 +102,16 @@ def test_mdg_stdout(capsys):
     assert "color=red" in out
 
 
+@pytest.mark.parametrize("name", sorted(
+    f[:-4] for f in os.listdir(PROGRAMS) if f.endswith(".mdl")))
+def test_mdg_matches_golden_dot(name, capsys):
+    # pins the pairs, the derived edge order and the highlighted cycle
+    assert main(["mdg", prog(f"{name}.mdl")]) == 0
+    with open(os.path.join(HERE, "golden", f"{name}.dot"),
+              encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_mdg_file_output(tmp_path, capsys):
     target = tmp_path / "out.dot"
     assert main(["mdg", prog("prog3.mdl"), "--dot", str(target)]) == 0

@@ -14,8 +14,7 @@ from mpicheck import smodel
 from mpicheck.model import InfiniteLoop, Symbol, unroll
 from mpicheck.oracle import DeadlockFreeOracle, explore
 from mpicheck.smodel import (Mdg, build_mdg, check_by_queues, check_smodel,
-                             find_deadlock_cycle, mdg_says_deadlock,
-                             mdg_to_dot)
+                             find_deadlock_cycle, mdg_to_dot)
 from mpicheck.verdicts import Deadlock, MdgCycle, StuckQueues, UnmatchedTotals
 
 A = Symbol("a", 0, 1)
@@ -80,7 +79,42 @@ def test_mdg_unpaired_listed():
     mdg = build_mdg({0: (A,), 1: ()})
     assert mdg.pairs == ()
     assert mdg.unpaired == ((0, A, "send", 0),)
-    assert mdg_says_deadlock(mdg)
+    assert bool(mdg.unpaired) or find_deadlock_cycle(mdg) is not None
+
+
+def test_successors_follow_symbol_names_not_tuples():
+    # str order and tuple order disagree: "a1:..." < "a:..." by name, and
+    # "a:10->..." < "a:2->..." by node id; a pair's successors, the derived
+    # edges and so the cycle the search enters follow str order
+    r, a, a1 = Symbol("r", 0, 1), Symbol("a", 0, 1), Symbol("a1", 0, 1)
+    mdg = build_mdg({0: (r, a, a1), 1: (r, a1, a)})
+    assert mdg.pairs == ((r, 0), (a, 0), (a1, 0))
+    assert mdg.succ == ((2, 1), (2,), (1,))
+    assert mdg.edges == (((a1, 0), (a, 0)), ((a, 0), (a1, 0)),
+                         ((r, 0), (a1, 0)), ((r, 0), (a, 0)))
+    assert find_deadlock_cycle(mdg) == ((a1, 0), (a, 0))
+
+    r, a2, a10 = Symbol("r", 2, 10), Symbol("a", 2, 10), Symbol("a", 10, 2)
+    mdg = build_mdg({2: (r, a2, a10), 10: (r, a10, a2)})
+    assert mdg.pairs == ((r, 0), (a2, 0), (a10, 0))
+    assert mdg.edges == (((a10, 0), (a2, 0)), ((a2, 0), (a10, 0)),
+                         ((r, 0), (a10, 0)), ((r, 0), (a2, 0)))
+    assert find_deadlock_cycle(mdg) == ((a10, 0), (a2, 0))
+
+
+def test_check_smodel_never_derives_edges(monkeypatch):
+    built = []
+
+    def spy(queues):
+        built.append(build_mdg(queues))
+        return built[-1]
+
+    monkeypatch.setattr(smodel, "build_mdg", spy)
+    for queues in ({0: (A, B), 1: (A, B)}, {0: (A, C), 1: (C, A)},
+                   {0: (A, A), 1: (A,)}):
+        check_smodel(queues)
+    assert len(built) == 3
+    assert all("edges" not in vars(mdg) for mdg in built)
 
 
 def test_mdg_dot_output():
@@ -110,7 +144,9 @@ def test_queue_and_mdg_match_oracle(seed, balanced):
     prog = gen_smodel_balanced(rng) if balanced else gen_smodel_random(rng)
     queues = unroll(prog)
     queue_dead = isinstance(check_by_queues(queues), Deadlock)
-    assert mdg_says_deadlock(build_mdg(queues)) == queue_dead
+    mdg = build_mdg(queues)
+    assert (bool(mdg.unpaired)
+            or find_deadlock_cycle(mdg) is not None) == queue_dead
     assert isinstance(explore(prog), DeadlockFreeOracle) != queue_dead
 
 
@@ -148,13 +184,16 @@ def _mutated(rng, queues):
 
 
 def _random_graph(rng):
-    """An arbitrary digraph over pairs, edges in random order."""
+    """An arbitrary digraph over pairs, successors in random order."""
     pairs = tuple((Symbol("a", 0, 1), k) for k in range(rng.randint(1, 24)))
     density = rng.choice((0.03, 0.08, 0.2))
-    edges = [(u, v) for u in pairs for v in pairs
+    edges = [(u, v) for u in range(len(pairs)) for v in range(len(pairs))
              if u != v and rng.random() < density]
     rng.shuffle(edges)
-    return Mdg(pairs, tuple(edges), ())
+    succ = [[] for _ in pairs]
+    for u, v in edges:
+        succ[u].append(v)
+    return Mdg(pairs, tuple(map(tuple, succ)), ())
 
 
 @pytest.fixture(scope="module")
@@ -214,11 +253,11 @@ def test_deep_chain_needs_no_recursion():
     # would overflow the interpreter stack
     half = 10**5 // 2
     chain = tuple((s, k) for k in range(half) for s in (A, B))
-    edges = tuple(zip(chain, chain[1:]))
-    assert find_deadlock_cycle(Mdg(chain, edges, ())) is None
+    succ = tuple((u + 1,) for u in range(len(chain) - 1))
+    assert find_deadlock_cycle(Mdg(chain, succ + ((),), ())) is None
     # a back edge at the far end of the chain closes the only cycle
-    back = ((B, half - 1), (A, half - 1))
-    assert find_deadlock_cycle(Mdg(chain, edges + (back,), ())) == (
+    back = (len(chain) - 2,)
+    assert find_deadlock_cycle(Mdg(chain, succ + (back,), ())) == (
         (A, half - 1), (B, half - 1))
 
 
