@@ -169,20 +169,23 @@ def _ping_pong_queues(n_events):
     return {0: q0, 1: q0}
 
 
-def _time_queues(queues):
-    best = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        verdict = check_by_queues(queues)
-        dt = time.perf_counter() - t0
-        assert bool(verdict)
-        best = dt if best is None else min(best, dt)
-    return best
-
-
 def test_criterion_5_desk_scale_performance():
-    t1 = _time_queues(_ping_pong_queues(10**5))
-    t2 = _time_queues(_ping_pong_queues(2 * 10**5))
+    # sizes alternate and the collector is paused, as in criterion 8, so a
+    # slow spell of a shared host or a collector pass hits both sizes alike
+    models = [_ping_pong_queues(n) for n in (10**5, 2 * 10**5)]
+    best = [float("inf")] * len(models)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for i, queues in enumerate(models):
+                t0 = time.perf_counter()
+                verdict = check_by_queues(queues)
+                best[i] = min(best[i], time.perf_counter() - t0)
+                assert bool(verdict)
+    finally:
+        gc.enable()
+    t1, t2 = best
     ratio = t2 / t1
     assert ratio <= 2.5, f"doubling the events scaled time by {ratio:.2f}"
 

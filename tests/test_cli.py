@@ -162,6 +162,18 @@ def test_simulate_deadlock_prints_trace(capsys):
     assert "deadlock reachable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(
+    f[:-4] for f in os.listdir(PROGRAMS) if f.endswith(".mdl")))
+def test_simulate_matches_golden(name, monkeypatch, capsys):
+    # the golden is the stdout of `mpicheck simulate programs/<name>.mdl`
+    # run from the repository root, then a line with its exit code
+    monkeypatch.chdir(os.path.join(PROGRAMS, os.pardir))
+    code = main(["simulate", f"programs/{name}.mdl"])
+    with open(os.path.join(HERE, "golden", f"{name}.simulate"),
+              encoding="utf-8") as fh:
+        assert capsys.readouterr().out + f"exit {code}\n" == fh.read()
+
+
 def test_simulate_inconclusive_exit_three(capsys):
     assert main(["simulate", prog("prog3.mdl"), "--max-states", "1"]) == 3
 
@@ -186,6 +198,22 @@ def test_check_json_independent_of_hash_seed():
         del data["timings"]
         outs.append(data)
     assert outs[0] == outs[1]
+
+
+def test_simulate_independent_of_hash_seed():
+    # two parts: the witness joins the parts' traces in node order
+    src = os.path.join(HERE, os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpicheck.cli", "simulate",
+             prog("parts2.mdl")], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "deadlock reachable after 4 rendezvous" in outs[0]
 
 
 def test_check_trace_on_mid_round_deadlock(tmp_path, capsys):
