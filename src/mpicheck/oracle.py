@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .model import For, Program, is_infinite
+from .model import DuplicateNode, For, Program, is_infinite
 
 TERMINATED = "terminated"   # a terminated node's state; compared by identity
 
@@ -214,8 +214,14 @@ def _search(program: Program, max_states: int):
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
     """Breadth-first reachability, part by part.  Returns the parts' traces
-    to a stuck global state, freedom, or Inconclusive at the state bound."""
+    to a stuck global state, freedom, or Inconclusive at the state bound.
+    Raises DuplicateNode on a node id declared twice, which ``validate``
+    rejects too: the search steps a node by its id."""
     nodes = program.nodes
+    if len(program.rank) != len(nodes):
+        dup = next(n for k, (n, _) in enumerate(nodes)
+                   if program.rank[n] != k)
+        raise DuplicateNode(f"node {dup} declared twice")
     explored = stored = 0
     dead = []       # (positions, dead state, seen) per part
     parts = _parts(program)

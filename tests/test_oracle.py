@@ -2,9 +2,12 @@
 import random
 from collections import deque
 
+import pytest
+
 from corpus import generate
 from mpicheck import oracle
-from mpicheck.model import (INFINITE, For, Symbol, make_program)
+from mpicheck.model import (INFINITE, DuplicateNode, For, Program, Symbol,
+                            make_program)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED, enabled, explore,
                              initial_state, replay, step)
@@ -29,6 +32,14 @@ def test_crossed_sends_deadlock_immediately():
     verdict = explore(prog)
     assert isinstance(verdict, DeadlockReachable)
     assert verdict.trace == ()
+
+
+def test_node_id_declared_twice_is_rejected():
+    # validate rejects this program; explore, which a library caller may
+    # reach without it, must reject it too rather than step the wrong node
+    prog = Program(((0, (A,)), (1, (A,)), (0, ())))
+    with pytest.raises(DuplicateNode, match="node 0 declared twice"):
+        explore(prog)
 
 
 def test_blocked_on_terminated_peer_is_deadlock():

@@ -1,12 +1,15 @@
 """Text format: parsing, errors with positions, render round trips."""
+import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import generate
-from mpicheck.model import INFINITE, For, Symbol, validate
+from test_smodel import schedule_queues
+from mpicheck.model import INFINITE, For, Symbol, make_program, validate
 from mpicheck.parser import MdlLexError, MdlSyntaxError, parse, render
 
 SIMPLE = """
@@ -136,6 +139,23 @@ ERRORS = [
      MdlSyntaxError, "unexpected end of input, missing '}'", 3, 3),
     ('node P0 { send a to P1 }\n\nnode P1 { recv a from P0, }\nnode P2 { send b to, P1 }',
      MdlSyntaxError, "expected node name, got ','", 4, 20),
+    # where a whole-statement or header token and the words part
+    ('node P0 { send send a to P1 }',
+     MdlSyntaxError, "expected 'to', got 'a'", 1, 21),
+    ('node\nP0 { }',
+     MdlSyntaxError, "expected node name, got '\\n'", 1, 5),
+    ('node P0 {\n  for\n3 { send a to P1 }\n}',
+     MdlSyntaxError, "expected a loop count or 'inf', got '\\n'", 2, 6),
+    ('node P0 { for 3x { send a to P1 } }',
+     MdlSyntaxError, "expected '{', got 'x'", 1, 16),
+    ('node P0 { for infx { send a to P1 } }',
+     MdlSyntaxError, "expected a loop count or 'inf', got 'infx'", 1, 15),
+    ('node P0 { send a to P1x$ }',
+     MdlLexError, "illegal character '$'", 1, 24),
+    ('node P0 { recv a to P1, send b from P1 }',
+     MdlSyntaxError, "expected 'from', got 'to'", 1, 18),
+    ('node P0 { send a to P1 } send a to P1',
+     MdlSyntaxError, "expected 'node', got 'send'", 1, 26),
 ]
 
 
@@ -146,6 +166,68 @@ def test_error_golden(text, cls, msg, line, col):
     assert type(exc.value) is cls
     assert str(exc.value) == f"{msg} (line {line}, column {col})"
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# (source, nodes, names): valid layouts the scanner must take as the
+# canonical one does
+A01, B01, B10 = Symbol("a", 0, 1), Symbol("b", 0, 1), Symbol("b", 1, 0)
+ACCEPTS = [
+    # no separator between statements
+    ('node P0 { send a to P1 recv b from P1 }\n'
+     'node P1 { recv a from P0 send b to P0 }',
+     ((0, (A01, B10)), (1, (A01, B10))), ((0, "P0"), (1, "P1"))),
+    # tabs and CRLF line ends, also inside statements and headers
+    ('node P0 {\r\n\tsend\ta\tto\tP1\r\n\tfor\t2\t{\trecv b from P1 }\r\n}\r\n'
+     'node P1 {\r\n\trecv a from P0\r\n\tfor 2 {\r\n\t\tsend b to P0\r\n\t}\r\n}\r\n',
+     ((0, (A01, For(2, (B10,)))), (1, (A01, For(2, (B10,))))),
+     ((0, "P0"), (1, "P1"))),
+    # trailing and repeated commas
+    ('node P0 { send a to P1, },\nnode P1 { recv a from P0,, },\n',
+     ((0, (A01,)), (1, (A01,))), ((0, "P0"), (1, "P1"))),
+    # comments between statements
+    ('node P0 { send a to P1 # first\n  # a whole line\n  send b to P1 }\n'
+     'node P1 { recv a from P0 # x\n recv b from P0 }',
+     ((0, (A01, B01)), (1, (A01, B01))), ((0, "P0"), (1, "P1"))),
+    # keywords as names; an undeclared target takes the next rank
+    ('node to { send to to send }',
+     ((0, (Symbol("to", 0, 1),)),), ((0, "to"), (1, "send"))),
+    ('node node { for inf { recv for from inf } }\n'
+     'node inf { for inf { send for to node } }',
+     ((0, (For(INFINITE, (Symbol("for", 1, 0),)),)),
+      (1, (For(INFINITE, (Symbol("for", 1, 0),)),))),
+     ((0, "node"), (1, "inf"))),
+]
+
+
+@pytest.mark.parametrize("text, nodes, names", ACCEPTS)
+def test_accept_golden(text, nodes, names):
+    prog = parse(text)
+    assert prog.nodes == nodes
+    assert prog.names == names
+
+
+def test_parse_time_is_linear_in_statements():
+    # the rendered text of a 64-node loop-free schedule.  As in acceptance
+    # criterion 8, sizes alternate so a slow spell of a shared host hits
+    # both, and the collector is paused: its passes cost in proportion to
+    # the whole test process's heap, not the parse's work.
+    sizes = (5 * 10**4, 10**5)
+    texts = [render(make_program(schedule_queues(random.Random(8), 64, n)))
+             for n in sizes]
+    best = [float("inf")] * len(sizes)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            for i, text in enumerate(texts):
+                t0 = time.perf_counter()
+                prog = parse(text)
+                best[i] = min(best[i], time.perf_counter() - t0)
+                assert len(prog.nodes) == 64
+    finally:
+        gc.enable()
+    ratio = best[1] / best[0]
+    assert ratio <= 2.5, f"doubling the statements scaled time by {ratio:.2f}"
 
 
 @pytest.mark.parametrize("count, col", [
