@@ -4,6 +4,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 
@@ -190,54 +191,73 @@ def _check(program: Program):
 
 def count_occurrences(body, times=1, out=None) -> Counter:
     """Occurrence counts of a body with nested finite loops weighted in,
-    ``times`` over, added into ``out``.  One walk with a running multiplier,
-    so the keys come in order of first appearance."""
+    ``times`` over, added into ``out``.  One walk over the maximal runs of
+    Symbols and the loops between them, with a running multiplier; a run is
+    counted in one ``Counter`` call, so the keys come in order of first
+    appearance."""
     if out is None:
         out = Counter()
-    for st in body:
-        if isinstance(st, For):
-            if is_infinite(st.count):
-                raise InfiniteInside("infinite loop inside a counted scope")
-            count_occurrences(st.body, times * st.count, out)
+    for kind, run in groupby(body, type):
+        if kind is For:
+            for st in run:
+                if is_infinite(st.count):
+                    raise InfiniteInside(
+                        "infinite loop inside a counted scope")
+                count_occurrences(st.body, times * st.count, out)
+        elif times == 1:
+            out.update(run)
         else:
-            out[st] += times
+            for st, k in Counter(run).items():
+                out[st] += k * times
     return out
 
 
 def weighted_size(body) -> int:
-    """Number of events the body unrolls to; raises on infinite counts."""
-    total = 0
-    for st in body:
-        if isinstance(st, For):
-            if is_infinite(st.count):
-                raise InfiniteLoop("cannot size an infinite loop")
-            total += st.count * weighted_size(st.body)
-        else:
-            total += 1
+    """Number of events the body unrolls to; raises on infinite counts.
+    Each Symbol counts one, so only the loops are walked."""
+    total = len(body)
+    for kind, run in groupby(body, type):
+        if kind is For:
+            for st in run:
+                if is_infinite(st.count):
+                    raise InfiniteLoop("cannot size an infinite loop")
+                total += st.count * weighted_size(st.body) - 1
     return total
 
 
 def flatten_items(body, cap=None) -> tuple:
     """Fully unrolled symbol sequence of a body or power string; at most
     ``cap`` events when given."""
+    return tuple(_expand(body, cap, 0))
+
+
+def _expand(items, cap, done) -> list:
+    """The events of `items`, `done` events having come before them.  A
+    maximal run of Symbols is added in one step.  A loop adds its body
+    times its count, or, when its body holds loops, the expansion of one
+    iteration times its count, once the product is known to fit under the
+    cap.  So the cap is exceeded, and an infinite power met, at the same
+    event as in a walk that adds one event at a time."""
     out = []
-
-    def go(items):
-        for st in items:
-            if isinstance(st, For):
-                if is_infinite(st.count):
-                    raise UnsupportedProgram(
-                        "cannot flatten an infinite power")
-                for _ in range(st.count):
-                    go(st.body)
-            else:
-                out.append(st)
-                if cap is not None and len(out) > cap:
-                    raise UnsupportedProgram(
-                        f"expansion exceeds cap of {cap} events")
-
-    go(body)
-    return tuple(out)
+    for kind, run in groupby(items, type):
+        if kind is not For:
+            out += run
+            if cap is not None and done + len(out) > cap:
+                raise UnsupportedProgram(
+                    f"expansion exceeds cap of {cap} events")
+            continue
+        for st in run:
+            if is_infinite(st.count):
+                raise UnsupportedProgram("cannot flatten an infinite power")
+            once = st.body
+            if For in map(type, once):
+                once = _expand(once, cap, done + len(out))
+            if cap is not None and done + len(out) + len(once) * st.count \
+                    > cap:
+                raise UnsupportedProgram(
+                    f"expansion exceeds cap of {cap} events")
+            out += once * st.count
+    return out
 
 
 def render_items(items) -> str:

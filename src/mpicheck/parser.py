@@ -10,9 +10,9 @@ Grammar (``.mdl`` files, UTF-8)::
 
 Statements are separated by newlines and/or commas; "#" starts a line
 comment.  An IDENT is a run of word characters not starting with a decimal
-digit; an INTEGER is a run of ASCII digits.  The words of a statement and of
-a "node" or "for" header are separated by blanks (spaces, tabs, carriage
-returns) only.  Node names map to ranks in declaration order.
+digit; an INTEGER is a run of at most 4,300 ASCII digits.  The words of a
+statement and of a "node" or "for" header are separated by blanks (spaces,
+tabs, carriage returns) only.  Node names map to ranks in declaration order.
 
 The scanner takes a whole "send" or "recv" statement, and a whole "node
 NAME" or "for COUNT" header, as one token, so the parser makes one step per
@@ -60,6 +60,9 @@ _TOKEN = re.compile(rf"[ \t\r]*(?:#[^\n]*)?([{{}},\n]|\d+|{_NAME}|.|\Z)")
 _LEGAL = re.compile(r"(?:[\w{},\n \t\r]+|#[^\n]*)*")
 _is_name = re.compile(r"[^\W\d]").match
 _SEPS = ("\n", ",")
+# The longest loop count accepted: CPython's default limit on int() of a
+# digit string (Python 3.11 and later), applied on every Python alike.
+MAX_COUNT_DIGITS = 4300
 _INFIX = {"send": "to", "recv": "from"}
 
 
@@ -114,6 +117,9 @@ def _fault(text, k, expected):
     if t == "for":
         if a != "inf" and not (a.isdigit() and a.isascii()):
             _fail(text, a_off, f"expected a loop count or 'inf', got {a!r}")
+        if len(a) > MAX_COUNT_DIGITS:
+            _fail(text, a_off, f"loop count of {len(a)} digits is longer "
+                  f"than {MAX_COUNT_DIGITS}")
         # a count that did not scan as a header runs into a name ("3x")
         _fail(text, b_off, f"expected '{{', got {b!r}")
     if not t:
@@ -173,10 +179,12 @@ def parse(text: str) -> Program:
                     fields = ((msg, here, peer) if kw == "send"
                               else (msg, peer, here))
                     st = symbols.get(fields) or symbols.setdefault(
-                        fields, Symbol(*fields))
+                        fields, tuple.__new__(Symbol, fields))
                     stmts[t] = st
                     body.append(st)
                 elif len(words) == 2 and words[0] == "for":
+                    if len(words[1]) > MAX_COUNT_DIGITS:
+                        _fault(text, i - 1, "statement")
                     if toks[i] != "{":
                         _fault(text, i, "{")
                     i += 1

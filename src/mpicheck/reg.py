@@ -2,6 +2,11 @@
 
 Solved per connected component with a weighted union-find holding exact
 reduced fractions, so downstream LCM-based slicing gets exact integers.
+An equation is a plain tuple, and the solver reads a variable that is a
+root, or one hop below one, straight from the union-find's dicts; only a
+longer path takes a call, which compresses it.  The spanning equations that
+name a conflict's chain are kept as a list and joined into a graph only
+when a conflict is found.
 ``ratio_stage`` is the whole ratio method both loop engines share: build
 the group from per-node counts, solve it, apply Theorem 2 and size the
 LCM slice.
@@ -11,15 +16,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .model import is_infinite
 from .trace import RegRecord, Trace
 from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
 
-@dataclass(frozen=True)
-class RatioEquation:
+class RatioEquation(NamedTuple):
     i: object
     j: object
     a: int
@@ -33,10 +39,11 @@ class RatioEquation:
 
 def oriented(i, j, a, b, origin=None) -> RatioEquation:
     """Equation with the smaller variable on the left, the conventional way
-    to write a proportion between two nodes."""
+    to write a proportion between two nodes.  Built by ``tuple.__new__``,
+    which skips the NamedTuple's Python-level ``__new__``."""
     if str(j) < str(i):
-        i, j, a, b = j, i, b, a
-    return RatioEquation(i, j, a, b, origin)
+        return tuple.__new__(RatioEquation, (j, i, b, a, origin))
+    return tuple.__new__(RatioEquation, (i, j, a, b, origin))
 
 
 @dataclass(frozen=True)
@@ -85,13 +92,15 @@ def _frac(n, d):
 
 class _UnionFind:
     """Ratios are kept as reduced positive (numerator, denominator) pairs;
-    exact Fraction objects are only built for error messages."""
+    exact Fraction objects are only built for error messages.  A root's
+    ratio is (1, 1), so a variable whose parent is a root has its ratio to
+    the root in ``ratio`` without a walk."""
 
     def __init__(self, variables):
         self.parent = {v: v for v in variables}
         # value(v) / value(parent(v))
-        self.ratio = {v: (1, 1) for v in variables}
-        self.size = {v: 1 for v in variables}
+        self.ratio = dict.fromkeys(variables, (1, 1))
+        self.size = dict.fromkeys(variables, 1)
 
     def find(self, v):
         """(root, value(v) / value(root)), compressing the path."""
@@ -115,37 +124,51 @@ def solve(group: RatioEquationGroup):
     """Solution or an Inconsistent witness; a conflicting group is a first
     class result, not an error."""
     uf = _UnionFind(group.variables)
-    tree = {v: [] for v in group.variables}  # accepted spanning edges
+    parent, ratio, size = uf.parent, uf.ratio, uf.size
+    accepted = []   # spanning equations, in the order they were accepted
     for eq in group.equations:
-        ri, (fin, fid) = uf.find(eq.i)
-        rj, (fjn, fjd) = uf.find(eq.j)
+        i, j, a, b, _ = eq
+        # a root, or one hop below one, is read without a call
+        ri = parent[i]
+        if parent[ri] == ri:
+            fin, fid = ratio[i]
+        else:
+            ri, (fin, fid) = uf.find(i)
+        rj = parent[j]
+        if parent[rj] == rj:
+            fjn, fjd = ratio[j]
+        else:
+            rj, (fjn, fjd) = uf.find(j)
         # demanded: value(i) / value(j) = a / b
         if ri == rj:
-            if fin * fjd * eq.b != fid * fjn * eq.a:
-                chain = _chain(tree, eq.i, eq.j)
+            if fin * fjd * b != fid * fjn * a:
+                path = _chain(accepted, i, j)
                 have = Fraction(fin * fjd, fid * fjn)
                 return Inconsistent(
-                    tuple(chain) + (eq,),
-                    f"ratio around the cycle through p{eq.i} and p{eq.j} "
-                    f"is {have}, equation demands {Fraction(eq.a, eq.b)}")
+                    tuple(path) + (eq,),
+                    f"ratio around the cycle through p{i} and p{j} "
+                    f"is {have}, equation demands {Fraction(a, b)}")
             continue
         # attach the smaller tree below the larger
-        if uf.size[ri] < uf.size[rj]:
+        if size[ri] < size[rj]:
             # value(ri)/value(rj) = (value(ri)/value(i)) * (a/b) * (value(j)/value(rj))
-            uf.parent[ri] = rj
-            uf.ratio[ri] = _frac(eq.a * fjn * fid, eq.b * fjd * fin)
-            uf.size[rj] += uf.size[ri]
+            parent[ri] = rj
+            ratio[ri] = _frac(a * fjn * fid, b * fjd * fin)
+            size[rj] += size[ri]
         else:
-            uf.parent[rj] = ri
-            uf.ratio[rj] = _frac(eq.b * fin * fjd, eq.a * fid * fjn)
-            uf.size[ri] += uf.size[rj]
-        tree[eq.i].append((eq.j, eq))
-        tree[eq.j].append((eq.i, eq))
+            parent[rj] = ri
+            ratio[rj] = _frac(b * fin * fjd, a * fid * fjn)
+            size[ri] += size[rj]
+        accepted.append(eq)
 
     groups = {}     # root -> {member: its ratio to the root}
     for v in group.variables:
-        root, ratio = uf.find(v)
-        groups.setdefault(root, {})[v] = ratio
+        root = parent[v]
+        if parent[root] == root:
+            groups.setdefault(root, {})[v] = ratio[v]
+        else:
+            root, r = uf.find(v)
+            groups.setdefault(root, {})[v] = r
     comps = []
     values = {}
     for ratios in groups.values():
@@ -159,15 +182,20 @@ def solve(group: RatioEquationGroup):
     return RatioSolution(tuple(comps), values)
 
 
-def _chain(tree, src, dst):
-    """Path of accepted equations between two variables of one component."""
+def _chain(accepted, src, dst):
+    """Path of accepted equations between two variables of one component,
+    found breadth-first over the spanning equations in acceptance order."""
+    tree = {}
+    for eq in accepted:
+        tree.setdefault(eq.i, []).append((eq.j, eq))
+        tree.setdefault(eq.j, []).append((eq.i, eq))
     prev = {src: None}
     q = deque([src])
     while q:
         v = q.popleft()
         if v == dst:
             break
-        for u, eq in tree[v]:
+        for u, eq in tree.get(v, ()):
             if u not in prev:
                 prev[u] = (v, eq)
                 q.append(u)
@@ -190,18 +218,15 @@ def count_equations(order, counts):
     """
     equations = []
     unmatched = []
-    seen = set()
-    for n in order:
-        for sym in counts[n]:
-            if sym in seen:
-                continue
-            seen.add(sym)
-            c_src = counts[sym.src].get(sym, 0)
-            c_dst = counts[sym.dst].get(sym, 0)
-            if c_src and c_dst:
-                equations.append(oriented(sym.src, sym.dst, c_src, c_dst, sym))
-            else:
-                unmatched.append((sym, c_src, c_dst))
+    for sym in dict.fromkeys(chain.from_iterable(map(counts.__getitem__,
+                                                     order))):
+        _, src, dst = sym
+        c_src = counts[src].get(sym, 0)
+        c_dst = counts[dst].get(sym, 0)
+        if c_src and c_dst:
+            equations.append(oriented(src, dst, c_src, c_dst, sym))
+        else:
+            unmatched.append((sym, c_src, c_dst))
     return RatioEquationGroup(tuple(order), tuple(equations)), unmatched
 
 
@@ -228,10 +253,11 @@ def ratio_stage(order, counts, times, label, trace: Trace):
         solution.lcm if conflict is None else None))
     if conflict is not None:
         return None, Deadlock(conflict)
+    t = solution._times
     for eq in group.equations:
         # each symbol's sends and receives balance in the slice
-        assert eq.a * solution.times(eq.i) == eq.b * solution.times(eq.j), \
-            f"sliced model unbalanced at {eq}"
+        i, j, a, b, _ = eq
+        assert a * t[i] == b * t[j], f"sliced model unbalanced at {eq}"
     return solution, None
 
 

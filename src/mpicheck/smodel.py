@@ -82,11 +82,13 @@ class Mdg:
 
 
 def build_mdg(queues: dict) -> Mdg:
-    """The contracted MDG in time linear in the events, apart from sorting
-    the distinct symbols by name once.  Pairs are numbered in order of
-    their symbols' first appearance, so the cycle found does not depend on
-    the hash seed; each pair's successors, at most two (one per endpoint),
-    are kept in (symbol name, k) order as the queue walk finds them."""
+    """The contracted MDG of the queues of a validated program, in which a
+    symbol sits only in its two endpoints' queues, in time linear in the
+    events.  Pairs are numbered in order of their symbols' first
+    appearance, so the cycle found does not depend on the hash seed.  The
+    symbols' strings are formatted in one pass, so a pair's successors, at
+    most two (one per endpoint), are kept in (symbol name, k) order with
+    one comparison when the second is found."""
     sends = {}
     recvs = {}
     for n, q in queues.items():
@@ -95,30 +97,25 @@ def build_mdg(queues: dict) -> Mdg:
                 sends[s] = sends.get(s, 0) + 1
             else:
                 recvs[s] = recvs.get(s, 0) + 1
+    syms = [*dict.fromkeys([*sends, *recvs])]
     pairs = []
-    first = {}      # symbol -> (its number, index of its pair 0, end)
-    for i, s in enumerate(dict.fromkeys([*sends, *recvs])):
+    first = {}      # symbol -> (its number, its str, index of pair 0, end)
+    for i, (name, s) in enumerate(zip(map("%s:%s->%s".__mod__, syms), syms)):
         k = min(sends.get(s, 0), recvs.get(s, 0))
         base = len(pairs)
-        first[s] = (i, base, base + k)
+        first[s] = (i, name, base, base + k)
         if k == 1:          # the common case, without a comprehension
             pairs.append((s, 0))
         else:
             pairs.extend([(s, j) for j in range(k)])
-    # key[u] orders pair u by (symbol name, k)
-    key = [0] * len(pairs)
-    c = 0
-    for s in sorted(first, key=str):
-        _, base, end = first[s]
-        key[base:end] = range(c, c + end - base)
-        c += end - base
     succ = [()] * len(pairs)
+    head = [""] * len(pairs)    # str of the symbol of a first successor
     unpaired = []
     for n, q in queues.items():
         seen = {}            # within one node a symbol has a single role
         prev = None
         for s in q:
-            i, base, end = first[s]
+            i, name, base, end = first[s]
             cur = seen.get(i, base)
             seen[i] = cur + 1
             if cur >= end:
@@ -129,9 +126,11 @@ def build_mdg(queues: dict) -> Mdg:
                 out = succ[prev]
                 if not out:
                     succ[prev] = (cur,)
+                    head[prev] = name
                 elif cur not in out:
-                    succ[prev] = tuple(sorted((*out, cur),
-                                              key=key.__getitem__))
+                    a = out[0]
+                    succ[prev] = ((cur, a) if (name, cur) < (head[prev], a)
+                                  else (a, cur))
             prev = cur
     return Mdg(tuple(pairs), tuple(succ), tuple(unpaired))
 

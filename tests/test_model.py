@@ -1,12 +1,16 @@
 """Program model: validation, counting, unrolling."""
+import random
+from collections import Counter
+
 import pytest
 
 from mpicheck import model
 from mpicheck.model import (INFINITE, DanglingEndpoint, For, InfiniteInside,
                             InfiniteLoop, InvalidLoopCount, MisplacedOperation,
-                            NestedInfinite, SelfMessage, SizeExceeded, Symbol,
-                            count_occurrences, is_infinite, make_program,
-                            unroll, validate, weighted_size)
+                            ModelError, NestedInfinite, SelfMessage,
+                            SizeExceeded, Symbol, UnsupportedProgram,
+                            count_occurrences, flatten_items, is_infinite,
+                            make_program, unroll, validate, weighted_size)
 
 A01 = Symbol("a", 0, 1)
 B10 = Symbol("b", 1, 0)
@@ -133,3 +137,116 @@ def test_invalid_program_raises_on_every_validate(monkeypatch):
         with pytest.raises(SelfMessage):
             validate(bad)
     assert len(calls) == 2
+
+
+# The counting and expansion kernels as they were before they worked on
+# runs of Symbols: one step per item, one event appended at a time.
+def reference_count_occurrences(body, times=1, out=None):
+    if out is None:
+        out = Counter()
+    for st in body:
+        if isinstance(st, For):
+            if is_infinite(st.count):
+                raise InfiniteInside("infinite loop inside a counted scope")
+            reference_count_occurrences(st.body, times * st.count, out)
+        else:
+            out[st] += times
+    return out
+
+
+def reference_flatten_items(body, cap=None):
+    out = []
+
+    def go(items):
+        for st in items:
+            if isinstance(st, For):
+                if is_infinite(st.count):
+                    raise UnsupportedProgram(
+                        "cannot flatten an infinite power")
+                for _ in range(st.count):
+                    go(st.body)
+            else:
+                out.append(st)
+                if cap is not None and len(out) > cap:
+                    raise UnsupportedProgram(
+                        f"expansion exceeds cap of {cap} events")
+
+    go(body)
+    return tuple(out)
+
+
+SYMBOLS = (A01, B10, Symbol("c", 0, 1), Symbol("d", 1, 2))
+
+
+def random_body(rng, depth, infinite):
+    """Runs of Symbols and nested loops, some loops over a flat run; with
+    `infinite`, some loop counts are infinite, at any depth."""
+    body = []
+    for _ in range(rng.randint(0 if depth else 1, 4)):
+        if depth < 3 and rng.random() < 0.4:
+            count = (INFINITE if infinite and rng.random() < 0.2
+                     else rng.randint(1, 4))
+            body.append(For(count, tuple(random_body(rng, depth + 1,
+                                                     infinite))))
+        else:
+            body.extend(rng.choices(SYMBOLS, k=rng.randint(1, 3)))
+    return tuple(body)
+
+
+def outcome(fn, *args):
+    """The result of a call, or [type, message] of what it raised: a list,
+    which no result of these kernels is."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return [type(exc), str(exc)]
+
+
+def test_counting_and_expansion_match_reference():
+    rng = random.Random(12)
+    kinds = Counter()
+    for k in range(3000):
+        body = random_body(rng, 0, infinite=k % 3 == 0)
+        kinds["flat loop"] += any(
+            isinstance(st, For) and all(isinstance(x, Symbol) for x in st.body)
+            for st in body)
+        # the last counts into a Counter that already holds some keys
+        for times, held in ((1, None), (3, None),
+                            (2, {SYMBOLS[3]: 2, SYMBOLS[1]: 1})):
+            got = outcome(count_occurrences, body, times,
+                          held and Counter(held))
+            want = outcome(reference_count_occurrences, body, times,
+                           held and Counter(held))
+            assert got == want
+            if isinstance(got, Counter):    # same keys in the same order
+                assert list(got.items()) == list(want.items())
+        flat = outcome(reference_flatten_items, body)
+        if isinstance(flat, tuple):
+            kinds["finite"] += 1
+            assert weighted_size(body) == len(flat)
+            caps = {0, max(len(flat) - 1, 0), len(flat),
+                    rng.randint(0, len(flat))}
+        else:
+            kinds["infinite"] += 1
+            assert outcome(weighted_size, body)[0] is InfiniteLoop
+            caps = {0, rng.randint(0, 20)}
+        assert outcome(flatten_items, body) == flat
+        for cap in caps:
+            assert (outcome(flatten_items, body, cap)
+                    == outcome(reference_flatten_items, body, cap))
+    assert kinds["flat loop"] >= 500
+    assert kinds["finite"] >= 1500 and kinds["infinite"] >= 300
+
+
+def test_unroll_matches_reference_at_the_cap():
+    rng = random.Random(13)
+    for _ in range(500):
+        bodies = {n: random_body(rng, 0, infinite=False) for n in range(3)}
+        prog = make_program(bodies)
+        want = {n: reference_flatten_items(b) for n, b in bodies.items()}
+        size = sum(map(len, want.values()))
+        assert unroll(prog, max_events=size) == want
+        with pytest.raises(SizeExceeded) as exc:
+            unroll(prog, max_events=size - 1)
+        assert str(exc.value) == \
+            f"unrolled size exceeds cap of {size - 1} events"

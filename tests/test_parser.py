@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from corpus import generate
 from test_smodel import schedule_queues
 from mpicheck.model import INFINITE, For, Symbol, make_program, validate
-from mpicheck.parser import MdlLexError, MdlSyntaxError, parse, render
+from mpicheck.parser import (MAX_COUNT_DIGITS, MdlLexError, MdlSyntaxError,
+                             parse, render)
 
 SIMPLE = """
 node P0 {
@@ -156,6 +157,12 @@ ERRORS = [
      MdlSyntaxError, "expected 'from', got 'to'", 1, 18),
     ('node P0 { send a to P1 } send a to P1',
      MdlSyntaxError, "expected 'node', got 'send'", 1, 26),
+    # longer than Python 3.11's int() takes from a digit string; the same
+    # error on every Python
+    pytest.param('node P0 {\n  for ' + '1' * 5000 + ' { send a to P1 }\n}',
+                 MdlSyntaxError,
+                 "loop count of 5000 digits is longer than 4300", 2, 7,
+                 id="5000-digit loop count"),
 ]
 
 
@@ -241,13 +248,23 @@ def test_loop_count_must_be_ascii_digits(count, col):
     assert (exc.value.line, exc.value.col) == (2, col)
 
 
+def test_longest_loop_count():
+    text = "node P0 {{ for {} {{ send a to P1 }} }}\nnode P1 {{ }}"
+    digits = "9" * MAX_COUNT_DIGITS
+    (_, (loop,)), _ = parse(text.format(digits)).nodes
+    assert loop.count == 10**MAX_COUNT_DIGITS - 1
+    with pytest.raises(MdlSyntaxError) as exc:
+        parse(text.format(digits + "9"))
+    assert (exc.value.line, exc.value.col) == (1, 15)
+
+
 def test_equal_messages_share_one_symbol():
     prog = parse("node P0 { send a to P1, send a to P1, for 2 { send a to P1 } }\n"
                  "node P1 { recv a from P0, for 3 { recv a from P0 } }")
     (_, body0), (_, body1) = prog.nodes
     syms = [body0[0], body0[1], body0[2].body[0], body1[0], body1[1].body[0]]
     assert all(s is syms[0] for s in syms)
-    assert syms[0] == Symbol("a", 0, 1)
+    assert syms[0] == Symbol("a", 0, 1) and type(syms[0]) is Symbol
 
 
 def test_symbol_is_a_plain_value():
