@@ -27,12 +27,7 @@ def _load(path):
             text = fh.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc}")
-    try:
-        program = parse(text)
-        validate(program)
-    except (MdlSyntaxError, ModelError) as exc:
-        raise _Usage(f"{path}: {exc}")
-    return program
+    return validate(parse(text))
 
 
 class _Usage(Exception):
@@ -40,11 +35,7 @@ class _Usage(Exception):
 
 
 def cmd_check(args) -> int:
-    program = _load(args.path)
-    try:
-        report = analyze(program, max_events=args.max_events)
-    except ModelError as exc:
-        raise _Usage(f"{args.path}: {exc}")
+    report = analyze(_load(args.path), max_events=args.max_events)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -107,12 +98,7 @@ def _print_reg(rec, name):
 
 
 def cmd_mdg(args) -> int:
-    program = _load(args.path)
-    try:
-        queues = _as_queues(program, args.max_events)
-    except ModelError as exc:
-        raise _Usage(f"{args.path}: {exc}")
-    mdg = build_mdg(queues)
+    mdg = build_mdg(_as_queues(_load(args.path), args.max_events))
     dot = mdg_to_dot(mdg)
     if args.dot == "-":
         sys.stdout.write(dot)
@@ -141,10 +127,7 @@ def _as_queues(program, max_events):
 def cmd_reg(args) -> int:
     """The ratio records of the check, as `check --trace` prints them."""
     program = _load(args.path)
-    try:
-        report = analyze(program)
-    except ModelError as exc:
-        raise _Usage(f"{args.path}: {exc}")
+    report = analyze(program)
     for rec in report.trace.reg_records:
         _print_reg(rec, program.name_of)
     if not report.trace.reg_records:
@@ -204,6 +187,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except (MdlSyntaxError, ModelError) as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 2
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

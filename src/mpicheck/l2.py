@@ -1,7 +1,11 @@
 """Nested-loop engine: power strings and the first-power-pool reduction loop.
 
 A node program becomes a power string: a tuple of loops (``For``), each
-loop's count its exponent.  Normalization applies two rewrites to a fixpoint:
+loop's count its exponent.  A run of bare literals between loops is wrapped
+as a count-1 loop, so the pool and the reduction step treat everything
+uniformly; inside loop bodies literals stay bare.  One rule puts a power
+into a string: a count-1 power enters as the wrapped runs of its body.
+Normalization applies two rewrites to a fixpoint:
 
 * power reduction:      (x^p1)^p2        -> x^(p1*p2)
 * left prefix reduction: x^p1 (xy)^p2    -> x^(p1+1) y (xy)^(p2-1)
@@ -14,6 +18,7 @@ drain (deadlock free) or nothing can move (deadlock).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .model import (INFINITE, MAX_EVENTS, For, Program, Symbol,
                     UnsupportedProgram, count_occurrences, flatten_items,
@@ -25,81 +30,48 @@ from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
                        Verdict)
 
 
-# A node's power string is a tuple of Fors; bare literal runs are wrapped
-# as count-1 loops so the pool and the reduction step treat everything
-# uniformly.  Inside loop bodies literals stay bare.
-
-
-def _mul(e1, e2):
-    if is_infinite(e1) or is_infinite(e2):
-        return INFINITE
-    return e1 * e2
-
-
-def _is_literal(items) -> bool:
-    return all(isinstance(x, Symbol) for x in items)
-
-
-def _wrap_runs(items) -> tuple:
+def _wrap_runs(items) -> list:
     """Group maximal runs of bare literals into count-1 loops."""
     out = []
-    run = []
-    for it in items:
-        if isinstance(it, Symbol):
-            run.append(it)
+    for kind, run in groupby(items, type):
+        if kind is For:
+            out.extend(run)
         else:
-            if run:
-                out.append(For(1, tuple(run)))
-                run = []
-            out.append(it)
-    if run:
-        out.append(For(1, tuple(run)))
-    return tuple(out)
+            out.append(For(1, tuple(run)))
+    return out
 
 
-def _norm_body(items) -> tuple:
-    """Normalize a power body: recurse, collapse single-power bodies,
-    splice count-1 sub-powers into bare items."""
-    out = []
-    for it in items:
-        if isinstance(it, Symbol):
-            out.append(it)
-            continue
-        p = _norm_power(it)
-        if p is None:
-            continue
-        if p.count == 1:
-            out.extend(p.body)
+def _norm_power(p: For) -> list:
+    """The items loop ``p`` adds, normalized, to the body around it: none
+    when it is empty, its body when its count is 1, else itself.  Its body
+    is its bare literals and the items of its sub-loops; a body that is one
+    loop is folded into the count (power reduction), and as that loop's own
+    body is never one loop, one fold suffices."""
+    body = []
+    for it in p.body:
+        if type(it) is For:
+            body += _norm_power(it)
         else:
-            out.append(p)
-    return tuple(out)
-
-
-def _norm_power(p: For):
-    body = _norm_body(p.body)
+            body.append(it)
     count = p.count
-    while len(body) == 1 and isinstance(body[0], For):
+    if len(body) == 1 and type(body[0]) is For:
         inner = body[0]
-        count = _mul(count, inner.count)
+        count = (INFINITE if is_infinite(count) or is_infinite(inner.count)
+                 else count * inner.count)
         body = inner.body
     if not body or count == 0:
-        return None
-    return For(count, body)
+        return []
+    if count == 1:
+        return body
+    return [For(count, tuple(body))]
 
 
 def normalize(body: tuple) -> tuple:
     """The power string of a statement body: the fixpoint of both
-    rewrites."""
+    rewrites.  Each top-level loop and literal run enters on its own."""
     powers = []
     for p in _wrap_runs(body):
-        q = _norm_power(p)
-        if q is None:
-            continue
-        if q.count == 1 and not _is_literal(q.body):
-            # count-1 composite wrapper: splice its content
-            powers.extend(_wrap_runs(q.body))
-        else:
-            powers.append(q)
+        powers += _wrap_runs(_norm_power(p))
     return _left_prefix_fixpoint(powers)
 
 
@@ -123,12 +95,10 @@ def _left_prefix_fixpoint(out: list) -> tuple:
         else:
             repl = [For(a.count + 1, a.body)]
             repl.extend(_wrap_runs(y))
-            if b.count - 1 == 1:
-                if _is_literal(b.body):
-                    repl.append(For(1, b.body))
-                else:
-                    repl.extend(_wrap_runs(b.body))
-            elif b.count - 1 > 1:
+            # (xy)^(p2-1) by the count-1 rule
+            if b.count == 2:
+                repl.extend(_wrap_runs(b.body))
+            elif b.count > 2:
                 repl.append(For(b.count - 1, b.body))
             out[i:i + 2] = repl
     return tuple(out)
@@ -243,7 +213,7 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
         m = members[n]
         pos = 0
         if m.count == 1:
-            body = (m.body if _is_literal(m.body)
+            body = (m.body if For not in map(type, m.body)
                     else flatten_items(m.body, cap))
             pos = next(i for i, s in enumerate(body) if s in bad)
         if pos == 0:

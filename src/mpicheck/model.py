@@ -142,9 +142,18 @@ def make_program(bodies: dict, names: dict | None = None) -> Program:
     return Program(nodes, name_items)
 
 
+# The most digits CPython (3.11 and later) converts between an int and a
+# digit string by default.  The parser refuses a longer loop count, and
+# validate a node whose events per outermost iteration need more digits, on
+# every Python alike, as the checks print counts and their products.
+MAX_COUNT_DIGITS = 4300
+_EVENTS_LIMIT = 10**MAX_COUNT_DIGITS
+
+
 def validate(program: Program) -> Program:
-    """Check well-formedness; returns the program unchanged or raises.  The
-    walk runs once per Program."""
+    """Check well-formedness and size (a top-level infinite loop counted
+    once); returns the program unchanged or raises.  The walk runs once per
+    Program."""
     program._valid
     return program
 
@@ -157,6 +166,8 @@ def _check(program: Program):
         seen.add(nid)
 
     def check(nid, body, top):
+        """The events of ``body`` per outermost iteration."""
+        events = len(body)
         for st in body:
             if isinstance(st, Symbol):
                 _, src, dst = st
@@ -170,18 +181,25 @@ def _check(program: Program):
                         f"{st} found in node {nid}, which is neither its "
                         "source nor its destination")
             elif isinstance(st, For):
-                if is_infinite(st.count):
+                times = st.count
+                if is_infinite(times):
                     if not top:
                         raise NestedInfinite(
                             f"infinite loop below top level in node {nid}")
-                elif not (isinstance(st.count, int) and st.count >= 1):
+                    times = 1
+                elif not (isinstance(times, int) and times >= 1):
                     raise InvalidLoopCount(
-                        f"loop count {st.count!r} in node {nid}")
+                        f"loop count {times!r} in node {nid}")
                 if not st.body:
                     raise InvalidLoopCount(f"empty loop body in node {nid}")
-                check(nid, st.body, False)
+                events += times * check(nid, st.body, False) - 1
             else:
                 raise ModelError(f"unknown statement {st!r}")
+        if events >= _EVENTS_LIMIT:
+            raise SizeExceeded(
+                f"events per outermost iteration of node {nid} have more "
+                f"than {MAX_COUNT_DIGITS} digits")
+        return events
 
     for nid, body in program.nodes:
         check(nid, body, True)

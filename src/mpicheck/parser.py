@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .model import INFINITE, For, Program, Symbol
+from .model import INFINITE, MAX_COUNT_DIGITS, For, Program, Symbol
 
 
 class MdlSyntaxError(Exception):
@@ -60,9 +60,6 @@ _TOKEN = re.compile(rf"[ \t\r]*(?:#[^\n]*)?([{{}},\n]|\d+|{_NAME}|.|\Z)")
 _LEGAL = re.compile(r"(?:[\w{},\n \t\r]+|#[^\n]*)*")
 _is_name = re.compile(r"[^\W\d]").match
 _SEPS = ("\n", ",")
-# The longest loop count accepted: CPython's default limit on int() of a
-# digit string (Python 3.11 and later), applied on every Python alike.
-MAX_COUNT_DIGITS = 4300
 _INFIX = {"send": "to", "recv": "from"}
 
 

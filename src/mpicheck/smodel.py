@@ -192,7 +192,7 @@ def check_smodel(queues: dict) -> Verdict:
                                     queues.get(s.dst, ()).count(s)))
 
 
-def mdg_to_dot(mdg: Mdg, program=None) -> str:
+def mdg_to_dot(mdg: Mdg) -> str:
     """DOT rendering; edges on a deadlock cycle are highlighted."""
     cyc = find_deadlock_cycle(mdg)
     cyc_edges = set()

@@ -95,6 +95,36 @@ def test_validation_error_exit_two(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+def _nested(stmt):
+    """``stmt`` in two loops of 3,000 nines each: each count is within the
+    parser's bound, their product is not."""
+    nines = "9" * 3000
+    return f"for {nines} {{ for {nines} {{ {stmt} }} }}"
+
+
+HUGE_PRODUCTS = {
+    "infinite-partner": f"node P0 {{ {_nested('send a to P1')} }}\n"
+                        "node P1 { for inf { recv a from P0 } }\n",
+    "finite": f"node P0 {{ {_nested('send a to P1')} }}\n"
+              f"node P1 {{ {_nested('recv a from P0')} }}\n",
+}
+
+
+@pytest.mark.parametrize("args", [["check"], ["check", "--json"],
+                                  ["check", "--trace"], ["reg"], ["mdg"],
+                                  ["simulate"]], ids=" ".join)
+@pytest.mark.parametrize("kind", sorted(HUGE_PRODUCTS))
+def test_loop_count_product_past_the_digit_bound_exit_two(tmp_path, capsys,
+                                                         kind, args):
+    path = tmp_path / "huge.mdl"
+    path.write_text(HUGE_PRODUCTS[kind])
+    assert main([args[0], str(path), *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: events per outermost iteration of "
+                   "node 0 have more than 4300 digits\n")
+
+
 def test_mdg_stdout(capsys):
     assert main(["mdg", prog("prog2.mdl")]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from corpus import corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,152 @@ def test_normalize_preserves_sequence_and_is_idempotent(seed):
     norm = normalize(ps)
     assert flatten_items(norm) == flatten_items(ps)
     assert normalize(norm) == norm
+
+
+# The normal form as separate helpers for power reduction, count-1
+# splicing and wrapping, kept as the reference that normalize must equal.
+
+def _ref_mul(e1, e2):
+    if model.is_infinite(e1) or model.is_infinite(e2):
+        return INFINITE
+    return e1 * e2
+
+
+def _ref_is_literal(items):
+    return all(isinstance(x, Symbol) for x in items)
+
+
+def _ref_wrap_runs(items):
+    out = []
+    run = []
+    for it in items:
+        if isinstance(it, Symbol):
+            run.append(it)
+        else:
+            if run:
+                out.append(For(1, tuple(run)))
+                run = []
+            out.append(it)
+    if run:
+        out.append(For(1, tuple(run)))
+    return tuple(out)
+
+
+def _ref_norm_body(items):
+    out = []
+    for it in items:
+        if isinstance(it, Symbol):
+            out.append(it)
+            continue
+        p = _ref_norm_power(it)
+        if p is None:
+            continue
+        if p.count == 1:
+            out.extend(p.body)
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+def _ref_norm_power(p):
+    body = _ref_norm_body(p.body)
+    count = p.count
+    while len(body) == 1 and isinstance(body[0], For):
+        inner = body[0]
+        count = _ref_mul(count, inner.count)
+        body = inner.body
+    if not body or count == 0:
+        return None
+    return For(count, body)
+
+
+def reference_normalize(body):
+    return _ref_left_prefix_fixpoint(_ref_powers(body))
+
+
+def _ref_powers(body):
+    powers = []
+    for p in _ref_wrap_runs(body):
+        q = _ref_norm_power(p)
+        if q is None:
+            continue
+        if q.count == 1 and not _ref_is_literal(q.body):
+            powers.extend(_ref_wrap_runs(q.body))
+        else:
+            powers.append(q)
+    return powers
+
+
+def _ref_left_prefix_fixpoint(out):
+    i = 0
+    while i + 1 < len(out):
+        a, b = out[i], out[i + 1]
+        if (model.is_infinite(a.count) or model.is_infinite(b.count)
+                or len(a.body) > len(b.body)
+                or b.body[:len(a.body)] != a.body):
+            i += 1
+            continue
+        y = b.body[len(a.body):]
+        if not y:
+            out[i] = For(a.count + b.count, a.body)
+            del out[i + 1]
+        else:
+            repl = [For(a.count + 1, a.body)]
+            repl.extend(_ref_wrap_runs(y))
+            if b.count - 1 == 1:
+                if _ref_is_literal(b.body):
+                    repl.append(For(1, b.body))
+                else:
+                    repl.extend(_ref_wrap_runs(b.body))
+            elif b.count - 1 > 1:
+                repl.append(For(b.count - 1, b.body))
+            out[i:i + 2] = repl
+    return tuple(out)
+
+
+def _random_raw_body(rng, depth, budget):
+    """Statements as normalize may meet them: loops of count 1 (often), 0
+    and up to 4, loops that are or become empty, runs of few symbols so
+    that prefixes repeat."""
+    out = []
+    while budget[0] > 0 and rng.random() < 0.75:
+        if depth == 0 or rng.random() < 0.5:
+            out.append(rng.choice((A, B, C)))
+            budget[0] -= 1
+        else:
+            count = rng.choice((0, 1, 1, 1, 2, 2, 3, 4))
+            out.append(For(count, tuple(_random_raw_body(rng, depth - 1,
+                                                         budget))))
+    return out
+
+
+def test_normalize_equals_the_reference_on_random_strings():
+    rng = random.Random(1300)
+    seen = Counter()
+    for _ in range(4000):
+        body = tuple(_random_raw_body(rng, 3, [10]))
+        if rng.random() < 0.2:
+            body = (For(INFINITE, body),)
+        powers = _ref_powers(body)
+        seen["prefix"] += tuple(powers) != _ref_left_prefix_fixpoint(
+            list(powers))
+        want = reference_normalize(body)
+        assert normalize(body) == want, body
+        seen["inf"] += any(model.is_infinite(p.count) for p in want)
+        seen["count-1"] += any(p.count == 1 for p in want)
+        seen["empty"] += any(type(st) is For and not st.body
+                             for st in body)
+    # every shape the rewrites treat apart occurs often
+    assert min(seen.values()) > 200, seen
+
+
+def test_normalize_equals_the_reference_on_corpus_bodies():
+    from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+    bodies = [body for prog in corpus(CORPUS_SEED, CORPUS_SIZE)
+              for _, body in prog.nodes]
+    assert len(bodies) > 3000
+    for body in bodies:
+        assert normalize(body) == reference_normalize(body), body
 
 
 def test_strip_outer_infinite_replicates_to_lcm():

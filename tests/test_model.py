@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from mpicheck import model
+from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, DanglingEndpoint, For, InfiniteInside,
                             InfiniteLoop, InvalidLoopCount, MisplacedOperation,
                             ModelError, NestedInfinite, SelfMessage,
@@ -60,6 +61,36 @@ def test_validate_rejects_bad_counts():
     empty = make_program({0: [For(2, ())], 1: []})
     with pytest.raises(InvalidLoopCount):
         validate(empty)
+
+
+def test_validate_bounds_events_per_outermost_iteration():
+    # at most MAX_COUNT_DIGITS digits of events per node, a top-level
+    # infinite loop counted once, so no product of one node's counts is
+    # past what str() converts on Python 3.11
+    limit = 10**model.MAX_COUNT_DIGITS
+    half = 10**(model.MAX_COUNT_DIGITS // 2)
+    within = [[For(limit - 1, (A01,))],
+              [For(INFINITE, (For(limit - 1, (A01,)),))],
+              [For(half, (For(half - 1, (A01,)),))],
+              [For(limit - 2, (A01,)), A01]]
+    past = [[For(limit, (A01,))],
+            [For(INFINITE, (For(limit, (A01,)),))],
+            [For(half, (For(half, (A01,)),))],
+            [For(limit - 1, (A01,)), A01],
+            [For(2, (For(limit // 2, (A01,)),))]]
+    for body in within:
+        validate(make_program({0: body, 1: [For(INFINITE, (A01,))]}))
+    for body in past:
+        prog = make_program({0: [For(INFINITE, (A01,))], 1: body})
+        with pytest.raises(SizeExceeded, match="events per outermost "
+                           "iteration of node 1 have more than 4300 digits"):
+            validate(prog)
+
+
+def test_analyze_refuses_a_count_past_the_digit_bound():
+    prog = make_program({0: [For(10**4999, (A01,))], 1: [A01]})
+    with pytest.raises(ModelError, match="node 0"):
+        analyze(prog)
 
 
 def test_infinite_singleton():
