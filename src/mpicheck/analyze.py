@@ -2,22 +2,25 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import l0, l2, smodel
 from .model import MAX_EVENTS, For, Program, unroll, validate
+from .record import Record
 from .reg import Inconsistent
 from .trace import Trace
 from .verdicts import Deadlock, Verdict, witness_dict
 
 
-@dataclass
-class Report:
-    verdict: Verdict
-    phase: str
-    trace: Trace
-    program: Program
-    timings: dict = field(default_factory=dict)
+class Report(Record):
+    _fields = ("verdict", "phase", "trace", "program", "timings")
+
+    def __init__(self, verdict: Verdict, phase: str, trace: Trace,
+                 program: Program, timings: dict | None = None):
+        self.verdict = verdict
+        self.phase = phase
+        self.trace = trace
+        self.program = program
+        self.timings = {} if timings is None else timings
 
     def to_dict(self) -> dict:
         reg_solutions = []
@@ -66,8 +69,7 @@ def analyze(program: Program, max_events: int = MAX_EVENTS) -> Report:
     trace = Trace()
     t0 = time.perf_counter()
     validate(program)
-    if not any(isinstance(st, For) for _, body in program.nodes
-               for st in body):
+    if not any(For in map(type, body) for _, body in program.nodes):
         verdict = smodel.check_smodel(unroll(program, max_events))
         phase = "smodel"
     elif l0.is_single_loop(program):

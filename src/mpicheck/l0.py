@@ -17,9 +17,8 @@ from .verdicts import Verdict
 
 def is_single_loop(program: Program) -> bool:
     """Every non-empty node is one loop over a loop-free body."""
-    return all(not body or (len(body) == 1 and isinstance(body[0], For)
-                            and not any(isinstance(st, For)
-                                        for st in body[0].body))
+    return all(not body or (len(body) == 1 and type(body[0]) is For
+                            and For not in map(type, body[0].body))
                for _, body in program.nodes)
 
 

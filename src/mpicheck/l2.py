@@ -17,13 +17,14 @@ drain (deadlock free) or nothing can move (deadlock).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .model import (INFINITE, MAX_EVENTS, For, Program, Symbol,
                     UnsupportedProgram, count_occurrences, flatten_items,
                     is_infinite)
-from .reg import Inconsistent, count_equations, ratio_stage, solve
+from .record import Record
+from .reg import (Inconsistent, check_digits, count_equations, ratio_stage,
+                  solve)
 from .smodel import check_smodel
 from .trace import SetRecord, Trace
 from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
@@ -148,18 +149,22 @@ def fpp(strings: dict) -> dict:
     return {n: ps[0] for n, ps in strings.items() if ps}
 
 
-@dataclass
-class SetMember:
-    body: tuple
-    count: int
-    leftover: tuple = ()  # tail of a trimmed literal run, stays in the string
+class SetMember(Record):
+    _fields = ("body", "count", "leftover")
+
+    def __init__(self, body, count, leftover=()):
+        self.body = body
+        self.count = count
+        self.leftover = leftover  # tail of a trimmed literal run, stays
 
 
-@dataclass
-class RelatedSet:
-    nodes: tuple   # sorted; a waiting set names its whole pool component
-    members: dict  # node -> SetMember (after trimming), {} when waiting
-    eligible: bool
+class RelatedSet(Record):
+    _fields = ("nodes", "members", "eligible")
+
+    def __init__(self, nodes, members, eligible):
+        self.nodes = nodes  # sorted; a waiting set names its pool component
+        self.members = members  # node -> SetMember (trimmed), {} if waiting
+        self.eligible = eligible
 
 
 def _partner(sym, n):
@@ -274,16 +279,20 @@ def align_and_reduce(strings: dict, sets: list, max_events,
         whole = check_smodel(round_queues(live)) if live else DEADLOCK_FREE
     except UnsupportedProgram:
         whole = None  # a set is over the cap: the pass below raises there
-    if whole is None or isinstance(whole, Deadlock):
+    if isinstance(whole, Deadlock) and len(live) == 1:
+        stop, verdict = live[0], whole  # the pass below would repeat it
+    elif whole is None or isinstance(whole, Deadlock):
         for k in live:
             verdict = check_smodel(round_queues((k,)))
             if isinstance(verdict, Deadlock):
                 stop = k
                 break
     # a set is one ratio component, so its values come in node order
-    record.solutions.extend(
-        (rs.nodes, {n: solution.values[n] for n in rs.nodes})
-        for rs in sets[:stop + 1])
+    solved = [(rs.nodes, {n: solution.values[n] for n in rs.nodes})
+              for rs in sets[:stop + 1]]
+    check_digits([max(values.values()) for _, values in solved],
+                 "a ratio value has")
+    record.solutions.extend(solved)
     record.actions.extend(
         f"reduced {sets[k].nodes} by {rounds[k]} round(s)"
         for k in live if k < stop)

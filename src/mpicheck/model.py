@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple
+
+from .record import Frozen
 
 
 class _Infinite:
@@ -78,7 +79,7 @@ class Symbol(NamedTuple):
     """A message identity: name plus fixed sender and receiver nodes.
 
     A tuple, so hashing and equality run in C; the hash is that of the
-    plain tuple (name, src, dst), as it was for the frozen dataclass."""
+    plain tuple (name, src, dst)."""
 
     name: str
     src: int
@@ -88,11 +89,13 @@ class Symbol(NamedTuple):
         return f"{self.name}:{self.src}->{self.dst}"
 
 
-@dataclass(frozen=True)
-class For:
+class For(NamedTuple):
     """A loop over a body of Symbols and Fors.  A Symbol in node n is a send
     when n is its source and a receive otherwise.  The nested-loop engine's
-    power strings are tuples of For, with ``count`` as the exponent."""
+    power strings are tuples of For, with ``count`` as the exponent.
+
+    A tuple, like Symbol: its hash is that of (count, body), and it is only
+    compared with the items of loop trees."""
 
     count: object  # positive int, or INFINITE
     body: tuple
@@ -101,13 +104,14 @@ class For:
         return render_items((self,))
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen):
     """Immutable program: ordered (node id, statement tuple) pairs plus the
     display-name mapping echoed in reports."""
 
-    nodes: tuple
-    names: tuple = ()
+    _fields = ("nodes", "names")
+
+    def __init__(self, nodes, names=()):
+        self.__dict__.update(nodes=nodes, names=names)
 
     @cached_property
     def rank(self) -> dict:
@@ -143,11 +147,12 @@ def make_program(bodies: dict, names: dict | None = None) -> Program:
 
 
 # The most digits CPython (3.11 and later) converts between an int and a
-# digit string by default.  The parser refuses a longer loop count, and
-# validate a node whose events per outermost iteration need more digits, on
-# every Python alike, as the checks print counts and their products.
+# digit string by default.  On every Python alike, the parser refuses a
+# longer loop count, validate a node whose events per outermost iteration
+# need more digits, and the ratio stage a number it records that does, as
+# the checks print counts, ratios and their products.
 MAX_COUNT_DIGITS = 4300
-_EVENTS_LIMIT = 10**MAX_COUNT_DIGITS
+COUNT_LIMIT = 10**MAX_COUNT_DIGITS
 
 
 def validate(program: Program) -> Program:
@@ -195,7 +200,7 @@ def _check(program: Program):
                 events += times * check(nid, st.body, False) - 1
             else:
                 raise ModelError(f"unknown statement {st!r}")
-        if events >= _EVENTS_LIMIT:
+        if events >= COUNT_LIMIT:
             raise SizeExceeded(
                 f"events per outermost iteration of node {nid} have more "
                 f"than {MAX_COUNT_DIGITS} digits")
@@ -211,8 +216,8 @@ def count_occurrences(body, times=1, out=None) -> Counter:
     """Occurrence counts of a body with nested finite loops weighted in,
     ``times`` over, added into ``out``.  One walk over the maximal runs of
     Symbols and the loops between them, with a running multiplier; a run is
-    counted in one ``Counter`` call, so the keys come in order of first
-    appearance."""
+    counted in one ``Counter.update`` under multiplier 1, else symbol by
+    symbol, so the keys come in order of first appearance."""
     if out is None:
         out = Counter()
     for kind, run in groupby(body, type):
@@ -225,8 +230,9 @@ def count_occurrences(body, times=1, out=None) -> Counter:
         elif times == 1:
             out.update(run)
         else:
-            for st, k in Counter(run).items():
-                out[st] += k * times
+            get = out.get
+            for st in run:
+                out[st] = get(st, 0) + times
     return out
 
 

@@ -25,39 +25,44 @@ own, so the cost is the sum of the parts' state spaces, not their product;
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .model import DuplicateNode, For, Program, is_infinite
+from .record import Frozen
 
 TERMINATED = "terminated"   # a terminated node's state; compared by identity
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(Frozen):
     pass
 
 
-@dataclass(frozen=True)
 class DeadlockReachable(OracleVerdict):
-    trace: tuple        # rendezvous symbols from the initial state
-    state: tuple        # the stuck global state
+    # the rendezvous symbols from the initial state; the stuck global state
+    _fields = ("trace", "state")
+
+    def __init__(self, trace, state):
+        self.__dict__.update(trace=trace, state=state)
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
 class DeadlockFreeOracle(OracleVerdict):
-    states: int
+    _fields = ("states",)
+
+    def __init__(self, states):
+        self.__dict__.update(states=states)
 
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
 class Inconclusive(OracleVerdict):
-    states: int
+    _fields = ("states",)
+
+    def __init__(self, states):
+        self.__dict__.update(states=states)
 
 
 def _seq_at(body, stack):

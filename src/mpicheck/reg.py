@@ -14,13 +14,12 @@ LCM slice.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .model import is_infinite
+from .model import COUNT_LIMIT, MAX_COUNT_DIGITS, SizeExceeded, is_infinite
+from .record import Frozen, Record
 from .trace import RegRecord, Trace
 from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
@@ -46,29 +45,29 @@ def oriented(i, j, a, b, origin=None) -> RatioEquation:
     return tuple.__new__(RatioEquation, (i, j, a, b, origin))
 
 
-@dataclass(frozen=True)
-class RatioEquationGroup:
-    variables: tuple
-    equations: tuple
+class RatioEquationGroup(Frozen):
+    _fields = ("variables", "equations")
 
-    def __post_init__(self):
-        vs = set(self.variables)
-        for eq in self.equations:
+    def __init__(self, variables, equations):
+        vs = set(variables)
+        for eq in equations:
             if eq.i not in vs or eq.j not in vs:
                 raise ValueError(f"equation {eq} uses an unknown variable")
+        self.__dict__.update(variables=variables, equations=equations)
 
 
-@dataclass
-class RatioSolution:
-    components: tuple  # tuple of sorted variable tuples
-    values: dict       # variable -> positive int, per-component gcd 1
-    lcm: dict = field(init=False, repr=False, compare=False)  # comp -> LCM
+class RatioSolution(Record):
+    """``lcm`` (component -> LCM of its values) is neither shown nor
+    compared."""
 
-    def __post_init__(self):
-        self.lcm = {c: lcm(*[self.values[v] for v in c])
-                    for c in self.components}
+    _fields = ("components", "values")
+
+    def __init__(self, components, values):
+        self.components = components  # tuple of sorted variable tuples
+        self.values = values  # variable -> positive int, per-component gcd 1
+        self.lcm = {c: lcm(*[values[v] for v in c]) for c in components}
         # keyed by variable: a lookup by component would hash its tuple
-        self._times = {v: m // self.values[v]
+        self._times = {v: m // values[v]
                        for c, m in self.lcm.items() for v in c}
 
     def times(self, var):
@@ -76,13 +75,15 @@ class RatioSolution:
         return self._times[var]
 
 
-@dataclass
-class Inconsistent:
+class Inconsistent(Record):
     """Conflict witness: a chain of accepted equations joining the two
     variables, plus the equation whose ratio disagrees around the cycle."""
 
-    equations: tuple
-    detail: str
+    _fields = ("equations", "detail")
+
+    def __init__(self, equations, detail):
+        self.equations = equations
+        self.detail = detail
 
 
 def _frac(n, d):
@@ -90,11 +91,26 @@ def _frac(n, d):
     return n // g, d // g
 
 
+def check_digits(numbers, what):
+    """Raise SizeExceeded when one of ``numbers``, which a check records for
+    printing, has more than MAX_COUNT_DIGITS digits, the most that CPython
+    3.11 and later convert to a string by default."""
+    if max(numbers, default=0) >= COUNT_LIMIT:
+        raise SizeExceeded(f"{what} more than {MAX_COUNT_DIGITS} digits")
+
+
+def _ratio_str(n, d) -> str:
+    """The positive ratio n/d in lowest terms: n when d is 1, else n/d."""
+    n, d = _frac(n, d)
+    check_digits((n, d), "a conflicting ratio has")
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 class _UnionFind:
-    """Ratios are kept as reduced positive (numerator, denominator) pairs;
-    exact Fraction objects are only built for error messages.  A root's
-    ratio is (1, 1), so a variable whose parent is a root has its ratio to
-    the root in ``ratio`` without a walk."""
+    """Ratios are kept as reduced positive (numerator, denominator) pairs,
+    formatted only for error messages.  A root's ratio is (1, 1), so a
+    variable whose parent is a root has its ratio to the root in ``ratio``
+    without a walk."""
 
     def __init__(self, variables):
         self.parent = {v: v for v in variables}
@@ -143,11 +159,11 @@ def solve(group: RatioEquationGroup):
         if ri == rj:
             if fin * fjd * b != fid * fjn * a:
                 path = _chain(accepted, i, j)
-                have = Fraction(fin * fjd, fid * fjn)
+                have = _ratio_str(fin * fjd, fid * fjn)
                 return Inconsistent(
                     tuple(path) + (eq,),
                     f"ratio around the cycle through p{i} and p{j} "
-                    f"is {have}, equation demands {Fraction(a, b)}")
+                    f"is {have}, equation demands {_ratio_str(a, b)}")
             continue
         # attach the smaller tree below the larger
         if size[ri] < size[rj]:
@@ -247,7 +263,11 @@ def ratio_stage(order, counts, times, label, trace: Trace):
     if isinstance(solution, Inconsistent):
         conflict = RatioInconsistency(solution.detail, solution.equations)
     else:
+        check_digits(solution.values.values(), "a ratio value has")
         conflict = _unequal_products(solution, times)
+        if conflict is None:
+            # recorded, and no less than any slice loop count it gives
+            check_digits(solution.lcm.values(), "an LCM of ratio values has")
     trace.reg_records.append(RegRecord(
         label, group.equations, solution,
         solution.lcm if conflict is None else None))
@@ -266,6 +286,8 @@ def _unequal_products(solution, times):
         products = [solution.values[n] * (0 if is_infinite(times[n])
                                           else times[n]) for n in comp]
         if len(set(products)) > 1:
+            check_digits(products,
+                         f"a product p*t within component {comp} has")
             parts = ", ".join(f"p{n}*t{n}={p}" for n, p in zip(comp, products))
             return RatioInconsistency(
                 f"unequal products within component {comp}: {parts}")

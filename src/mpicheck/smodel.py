@@ -8,9 +8,9 @@ symbol pairs with its k-th receive instance.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
+from .record import Frozen
 from .verdicts import (DEADLOCK_FREE, Deadlock, MdgCycle, StuckQueues,
                        UnmatchedTotals, Verdict)
 
@@ -57,8 +57,7 @@ def check_by_queues(queues: dict, rng=None) -> Verdict:
     return Deadlock(StuckQueues(remaining)) if remaining else DEADLOCK_FREE
 
 
-@dataclass(frozen=True)
-class Mdg:
+class Mdg(Frozen):
     """Contracted pair graph: one node per matched send/recv pair, a directed
     edge between consecutive pairs in each process's program order.
 
@@ -66,9 +65,12 @@ class Mdg:
     ``u``, in (symbol name, k) order.
     """
 
-    pairs: tuple           # ((symbol, k), ...)
-    succ: tuple            # ((position in pairs, ...), ...)
-    unpaired: tuple        # ((node, symbol, role, k), ...)
+    # ((symbol, k), ...), ((position in pairs, ...), ...) and
+    # ((node, symbol, role, k), ...)
+    _fields = ("pairs", "succ", "unpaired")
+
+    def __init__(self, pairs, succ, unpaired):
+        self.__dict__.update(pairs=pairs, succ=succ, unpaired=unpaired)
 
     @cached_property
     def edges(self) -> tuple:

@@ -1,36 +1,46 @@
 """Structured trace of an analysis run, consumed by the CLI and tests."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class RegRecord:
-    label: str
-    equations: tuple
-    solution: object          # RatioSolution or Inconsistent
-    lcm: dict | None = None   # component tuple -> lcm, when sliced
-    loop_times: dict | None = None
+class RegRecord(Record):
+    _fields = ("label", "equations", "solution", "lcm", "loop_times")
+
+    def __init__(self, label, equations, solution, lcm=None,
+                 loop_times=None):
+        self.label = label
+        self.equations = equations
+        self.solution = solution      # RatioSolution or Inconsistent
+        self.lcm = lcm                # component tuple -> lcm, when sliced
+        self.loop_times = loop_times
 
 
-@dataclass
-class SetRecord:
+class SetRecord(Record):
     """One FPP pass: the related-set partition and per-set outcomes."""
 
-    partition: tuple          # ((nodes...), eligible) pairs
-    solutions: list = field(default_factory=list)  # (nodes, values dict)
-    actions: list = field(default_factory=list)    # human-readable lines
+    _fields = ("partition", "solutions", "actions")
+
+    def __init__(self, partition, solutions=None, actions=None):
+        self.partition = partition    # ((nodes...), eligible) pairs
+        # (nodes, values dict) per set, and human-readable lines
+        self.solutions = [] if solutions is None else solutions
+        self.actions = [] if actions is None else actions
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     """The nested-loop engine keeps its power strings and pools raw; they
     are rendered only when read."""
 
-    reg_records: list = field(default_factory=list)
-    set_records: list = field(default_factory=list)
-    strings: dict = field(default_factory=dict)  # node -> power string
-    pools: list = field(default_factory=list)    # node -> leading power
+    _fields = ("reg_records", "set_records", "strings", "pools")
+
+    def __init__(self, reg_records=None, set_records=None, strings=None,
+                 pools=None):
+        self.reg_records = [] if reg_records is None else reg_records
+        self.set_records = [] if set_records is None else set_records
+        # node -> power string, and node -> leading power per pool round
+        self.strings = {} if strings is None else strings
+        self.pools = [] if pools is None else pools
 
     @property
     def string_map(self) -> dict:

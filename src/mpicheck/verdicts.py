@@ -1,22 +1,23 @@
 """Verdicts and deadlock witnesses shared by all checking engines."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Frozen
 
 
 class Verdict:
     pass
 
 
-@dataclass(frozen=True)
-class DeadlockFree(Verdict):
+class DeadlockFree(Frozen, Verdict):
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
-class Deadlock(Verdict):
-    witness: object
+class Deadlock(Frozen, Verdict):
+    _fields = ("witness",)
+
+    def __init__(self, witness):
+        self.__dict__.update(witness=witness)
 
     def __bool__(self):
         return False
@@ -25,11 +26,13 @@ class Deadlock(Verdict):
 DEADLOCK_FREE = DeadlockFree()
 
 
-@dataclass(frozen=True)
-class StuckQueues:
+class StuckQueues(Frozen):
     """Snapshot of the event queues at the point where no match was possible."""
 
-    remaining: tuple  # ((node, (symbol, ...)), ...)
+    _fields = ("remaining",)  # ((node, (symbol, ...)), ...)
+
+    def __init__(self, remaining):
+        self.__dict__.update(remaining=remaining)
 
     def to_dict(self):
         return {
@@ -38,11 +41,13 @@ class StuckQueues:
         }
 
 
-@dataclass(frozen=True)
-class MdgCycle:
+class MdgCycle(Frozen):
     """Directed cycle in the contracted message-pair graph."""
 
-    pairs: tuple  # ((symbol, k), ...)
+    _fields = ("pairs",)  # ((symbol, k), ...)
+
+    def __init__(self, pairs):
+        self.__dict__.update(pairs=pairs)
 
     def to_dict(self):
         return {
@@ -51,11 +56,11 @@ class MdgCycle:
         }
 
 
-@dataclass(frozen=True)
-class UnmatchedTotals:
-    symbol: object
-    sends: int
-    recvs: int
+class UnmatchedTotals(Frozen):
+    _fields = ("symbol", "sends", "recvs")
+
+    def __init__(self, symbol, sends, recvs):
+        self.__dict__.update(symbol=symbol, sends=sends, recvs=recvs)
 
     def to_dict(self):
         return {
@@ -66,10 +71,11 @@ class UnmatchedTotals:
         }
 
 
-@dataclass(frozen=True)
-class RatioInconsistency:
-    detail: str
-    equations: tuple = ()
+class RatioInconsistency(Frozen):
+    _fields = ("detail", "equations")
+
+    def __init__(self, detail, equations=()):
+        self.__dict__.update(detail=detail, equations=equations)
 
     def to_dict(self):
         return {
@@ -79,11 +85,13 @@ class RatioInconsistency:
         }
 
 
-@dataclass(frozen=True)
-class FppStuck:
+class FppStuck(Frozen):
     """First-power pool with no reducible or expansible related set left."""
 
-    pool: tuple  # ((node, rendered power), ...)
+    _fields = ("pool",)  # ((node, rendered power), ...)
+
+    def __init__(self, pool):
+        self.__dict__.update(pool=pool)
 
     def to_dict(self):
         return {

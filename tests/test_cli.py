@@ -125,6 +125,29 @@ def test_loop_count_product_past_the_digit_bound_exit_two(tmp_path, capsys,
                    "node 0 have more than 4300 digits\n")
 
 
+# A = 2,500 nines and B = 2,499 nines and an 8: the ratio values of the
+# chain P0 -> P1 -> P2 are B^2 : AB : A^2, each of about 5,000 digits,
+# although every node's events per iteration are within the bound.
+HUGE_RATIO = ("node P0 {{ for inf {{ for {a} {{ send a to P1 }} }} }}\n"
+              "node P1 {{ for inf {{ for {b} {{ recv a from P0 }},\n"
+              "    for {a} {{ send b to P2 }} }} }}\n"
+              "node P2 {{ for inf {{ for {b} {{ recv b from P1 }} }} }}\n"
+              ).format(a="9" * 2500, b="9" * 2499 + "8")
+
+
+@pytest.mark.parametrize("args", [["check"], ["check", "--json"],
+                                  ["check", "--trace"], ["reg"], ["mdg"]],
+                         ids=" ".join)
+def test_ratio_value_past_the_digit_bound_exit_two(tmp_path, capsys, args):
+    path = tmp_path / "ratio.mdl"
+    path.write_text(HUGE_RATIO)
+    assert main([args[0], str(path), *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: a ratio value has more than 4300 "
+                   "digits\n")
+
+
 def test_mdg_stdout(capsys):
     assert main(["mdg", prog("prog2.mdl")]) == 0
     out = capsys.readouterr().out

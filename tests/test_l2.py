@@ -587,3 +587,19 @@ def test_trace_renders_strings_and_pools_only_when_read(monkeypatch):
     assert rep.trace.fpp_snapshots[1] == {0: "b", 1: "b", 2: "c", 3: "c",
                                           4: "f", 5: "f"}
     assert calls["render_items"] > 0
+
+
+def test_one_live_deadlocked_set_makes_one_kernel_call(monkeypatch):
+    # the round's whole check is the set's own check: it is not repeated
+    calls = Counter()
+    _counting(monkeypatch, "check_smodel", calls)
+    rep = _report(CROSSED_PAIR.format(p=0, q=1, x="a", y="b"))
+    assert calls["check_smodel"] == 1
+    assert rep.verdict == Deadlock(MdgCycle(
+        ((Symbol("a", 0, 1), 0), (Symbol("b", 1, 0), 0))))
+    (rec,) = rep.trace.set_records
+    assert rec.solutions == [((0, 1), {0: 1, 1: 1})] and rec.actions == []
+    # over the cap there is no whole verdict to reuse: the set's own pass
+    # raises
+    with pytest.raises(UnsupportedProgram, match="cap of 20 events"):
+        _report(LONG_PAIR.format(p=0, q=1), max_events=20)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpicheck import reg
-from mpicheck.model import INFINITE, Symbol
+from mpicheck.model import INFINITE, MAX_COUNT_DIGITS, SizeExceeded, Symbol
 from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
                           RatioSolution, count_equations, oriented,
                           ratio_stage, solve)
@@ -75,6 +75,30 @@ def test_inconsistent_yields_witness_chain():
     # the chain joins the conflicting equation's endpoints
     chain_vars = {v for eq in out.equations for v in (eq.i, eq.j)}
     assert {0, 2} <= chain_vars
+
+
+@pytest.mark.parametrize("eqs, detail", [
+    (((0, 1, 2, 1), (0, 1, 6, 2)),
+     "through p0 and p1 is 2, equation demands 3"),
+    (((0, 1, 1, 2), (1, 2, 1, 1), (0, 2, 1, 1)),
+     "through p0 and p2 is 1/2, equation demands 1"),
+    (((0, 1, 2, 3), (1, 2, 2, 1), (0, 2, 6, 4)),
+     "through p0 and p2 is 4/3, equation demands 3/2"),
+])
+def test_conflict_detail_prints_ratios_in_lowest_terms(eqs, detail):
+    group = RatioEquationGroup((0, 1, 2),
+                               tuple(RatioEquation(*e) for e in eqs))
+    assert solve(group).detail == "ratio around the cycle " + detail
+
+
+def test_conflicting_ratio_too_long_to_print_is_a_size_error():
+    x = 10**2200 + 1
+    group = RatioEquationGroup((0, 1, 2), (
+        RatioEquation(0, 1, x, 1), RatioEquation(1, 2, x, 1),
+        RatioEquation(0, 2, 1, 1)))
+    with pytest.raises(SizeExceeded, match="a conflicting ratio has more "
+                       f"than {MAX_COUNT_DIGITS} digits"):
+        solve(group)
 
 
 def test_oriented_puts_smaller_variable_first():
@@ -211,3 +235,21 @@ def test_ratio_stage_asserts_a_balanced_slice(monkeypatch):
     with pytest.raises(AssertionError, match="unbalanced"):
         ratio_stage((0, 1), counts, {0: INFINITE, 1: INFINITE}, "x",
                     Trace())
+
+
+def test_ratio_stage_numbers_too_long_to_print_are_a_size_error():
+    # two coprime counts of 2,201 digits: each value prints, their LCM not
+    x, y = 10**2200 + 1, 10**2200
+    counts = {0: Counter({A: x}), 1: Counter({A: y})}
+    with pytest.raises(SizeExceeded, match="an LCM of ratio values has"):
+        ratio_stage((0, 1), counts, {0: INFINITE, 1: INFINITE}, "x",
+                    Trace())
+    # unequal products are printed, so each must print
+    counts = {0: Counter({A: 1}), 1: Counter({A: 2})}
+    with pytest.raises(SizeExceeded, match=r"a product p\*t within "
+                       r"component \(0, 1\) has"):
+        ratio_stage((0, 1), counts, {0: 1, 1: 6 * 10**4299}, "x", Trace())
+    # a value is printed whatever the verdict
+    counts = {0: Counter({A: 1, B: 1}), 1: Counter({A: x**2, B: x**2})}
+    with pytest.raises(SizeExceeded, match="a ratio value has"):
+        ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", Trace())
