@@ -3,12 +3,14 @@
 Handles the canonical shape only (every non-empty node is exactly one
 top-level loop over a loop-free body); everything else is routed to the
 nested-loop engine, whose power-string form subsumes it.  The ratio method
-itself is ``reg.ratio_stage``, shared with that engine.
+itself is ``reg.ratio_stage``, shared with that engine.  The slice's event
+queues are built straight from the loop bodies: nothing is unrolled.
 """
 from __future__ import annotations
 
-from .model import (MAX_EVENTS, For, Program, count_occurrences, make_program,
-                    unroll)
+from collections import _count_elements
+
+from .model import MAX_EVENTS, For, Program, SizeExceeded
 from .reg import ratio_stage
 from .smodel import check_smodel
 from .trace import Trace
@@ -22,24 +24,34 @@ def is_single_loop(program: Program) -> bool:
                for _, body in program.nodes)
 
 
-def slice_view(program: Program, solution) -> Program:
-    """Replace each loop count by LCM / p_i, per component (Eq.-7 style)."""
-    return make_program({n: [For(solution.times(n), body[0].body)]
-                         if body else [] for n, body in program.nodes})
+def slice_queues(program: Program, solution, max_events: int) -> dict:
+    """The LCM slice's event queues: each loop body repeated LCM / p_n times
+    (Eq.-7 style).  Raises SizeExceeded past ``max_events`` events."""
+    times = solution.times
+    if sum(len(body[0].body) * times(n)
+           for n, body in program.nodes if body) > max_events:
+        raise SizeExceeded(f"unrolled size exceeds cap of {max_events} events")
+    return {n: body[0].body * times(n) if body else ()
+            for n, body in program.nodes}
 
 
 def check_l0(program: Program, trace: Trace,
              max_events: int = MAX_EVENTS) -> Verdict:
-    """REG -> Theorem-2 consistency -> slice -> unroll -> S-Model check.
+    """REG -> Theorem-2 consistency -> slice queues -> S-Model check.
 
-    An empty node counts nothing and has t = 1: it only pads the variables.
+    A loop body is counted into a plain dict in one call of the C helper
+    behind ``Counter.update``, keys in first-appearance order.  An empty
+    node counts nothing and has t = 1: it only pads the variables.
     """
-    counts = {n: count_occurrences(body[0].body if body else ())
-              for n, body in program.nodes}
-    times = {n: body[0].count if body else 1 for n, body in program.nodes}
+    counts, times = {}, {}
+    for n, body in program.nodes:
+        counts[n] = count = {}
+        times[n] = body[0].count if body else 1
+        if body:
+            _count_elements(count, body[0].body)
     solution, deadlock = ratio_stage(tuple(counts), counts, times, "l0", trace)
     if deadlock is not None:
         return deadlock
     trace.reg_records[-1].loop_times = {
         n: solution.times(n) for n, body in program.nodes if body}
-    return check_smodel(unroll(slice_view(program, solution), max_events))
+    return check_smodel(slice_queues(program, solution, max_events))

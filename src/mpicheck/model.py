@@ -1,10 +1,9 @@
 """Core program model: AST, validation, counting, unrolling."""
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import groupby
-from typing import NamedTuple
 
 from .record import Frozen
 
@@ -75,30 +74,28 @@ class UnsupportedProgram(ModelError):
     siblings at the top level of a node)."""
 
 
-class Symbol(NamedTuple):
-    """A message identity: name plus fixed sender and receiver nodes.
+class Symbol(namedtuple("Symbol", "name src dst")):
+    """A message identity: name (str) plus fixed sender and receiver nodes.
 
     A tuple, so hashing and equality run in C; the hash is that of the
     plain tuple (name, src, dst)."""
 
-    name: str
-    src: int
-    dst: int
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.name}:{self.src}->{self.dst}"
 
 
-class For(NamedTuple):
-    """A loop over a body of Symbols and Fors.  A Symbol in node n is a send
-    when n is its source and a receive otherwise.  The nested-loop engine's
-    power strings are tuples of For, with ``count`` as the exponent.
+class For(namedtuple("For", "count body")):
+    """A loop over a body (a tuple) of Symbols and Fors, repeated ``count``
+    times, a positive int or INFINITE.  A Symbol in node n is a send when n
+    is its source and a receive otherwise.  The nested-loop engine's power
+    strings are tuples of For, with ``count`` as the exponent.
 
     A tuple, like Symbol: its hash is that of (count, body), and it is only
     compared with the items of loop trees."""
 
-    count: object  # positive int, or INFINITE
-    body: tuple
+    __slots__ = ()
 
     def __str__(self):
         return render_items((self,))

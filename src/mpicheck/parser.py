@@ -164,7 +164,7 @@ def parse(text: str) -> Program:
                 if not outer:
                     break
                 count, enclosing = outer.pop()
-                enclosing.append(For(count, tuple(body)))
+                enclosing.append(tuple.__new__(For, (count, tuple(body))))
                 body = enclosing
             else:
                 words = t.split()

@@ -13,10 +13,9 @@ LCM slice.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from itertools import chain
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .model import COUNT_LIMIT, MAX_COUNT_DIGITS, SizeExceeded, is_infinite
 from .record import Frozen, Record
@@ -24,12 +23,12 @@ from .trace import RegRecord, Trace
 from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
 
-class RatioEquation(NamedTuple):
-    i: object
-    j: object
-    a: int
-    b: int
-    origin: object = None  # symbol that produced the equation, if any
+class RatioEquation(namedtuple("RatioEquation", "i j a b origin",
+                                defaults=(None,))):
+    """p_i : p_j = a : b; ``origin`` is the symbol that produced the
+    equation, if any."""
+
+    __slots__ = ()
 
     def __str__(self):
         tag = f"  [{self.origin}]" if self.origin is not None else ""
@@ -39,7 +38,7 @@ class RatioEquation(NamedTuple):
 def oriented(i, j, a, b, origin=None) -> RatioEquation:
     """Equation with the smaller variable on the left, the conventional way
     to write a proportion between two nodes.  Built by ``tuple.__new__``,
-    which skips the NamedTuple's Python-level ``__new__``."""
+    which skips the named tuple's Python-level ``__new__``."""
     if str(j) < str(i):
         return tuple.__new__(RatioEquation, (j, i, b, a, origin))
     return tuple.__new__(RatioEquation, (i, j, a, b, origin))

@@ -19,7 +19,8 @@ from test_l2 import random_power_string
 from test_smodel import schedule_queues
 from mpicheck.analyze import analyze
 from mpicheck.l2 import normalize, strip_outer_infinite
-from mpicheck.model import For, Symbol, flatten_items, unroll, validate
+from mpicheck.model import (MAX_EVENTS, For, Symbol, flatten_items, unroll,
+                            validate)
 from mpicheck.oracle import DeadlockFreeOracle, DeadlockReachable, explore
 from mpicheck.parser import parse
 from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
@@ -68,7 +69,7 @@ def test_criterion_1_golden_verdicts():
 
 
 def test_criterion_2_golden_artifacts():
-    # single-loop flow: equations, solution, slice, unrolled sequences
+    # single-loop flow: equations, solution, the slice's event queues
     rep3 = analyze(load("prog3.mdl"))
     (rec,) = rep3.trace.reg_records
     assert [str(e) for e in rec.equations] == [
@@ -81,10 +82,8 @@ def test_criterion_2_golden_artifacts():
     assert list(rec.lcm.values()) == [2]
     assert rec.loop_times == {0: 2, 1: 1, 2: 2}
 
-    from mpicheck.l0 import slice_view
-    prog3 = load("prog3.mdl")
-    sliced = slice_view(prog3, rec.solution)
-    queues = unroll(sliced)
+    from mpicheck.l0 import slice_queues
+    queues = slice_queues(load("prog3.mdl"), rec.solution, MAX_EVENTS)
     seq = {n: "".join(s.name for s in q) for n, q in queues.items()}
     assert seq == {0: "acbacb", 1: "abadbd", 2: "cdcd"}
 
@@ -171,7 +170,9 @@ def _ping_pong_queues(n_events):
 
 def test_criterion_5_desk_scale_performance():
     # sizes alternate and the collector is paused, as in criterion 8, so a
-    # slow spell of a shared host or a collector pass hits both sizes alike
+    # slow spell of a shared host or a collector pass hits both sizes alike;
+    # the clock is the process's CPU time, which stops while it waits for a
+    # core
     models = [_ping_pong_queues(n) for n in (10**5, 2 * 10**5)]
     best = [float("inf")] * len(models)
     gc.collect()
@@ -179,9 +180,9 @@ def test_criterion_5_desk_scale_performance():
     try:
         for _ in range(3):
             for i, queues in enumerate(models):
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 verdict = check_by_queues(queues)
-                best[i] = min(best[i], time.perf_counter() - t0)
+                best[i] = min(best[i], time.process_time() - t0)
                 assert bool(verdict)
     finally:
         gc.enable()

@@ -68,6 +68,17 @@ def test_json_reports_declared_node_names(tmp_path, capsys):
     assert data["fppTrace"][0] == {"root": "a^6", "leaf": "a^6"}
 
 
+def test_check_slice_cap_is_its_event_count(capsys):
+    # prog3's LCM slice has 6 + 6 + 4 events
+    assert main(["check", prog("prog3.mdl"), "--max-events", "16"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{prog('prog3.mdl')}: deadlock-free (phase l0)\n"
+    assert main(["check", prog("prog3.mdl"), "--max-events", "15"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {prog('prog3.mdl')}: unrolled size exceeds cap "
+                   "of 15 events\n")
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["check", prog("nope.mdl")]) == 2
     assert "error:" in capsys.readouterr().err

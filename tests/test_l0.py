@@ -2,15 +2,26 @@
 
 The equations and the Theorem-2 check are the shared ``reg.ratio_stage``,
 run here on the counts ``check_l0`` gives it."""
+import os
+import sys
+
 import pytest
 
+import mpicheck.model
+from corpus import corpus
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, For, Symbol,
-                            count_occurrences, make_program, unroll)
-from mpicheck.l0 import check_l0, slice_view
+from mpicheck.model import (INFINITE, MAX_EVENTS, For, SizeExceeded, Symbol,
+                            count_occurrences, make_program, unroll,
+                            validate)
+from mpicheck.l0 import check_l0, is_single_loop, slice_queues
+from mpicheck.parser import parse
 from mpicheck.reg import count_equations, ratio_stage
 from mpicheck.trace import Trace
 from mpicheck.verdicts import (Deadlock, RatioInconsistency, UnmatchedTotals)
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "bench")
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -22,12 +33,14 @@ def loop_prog(c0, body0, c1, body1):
 
 
 def l0_counts(prog):
-    return {n: count_occurrences(body[0].body) for n, body in prog.nodes}
+    return {n: count_occurrences(body[0].body if body else ())
+            for n, body in prog.nodes}
 
 
 def l0_stage(prog, times=None):
+    """An empty node counts nothing and has t = 1, as in ``check_l0``."""
     if times is None:
-        times = {n: body[0].count for n, body in prog.nodes}
+        times = {n: body[0].count if body else 1 for n, body in prog.nodes}
     return ratio_stage(tuple(n for n, _ in prog.nodes), l0_counts(prog),
                        times, "l0", Trace())
 
@@ -70,12 +83,82 @@ def test_slice_replaces_counts_by_lcm_over_value():
     prog = loop_prog(INFINITE, [A], INFINITE, [A, A])
     solution, verdict = l0_stage(prog)
     assert verdict is None
-    sliced = slice_view(prog, solution)
-    (_, body0), (_, body1) = sliced.nodes
-    assert body0[0].count == 2
-    assert body1[0].count == 1
-    queues = unroll(sliced)
-    assert queues[0] == (A, A) and queues[1] == (A, A)
+    assert (solution.times(0), solution.times(1)) == (2, 1)
+    queues = slice_queues(prog, solution, MAX_EVENTS)
+    assert queues == {0: (A, A), 1: (A, A)}
+
+
+def reference_slice(program, solution, max_events):
+    """The slice as a program whose loop counts are LCM / p_n, unrolled:
+    how the single-loop engine once built its queues."""
+    return unroll(make_program({n: [For(solution.times(n), body[0].body)]
+                                if body else [] for n, body in program.nodes}),
+                  max_events)
+
+
+def single_loop_programs():
+    """The single-loop programs of the acceptance corpus and of the ring
+    benchmark's seed-1 and seed-2 sets (checked and explored)."""
+    progs = list(corpus(CORPUS_SEED, CORPUS_SIZE))
+    sys.path.insert(0, BENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    for seed in (1, 2):
+        for oracle in (False, True):
+            progs += [validate(parse(case.text)) for case in
+                      workloads.program_set("single-loop-ring", seed, oracle)]
+    return [p for p in progs if is_single_loop(p)]
+
+
+def _outcome(slicer, program, solution, cap):
+    """The queues as (node, queue) pairs in order, or the error message."""
+    try:
+        return list(slicer(program, solution, cap).items())
+    except SizeExceeded as exc:
+        return str(exc)
+
+
+def test_slice_queues_equal_the_unrolled_slice_program():
+    sliced = 0
+    for prog in single_loop_programs():
+        solution, verdict = l0_stage(prog)
+        if verdict is not None:
+            continue
+        size = sum(map(len, reference_slice(prog, solution,
+                                            float("inf")).values()))
+        # at the slice's size both give its queues; one below, both raise
+        # with the same message
+        for cap, fits in ((size, True), (size - 1, False)):
+            want = _outcome(reference_slice, prog, solution, cap)
+            assert isinstance(want, list) == fits
+            assert _outcome(slice_queues, prog, solution, cap) == want
+        sliced += 1
+    assert sliced >= 800
+
+
+def test_l0_route_unrolls_nothing(monkeypatch):
+    calls = []
+    original = mpicheck.model.unroll
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module's binding of unroll, as modules import it by name
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mpicheck" and \
+                getattr(module, "unroll", None) is original:
+            monkeypatch.setattr(module, "unroll", counted)
+    prog = make_program({0: [For(INFINITE, (A, B))],
+                         1: [For(INFINITE, (A, B))], 2: []})
+    report = analyze(prog)
+    assert report.phase == "l0" and bool(report.verdict)
+    assert calls == []
+    # the counter does see the loop-free route's unroll
+    assert analyze(make_program({0: [A], 1: [A]})).phase == "smodel"
+    assert len(calls) == 1
 
 
 def test_check_l0_free_and_traced():

@@ -265,6 +265,8 @@ def test_equal_messages_share_one_symbol():
     syms = [body0[0], body0[1], body0[2].body[0], body1[0], body1[1].body[0]]
     assert all(s is syms[0] for s in syms)
     assert syms[0] == Symbol("a", 0, 1) and type(syms[0]) is Symbol
+    assert body0[2] == For(2, (syms[0],)) and type(body0[2]) is For
+    assert type(body1[1]) is For
 
 
 def test_symbol_is_a_plain_value():

@@ -38,6 +38,17 @@ def test_import_loads_no_class_generator_or_fractions():
         {"mpicheck", *(f"mpicheck.{m}" for m in SUBMODULES)}
 
 
+def test_plain_interpreter_import_loads_no_typing():
+    # -S skips the site hooks, some of which load typing on their own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mpicheck.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mpicheck; "
+            "print('typing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.split() == ["False"]
+
+
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
 EQ = RatioEquation(0, 1, 2, 3, A)
@@ -170,6 +181,23 @@ def test_for_hashes_as_its_field_tuple():
     loop = For(3, (A, B))
     assert hash(loop) == hash((3, (A, B)))
     assert loop == For(3, (A, B)) and loop != For(2, (A, B))
+
+
+def test_tuple_classes_are_plain_tuples_with_their_own_text():
+    loop = For(3, (A,))
+    for value, names, fields in (
+            (A, ("name", "src", "dst"), ("a", 0, 1)),
+            (loop, ("count", "body"), (3, (A,))),
+            (EQ, ("i", "j", "a", "b", "origin"), (0, 1, 2, 3, A))):
+        assert value == fields and hash(value) == hash(fields)
+        assert type(value)._fields == names
+        assert tuple(getattr(value, f) for f in names) == fields
+        assert not hasattr(value, "__dict__")
+    assert str(A) == "a:0->1" and str(loop) == "a^3"
+    assert str(EQ) == "p0 : p1 = 2 : 3  [a:0->1]"
+    bare = RatioEquation(0, 1, 2, 3)
+    assert bare.origin is None and str(bare) == "p0 : p1 = 2 : 3"
+    assert repr(bare) == "RatioEquation(i=0, j=1, a=2, b=3, origin=None)"
 
 
 def test_cached_properties_leave_repr_equality_and_hash_alone():
