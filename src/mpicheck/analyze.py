@@ -65,7 +65,12 @@ class Report(Record):
 def analyze(program: Program, max_events: int = MAX_EVENTS) -> Report:
     """Validate, then route on the top-level statements alone: no loop goes
     to the sequential model, one loop per node over a loop-free body to the
-    single-loop engine, anything else to the nested-loop engine."""
+    single-loop engine, anything else to the nested-loop engine.
+
+    ``max_events`` bounds the events of each event model the check builds:
+    the unrolled program, the LCM slice, the queues of one pool round (or of
+    one set, when the round does not fit) and a composite run being cut.
+    A model past it raises SizeExceeded before it is built."""
     trace = Trace()
     t0 = time.perf_counter()
     validate(program)

@@ -12,8 +12,8 @@ import sys
 from . import oracle
 from .analyze import analyze
 from .l2 import normalize, strip_outer_infinite
-from .model import (MAX_EVENTS, For, ModelError, flatten_items, is_infinite,
-                    unroll, validate)
+from .model import (MAX_EVENTS, For, ModelError, build_queues, is_infinite,
+                    validate)
 from .parser import MdlSyntaxError, parse
 from .reg import Inconsistent
 from .smodel import build_mdg, mdg_to_dot
@@ -111,17 +111,17 @@ def cmd_mdg(args) -> int:
 
 
 def _as_queues(program, max_events):
+    bodies = dict(program.nodes)
     # validate() allows `for inf` at the top level only
-    if not any(isinstance(st, For) and is_infinite(st.count)
-               for _, body in program.nodes for st in body):
-        return unroll(program, max_events)
-    # slice infinite loops down to one consistent round first
-    strings = {n: normalize(b) for n, b in program.nodes}
-    finite, verdict = strip_outer_infinite(strings, Trace())
-    if verdict is not None:
-        raise ModelError(
-            "program has no consistent finite slice; cannot draw its MDG")
-    return {n: flatten_items(ps, cap=max_events) for n, ps in finite.items()}
+    if any(isinstance(st, For) and is_infinite(st.count)
+           for body in bodies.values() for st in body):
+        # slice infinite loops down to one consistent round first
+        strings = {n: normalize(b) for n, b in program.nodes}
+        bodies, verdict = strip_outer_infinite(strings, Trace())
+        if verdict is not None:
+            raise ModelError(
+                "program has no consistent finite slice; cannot draw its MDG")
+    return build_queues([(n, b, 1) for n, b in bodies.items()], max_events)
 
 
 def cmd_reg(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import _count_elements
 
-from .model import MAX_EVENTS, For, Program, SizeExceeded
+from .model import MAX_EVENTS, For, Program, build_queues
 from .reg import ratio_stage
 from .smodel import check_smodel
 from .trace import Trace
@@ -24,24 +24,15 @@ def is_single_loop(program: Program) -> bool:
                for _, body in program.nodes)
 
 
-def slice_queues(program: Program, solution, max_events: int) -> dict:
-    """The LCM slice's event queues: each loop body repeated LCM / p_n times
-    (Eq.-7 style).  Raises SizeExceeded past ``max_events`` events."""
-    times = solution.times
-    if sum(len(body[0].body) * times(n)
-           for n, body in program.nodes if body) > max_events:
-        raise SizeExceeded(f"unrolled size exceeds cap of {max_events} events")
-    return {n: body[0].body * times(n) if body else ()
-            for n, body in program.nodes}
-
-
 def check_l0(program: Program, trace: Trace,
              max_events: int = MAX_EVENTS) -> Verdict:
     """REG -> Theorem-2 consistency -> slice queues -> S-Model check.
 
     A loop body is counted into a plain dict in one call of the C helper
     behind ``Counter.update``, keys in first-appearance order.  An empty
-    node counts nothing and has t = 1: it only pads the variables.
+    node counts nothing and has t = 1: it only pads the variables.  A
+    node's slice queue is its loop body repeated LCM / p_n times (Eq.-7
+    style), built by ``build_queues`` under ``max_events``.
     """
     counts, times = {}, {}
     for n, body in program.nodes:
@@ -54,4 +45,6 @@ def check_l0(program: Program, trace: Trace,
         return deadlock
     trace.reg_records[-1].loop_times = {
         n: solution.times(n) for n, body in program.nodes if body}
-    return check_smodel(slice_queues(program, solution, max_events))
+    return check_smodel(build_queues(
+        [(n, body[0].body if body else body, solution.times(n))
+         for n, body in program.nodes], max_events))

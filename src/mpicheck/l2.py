@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .model import (INFINITE, MAX_EVENTS, For, Program, Symbol,
-                    UnsupportedProgram, count_occurrences, flatten_items,
-                    is_infinite)
+from .model import (INFINITE, MAX_EVENTS, For, Program, SizeExceeded,
+                    Symbol, UnsupportedProgram, build_queues,
+                    count_occurrences, is_infinite)
 from .record import Record
 from .reg import (Inconsistent, check_digits, count_equations, ratio_stage,
                   solve)
@@ -197,12 +197,12 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
     A symbol is offending when the member of its sender or of its receiver
     does not hold it.  An exponent-1 run is cut before its first offending
     symbol: the head takes part now and the tail waits in the string (a
-    composite run is flattened first, at most ``cap`` events).  Any other
-    power holding an offending symbol drops out; its node is blocked until
-    the partner arrives.  Members only shrink, so the fixpoint does not
-    depend on the order of the cuts, and a symbol's two endpoints always
-    share a component, so trimming the whole pool at once is exact.  A pool
-    component left with no member is one waiting set.
+    composite run is flattened first, by ``build_queues`` under ``cap``).
+    Any other power holding an offending symbol drops out; its node is
+    blocked until the partner arrives.  Members only shrink, so the fixpoint
+    does not depend on the order of the cuts, and a symbol's two endpoints
+    always share a component, so trimming the whole pool at once is exact.
+    A pool component left with no member is one waiting set.
     """
     held = {n: string_symbols(p.body) for n, p in pool.items()}
     waiting = _groups(held)
@@ -218,8 +218,7 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
         m = members[n]
         pos = 0
         if m.count == 1:
-            body = (m.body if For not in map(type, m.body)
-                    else flatten_items(m.body, cap))
+            body = build_queues(((n, m.body, 1),), cap)[n]
             pos = next(i for i, s in enumerate(body) if s in bad)
         if pos == 0:
             del members[n]
@@ -248,6 +247,8 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     are the ones it would get alone, and the first set in set order that
     deadlocks wins: the sets before a ratio conflict are solved and checked
     again without it, and a deadlocked round is checked again set by set.
+    A round of more than ``max_events`` events is checked set by set too,
+    and a set that alone is over the cap raises SizeExceeded.
 
     Returns ("deadlock", verdict), ("progress", new strings) or
     ("noprogress", None).
@@ -271,14 +272,14 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     live = [k for k, r in enumerate(rounds) if r > 0]
 
     def round_queues(ks):
-        return {n: flatten_items(m.body, cap=max_events) * per_round[n]
-                for k in ks for n, m in sets[k].members.items()}
+        return build_queues([(n, m.body, per_round[n]) for k in ks
+                             for n, m in sets[k].members.items()], max_events)
 
     stop, verdict = len(sets), None
     try:
         whole = check_smodel(round_queues(live)) if live else DEADLOCK_FREE
-    except UnsupportedProgram:
-        whole = None  # a set is over the cap: the pass below raises there
+    except SizeExceeded:
+        whole = None  # the pass below checks set by set, each under the cap
     if isinstance(whole, Deadlock) and len(live) == 1:
         stop, verdict = live[0], whole  # the pass below would repeat it
     elif whole is None or isinstance(whole, Deadlock):

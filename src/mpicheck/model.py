@@ -70,8 +70,9 @@ class SizeExceeded(ModelError):
 
 
 class UnsupportedProgram(ModelError):
-    """Shape the static pipeline does not cover (e.g. an infinite loop with
-    siblings at the top level of a node)."""
+    """Shape the static pipeline does not cover: an infinite loop with
+    siblings at the top level of a node.  A model past the event cap is
+    SizeExceeded instead."""
 
 
 class Symbol(namedtuple("Symbol", "name src dst")):
@@ -246,39 +247,23 @@ def weighted_size(body) -> int:
     return total
 
 
-def flatten_items(body, cap=None) -> tuple:
-    """Fully unrolled symbol sequence of a body or power string; at most
-    ``cap`` events when given."""
-    return tuple(_expand(body, cap, 0))
-
-
-def _expand(items, cap, done) -> list:
-    """The events of `items`, `done` events having come before them.  A
-    maximal run of Symbols is added in one step.  A loop adds its body
-    times its count, or, when its body holds loops, the expansion of one
-    iteration times its count, once the product is known to fit under the
-    cap.  So the cap is exceeded, and an infinite power met, at the same
-    event as in a walk that adds one event at a time."""
+def flatten_items(body) -> tuple:
+    """Fully unrolled symbol sequence of a finite body or power string.  A
+    maximal run of Symbols is added in one step, a loop as its body, or the
+    expansion of one iteration when its body holds loops, times its count."""
     out = []
-    for kind, run in groupby(items, type):
+    for kind, run in groupby(body, type):
         if kind is not For:
             out += run
-            if cap is not None and done + len(out) > cap:
-                raise UnsupportedProgram(
-                    f"expansion exceeds cap of {cap} events")
             continue
         for st in run:
             if is_infinite(st.count):
-                raise UnsupportedProgram("cannot flatten an infinite power")
+                raise InfiniteLoop("cannot flatten an infinite loop")
             once = st.body
             if For in map(type, once):
-                once = _expand(once, cap, done + len(out))
-            if cap is not None and done + len(out) + len(once) * st.count \
-                    > cap:
-                raise UnsupportedProgram(
-                    f"expansion exceeds cap of {cap} events")
+                once = flatten_items(once)
             out += once * st.count
-    return out
+    return tuple(out)
 
 
 def render_items(items) -> str:
@@ -307,16 +292,25 @@ def render_items(items) -> str:
     return " ".join(parts)
 
 
-# Default cap on the events one check may unroll or flatten.
+# Default cap on the events of each event model a check builds.
 MAX_EVENTS = 10**6
+
+
+def build_queues(parts, max_events: int = MAX_EVENTS) -> dict:
+    """node -> event queue for (node, body, times) ``parts``: the body
+    unrolled and repeated ``times`` times.  Every part is sized first, so a
+    model of more than ``max_events`` events raises SizeExceeded before any
+    queue is built.  A loop-free body is repeated as it is."""
+    parts = [(n, body, times, For in map(type, body))
+             for n, body, times in parts]
+    if sum((weighted_size(body) if loops else len(body)) * times
+           for _, body, times, loops in parts) > max_events:
+        raise SizeExceeded(f"unrolled size exceeds cap of {max_events} events")
+    return {n: (flatten_items(body) if loops else body) * times
+            for n, body, times, loops in parts}
 
 
 def unroll(program: Program, max_events: int = MAX_EVENTS) -> dict:
     """Expand all finite loops into flat per-node symbol sequences."""
-    total = 0
-    for _, body in program.nodes:
-        total += weighted_size(body)
-        if total > max_events:
-            raise SizeExceeded(
-                f"unrolled size exceeds cap of {max_events} events")
-    return {nid: flatten_items(body) for nid, body in program.nodes}
+    return build_queues([(n, body, 1) for n, body in program.nodes],
+                        max_events)

@@ -79,6 +79,16 @@ def test_check_slice_cap_is_its_event_count(capsys):
                    "of 15 events\n")
 
 
+def test_mdg_caps_the_slice_as_check_does(capsys):
+    assert main(["mdg", prog("prog3.mdl"), "--max-events", "16"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+    for cmd in ("check", "mdg"):
+        assert main([cmd, prog("prog3.mdl"), "--max-events", "15"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prog('prog3.mdl')}: unrolled size exceeds cap of 15 "
+            "events\n")
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["check", prog("nope.mdl")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -14,11 +14,13 @@ from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, MAX_EVENTS, For, SizeExceeded, Symbol,
                             count_occurrences, make_program, unroll,
                             validate)
-from mpicheck.l0 import check_l0, is_single_loop, slice_queues
+from mpicheck import l0
+from mpicheck.l0 import check_l0, is_single_loop
 from mpicheck.parser import parse
 from mpicheck.reg import count_equations, ratio_stage
 from mpicheck.trace import Trace
-from mpicheck.verdicts import (Deadlock, RatioInconsistency, UnmatchedTotals)
+from mpicheck.verdicts import (DEADLOCK_FREE, Deadlock, RatioInconsistency,
+                               UnmatchedTotals)
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "bench")
@@ -79,13 +81,32 @@ def test_ratio_consistent_infinite_means_zero():
         "unequal products within component (0, 1): p0*t0=0, p1*t1=4")
 
 
-def test_slice_replaces_counts_by_lcm_over_value():
+@pytest.fixture
+def l0_slice(monkeypatch):
+    """``check_l0`` as a function of (program, max_events) that returns the
+    queues it hands to the kernel, as (node, queue) pairs in order, or the
+    message of the SizeExceeded it raises."""
+    seen = []
+    monkeypatch.setattr(l0, "check_smodel", lambda queues: (
+        seen.append(list(queues.items())) or DEADLOCK_FREE))
+
+    def run(program, max_events=MAX_EVENTS):
+        seen.clear()
+        try:
+            check_l0(program, Trace(), max_events)
+        except SizeExceeded as exc:
+            return str(exc)
+        (queues,) = seen
+        return queues
+    return run
+
+
+def test_slice_replaces_counts_by_lcm_over_value(l0_slice):
     prog = loop_prog(INFINITE, [A], INFINITE, [A, A])
     solution, verdict = l0_stage(prog)
     assert verdict is None
     assert (solution.times(0), solution.times(1)) == (2, 1)
-    queues = slice_queues(prog, solution, MAX_EVENTS)
-    assert queues == {0: (A, A), 1: (A, A)}
+    assert l0_slice(prog) == [(0, (A, A)), (1, (A, A))]
 
 
 def reference_slice(program, solution, max_events):
@@ -112,15 +133,16 @@ def single_loop_programs():
     return [p for p in progs if is_single_loop(p)]
 
 
-def _outcome(slicer, program, solution, cap):
-    """The queues as (node, queue) pairs in order, or the error message."""
+def _reference_outcome(program, solution, cap):
+    """The reference queues as (node, queue) pairs in order, or the error
+    message."""
     try:
-        return list(slicer(program, solution, cap).items())
+        return list(reference_slice(program, solution, cap).items())
     except SizeExceeded as exc:
         return str(exc)
 
 
-def test_slice_queues_equal_the_unrolled_slice_program():
+def test_slice_queues_equal_the_unrolled_slice_program(l0_slice):
     sliced = 0
     for prog in single_loop_programs():
         solution, verdict = l0_stage(prog)
@@ -131,9 +153,9 @@ def test_slice_queues_equal_the_unrolled_slice_program():
         # at the slice's size both give its queues; one below, both raise
         # with the same message
         for cap, fits in ((size, True), (size - 1, False)):
-            want = _outcome(reference_slice, prog, solution, cap)
+            want = _reference_outcome(prog, solution, cap)
             assert isinstance(want, list) == fits
-            assert _outcome(slice_queues, prog, solution, cap) == want
+            assert l0_slice(prog, cap) == want
         sliced += 1
     assert sliced >= 800
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from mpicheck import l2, model
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, MAX_EVENTS, For, Symbol,
-                            UnsupportedProgram, count_occurrences,
-                            flatten_items, make_program, render_items,
-                            validate)
+from mpicheck.model import (INFINITE, MAX_EVENTS, For, InfiniteLoop,
+                            SizeExceeded, Symbol, UnsupportedProgram,
+                            count_occurrences, flatten_items, make_program,
+                            render_items, validate)
 from mpicheck.parser import parse
 from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
                          related_sets, string_symbols, strip_outer_infinite)
@@ -77,10 +77,8 @@ def test_flatten_and_counts():
     ps = (For(3, (A, For(2, (B,)))),)
     assert flatten_items(ps) == (A, B, B) * 3
     assert count_occurrences(ps) == {A: 3, B: 6}
-    with pytest.raises(UnsupportedProgram):
+    with pytest.raises(InfiniteLoop):
         flatten_items((For(INFINITE, (A,)),))
-    with pytest.raises(UnsupportedProgram):
-        flatten_items(ps, cap=5)
 
 
 def test_power_counts_keys_in_first_appearance_order():
@@ -431,7 +429,7 @@ def test_related_sets_meet_their_spec_on_random_pools():
 def test_related_sets_flatten_within_cap():
     # the run is cut before c, so its five events are flattened first
     pool = {0: For(1, (For(2, (A, A)), C)), 1: For(4, (A,))}
-    with pytest.raises(UnsupportedProgram):
+    with pytest.raises(SizeExceeded):
         related_sets(pool, cap=3)
     (rs,) = related_sets(pool, cap=5)
     assert rs.members[0].body == (A,) * 4
@@ -562,9 +560,30 @@ def test_set_past_the_event_cap_raises_only_when_reached():
     crossed = CROSSED_PAIR.format(p=0, q=1, x="a", y="b")
     rep = _report(crossed + LONG_PAIR.format(p=2, q=3), max_events=20)
     assert rep.verdict == _report(crossed).verdict
-    with pytest.raises(UnsupportedProgram):
+    with pytest.raises(SizeExceeded):
         _report(LONG_PAIR.format(p=0, q=1)
                 + CROSSED_PAIR.format(p=2, q=3, x="a", y="b"), max_events=20)
+
+
+# nested loops whose one pool round repeats member bodies of at most 32
+# events 29 to 31 times
+NESTED_ROUND = """\
+node P0 {{ for {a} {{ for {b} {{ send a to P1 }} send x to P2 }} }}
+node P1 {{ for {b} {{ for {a} {{ recv a from P0 }} send y to P3 }} }}
+node P2 {{ for {a} {{ recv x from P0 }} }}
+node P3 {{ for {b} {{ recv y from P1 }} }}
+"""
+
+
+def test_round_past_the_event_cap_raises():
+    # the round's queues hold 31 * 30 + 29 * 32 + 31 + 29 events: the cap
+    # bounds them all, not each member body
+    text = NESTED_ROUND.format(a=31, b=29)
+    assert bool(_report(text, max_events=1918).verdict)
+    for cap in (1917, 100):
+        with pytest.raises(SizeExceeded) as exc:
+            _report(text, max_events=cap)
+        assert str(exc.value) == f"unrolled size exceeds cap of {cap} events"
 
 
 def test_mid_round_deadlock_records_sets_up_to_it():
@@ -601,5 +620,5 @@ def test_one_live_deadlocked_set_makes_one_kernel_call(monkeypatch):
     assert rec.solutions == [((0, 1), {0: 1, 1: 1})] and rec.actions == []
     # over the cap there is no whole verdict to reuse: the set's own pass
     # raises
-    with pytest.raises(UnsupportedProgram, match="cap of 20 events"):
+    with pytest.raises(SizeExceeded, match="cap of 20 events"):
         _report(LONG_PAIR.format(p=0, q=1), max_events=20)

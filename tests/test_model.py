@@ -9,7 +9,7 @@ from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, DanglingEndpoint, For, InfiniteInside,
                             InfiniteLoop, InvalidLoopCount, MisplacedOperation,
                             ModelError, NestedInfinite, SelfMessage,
-                            SizeExceeded, Symbol, UnsupportedProgram,
+                            SizeExceeded, Symbol, build_queues,
                             count_occurrences, flatten_items, is_infinite,
                             make_program, unroll, validate, weighted_size)
 
@@ -185,22 +185,18 @@ def reference_count_occurrences(body, times=1, out=None):
     return out
 
 
-def reference_flatten_items(body, cap=None):
+def reference_flatten_items(body):
     out = []
 
     def go(items):
         for st in items:
             if isinstance(st, For):
                 if is_infinite(st.count):
-                    raise UnsupportedProgram(
-                        "cannot flatten an infinite power")
+                    raise InfiniteLoop("cannot flatten an infinite loop")
                 for _ in range(st.count):
                     go(st.body)
             else:
                 out.append(st)
-                if cap is not None and len(out) > cap:
-                    raise UnsupportedProgram(
-                        f"expansion exceeds cap of {cap} events")
 
     go(body)
     return tuple(out)
@@ -255,16 +251,10 @@ def test_counting_and_expansion_match_reference():
         if isinstance(flat, tuple):
             kinds["finite"] += 1
             assert weighted_size(body) == len(flat)
-            caps = {0, max(len(flat) - 1, 0), len(flat),
-                    rng.randint(0, len(flat))}
         else:
             kinds["infinite"] += 1
             assert outcome(weighted_size, body)[0] is InfiniteLoop
-            caps = {0, rng.randint(0, 20)}
         assert outcome(flatten_items, body) == flat
-        for cap in caps:
-            assert (outcome(flatten_items, body, cap)
-                    == outcome(reference_flatten_items, body, cap))
     assert kinds["flat loop"] >= 500
     assert kinds["finite"] >= 1500 and kinds["infinite"] >= 300
 
@@ -281,3 +271,30 @@ def test_unroll_matches_reference_at_the_cap():
             unroll(prog, max_events=size - 1)
         assert str(exc.value) == \
             f"unrolled size exceeds cap of {size - 1} events"
+
+
+def test_build_queues_matches_reference_at_the_cap():
+    rng = random.Random(14)
+    loop_free = 0
+    for _ in range(500):
+        parts = [(n, random_body(rng, 0, infinite=False), rng.randint(1, 3))
+                 for n in (2, 0, 1)]
+        loop_free += sum(For not in map(type, b) for _, b, _ in parts)
+        want = [(n, reference_flatten_items(b) * t) for n, b, t in parts]
+        size = sum(len(q) for _, q in want)
+        assert list(build_queues(parts, size).items()) == want
+        with pytest.raises(SizeExceeded) as exc:
+            build_queues(parts, size - 1)
+        assert str(exc.value) == \
+            f"unrolled size exceeds cap of {size - 1} events"
+    assert loop_free >= 200
+
+
+def test_build_queues_sizes_before_it_builds():
+    body = (A01, B10)
+    assert build_queues([(0, body, 1)])[0] is body   # not copied
+    # 10^12 events would not fit in memory: the size alone refuses them
+    with pytest.raises(SizeExceeded):
+        build_queues([(0, (For(10**6, (A01,)),), 10**6), (1, body, 1)])
+    with pytest.raises(InfiniteLoop):
+        build_queues([(0, (For(INFINITE, (A01,)),), 1)])
