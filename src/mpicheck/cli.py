@@ -103,8 +103,11 @@ def cmd_mdg(args) -> int:
     if args.dot == "-":
         sys.stdout.write(dot)
     else:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise _Usage(f"cannot write {args.dot}: {exc}")
         print(f"wrote {args.dot}: {len(mdg.pairs)} pairs, "
               f"{len(mdg.edges)} edges")
     return 0

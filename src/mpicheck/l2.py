@@ -20,8 +20,8 @@ from __future__ import annotations
 from itertools import groupby
 
 from .model import (INFINITE, MAX_EVENTS, For, Program, SizeExceeded,
-                    Symbol, UnsupportedProgram, build_queues,
-                    count_occurrences, is_infinite)
+                    UnsupportedProgram, build_queues, count_occurrences,
+                    is_infinite)
 from .record import Record
 from .reg import (Inconsistent, check_digits, count_equations, ratio_stage,
                   solve)
@@ -105,16 +105,6 @@ def _left_prefix_fixpoint(out: list) -> tuple:
     return tuple(out)
 
 
-def string_symbols(items) -> set:
-    out = set()
-    for it in items:
-        if isinstance(it, Symbol):
-            out.add(it)
-        else:
-            out |= string_symbols(it.body)
-    return out
-
-
 def strip_outer_infinite(strings: dict, trace: Trace):
     """Run the ratio stage on per-outer-iteration counts (t = inf for a node
     wrapped in an infinite loop, t = 1 for a finite one) and replicate each
@@ -150,11 +140,16 @@ def fpp(strings: dict) -> dict:
 
 
 class SetMember(Record):
-    _fields = ("body", "count", "leftover")
+    """A related set's member: a trimmed pool power ``body^count`` and the
+    occurrence counts of ``body``, which are its held symbols and feed the
+    round's ratio equations."""
 
-    def __init__(self, body, count, leftover=()):
+    _fields = ("body", "count", "counts", "leftover")
+
+    def __init__(self, body, count, counts, leftover=()):
         self.body = body
         self.count = count
+        self.counts = counts  # count_occurrences(body)
         self.leftover = leftover  # tail of a trimmed literal run, stays
 
 
@@ -194,19 +189,22 @@ def _groups(held: dict) -> list:
 def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
     """Group the pool into related sets after trimming it to a fixpoint.
 
-    A symbol is offending when the member of its sender or of its receiver
-    does not hold it.  An exponent-1 run is cut before its first offending
-    symbol: the head takes part now and the tail waits in the string (a
-    composite run is flattened first, by ``build_queues`` under ``cap``).
-    Any other power holding an offending symbol drops out; its node is
-    blocked until the partner arrives.  Members only shrink, so the fixpoint
-    does not depend on the order of the cuts, and a symbol's two endpoints
-    always share a component, so trimming the whole pool at once is exact.
-    A pool component left with no member is one waiting set.
+    Each pool power is counted once with ``count_occurrences``; the keys of
+    a member's counts are the symbols it holds.  A symbol is offending when
+    the member of its sender or of its receiver does not hold it.  An
+    exponent-1 run is cut before its first offending symbol: the head takes
+    part now, recounted, and the tail waits in the string (a composite run
+    is flattened first, by ``build_queues`` under ``cap``).  Any other
+    power holding an offending symbol drops out; its node is blocked until
+    the partner arrives.  Members only shrink, so the fixpoint does not
+    depend on the order of the cuts, and a symbol's two endpoints always
+    share a component, so trimming the whole pool at once is exact.  A pool
+    component left with no member is one waiting set.
     """
-    held = {n: string_symbols(p.body) for n, p in pool.items()}
+    members = {n: SetMember(p.body, p.count, count_occurrences(p.body))
+               for n, p in pool.items()}
+    held = {n: m.counts for n, m in members.items()}
     waiting = _groups(held)
-    members = {n: SetMember(p.body, p.count) for n, p in pool.items()}
     todo = list(members)
     while todo:
         n = todo.pop()
@@ -225,8 +223,8 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
             lost = held.pop(n)
         else:
             m.body, m.leftover = body[:pos], body[pos:] + m.leftover
-            kept = set(m.body)
-            lost, held[n] = held[n] - kept, kept
+            m.counts = count_occurrences(m.body)
+            lost, held[n] = held[n].keys() - m.counts.keys(), m.counts
         todo.extend(_partner(s, n) for s in lost)
     out = [RelatedSet(g, {n: members[n] for n in g}, True)
            for g in _groups(held)]
@@ -241,21 +239,23 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     """One pool round: reduce every eligible set of `sets` at once.
 
     The sets are disjoint in nodes and symbols, so one ratio solve over all
-    their members and one kernel call on the union of their round queues
-    decide each set as a solve and a kernel call per set would.  Nodes are
-    ordered set by set, so each set's equations, values and conflict witness
-    are the ones it would get alone, and the first set in set order that
-    deadlocks wins: the sets before a ratio conflict are solved and checked
-    again without it, and a deadlocked round is checked again set by set.
-    A round of more than ``max_events`` events is checked set by set too,
-    and a set that alone is over the cap raises SizeExceeded.
+    their members' counts and one kernel call on the union of their round
+    queues decide each set as a solve and a kernel call per set would.
+    Nodes are ordered set by set, so each set's equations, values and
+    conflict witness are the ones it would get alone, and the first set in
+    set order that deadlocks wins: the sets before a ratio conflict are
+    solved and checked again without it.  Round queues balance for every
+    message, so a deadlock's witness is a pair cycle; the graph numbers its
+    pairs set by set, so the first cycle lies in the first deadlocked set,
+    is that set's own witness, and names the set by the node of its first
+    pair.  A round of more than ``max_events`` events is checked set by set
+    instead, and a set that alone is over the cap raises SizeExceeded.
 
     Returns ("deadlock", verdict), ("progress", new strings) or
     ("noprogress", None).
     """
     sets = [rs for rs in sets if rs.eligible]
-    counts = {n: count_occurrences(m.body)
-              for rs in sets for n, m in rs.members.items()}
+    counts = {n: m.counts for rs in sets for n, m in rs.members.items()}
     solution = _solve(sets, counts)
     conflict = None
     if isinstance(solution, Inconsistent):
@@ -275,14 +275,13 @@ def align_and_reduce(strings: dict, sets: list, max_events,
         return build_queues([(n, m.body, per_round[n]) for k in ks
                              for n, m in sets[k].members.items()], max_events)
 
-    stop, verdict = len(sets), None
+    stop = len(sets)
     try:
-        whole = check_smodel(round_queues(live)) if live else DEADLOCK_FREE
+        verdict = check_smodel(round_queues(live)) if live else DEADLOCK_FREE
+        if isinstance(verdict, Deadlock):
+            node = verdict.witness.pairs[0][0].src
+            stop = next(k for k in live if node in sets[k].members)
     except SizeExceeded:
-        whole = None  # the pass below checks set by set, each under the cap
-    if isinstance(whole, Deadlock) and len(live) == 1:
-        stop, verdict = live[0], whole  # the pass below would repeat it
-    elif whole is None or isinstance(whole, Deadlock):
         for k in live:
             verdict = check_smodel(round_queues((k,)))
             if isinstance(verdict, Deadlock):

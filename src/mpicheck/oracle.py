@@ -265,13 +265,3 @@ def _trace(seen, state) -> list:
     out.reverse()
     return out
 
-
-def replay(program: Program, trace) -> tuple:
-    """Apply a rendezvous sequence from the initial state; used to validate
-    deadlock traces."""
-    state = initial_state(program)
-    for sym in trace:
-        if sym not in enabled(program, state):
-            raise ValueError(f"trace step {sym} is not enabled")
-        state = step(program, state, sym)
-    return state

@@ -11,33 +11,31 @@ from collections import deque
 from functools import cached_property
 
 from .record import Frozen
-from .verdicts import (DEADLOCK_FREE, Deadlock, MdgCycle, StuckQueues,
-                       UnmatchedTotals, Verdict)
+from .verdicts import (DEADLOCK_FREE, Deadlock, MdgCycle, UnmatchedTotals,
+                       Verdict)
 
 
 class InternalDisagreement(Exception):
     """The queue algorithm and the MDG cycle test disagreed — a bug."""
 
 
-def check_by_queues(queues: dict, rng=None) -> Verdict:
-    """Repeatedly remove matching front pairs until done or stuck.
+def check_by_queues(queues: dict) -> bool:
+    """Whether every queue drains when matching front pairs are removed
+    until none is left.
 
     Each event is touched a constant number of times: a node re-enters the
     worklist only when its front advances, so total work is linear in the
-    event count.  `rng` randomizes the processing order (verdict must not
-    depend on it).
+    event count.  Matching is confluent, so the order of the worklist does
+    not change where the queues get stuck.
     """
     nodes = list(queues)
     rank = {n: i for i, n in enumerate(nodes)}
     qs = list(queues.values())
     ends = [len(q) for q in qs]
     idx = [0] * len(qs)
-    pending = deque(range(len(qs))) if rng is None else list(range(len(qs)))
+    pending = deque(range(len(qs)))
     while pending:
-        if rng is None:
-            i = pending.popleft()
-        else:
-            i = pending.pop(rng.randrange(len(pending)))
+        i = pending.popleft()
         k = idx[i]
         if k >= ends[i]:
             continue
@@ -52,9 +50,7 @@ def check_by_queues(queues: dict, rng=None) -> Verdict:
             idx[j] = kj + 1
             pending.append(i)
             pending.append(j)
-    remaining = tuple((nodes[i], tuple(q[idx[i]:]))
-                      for i, q in enumerate(qs) if idx[i] < ends[i])
-    return Deadlock(StuckQueues(remaining)) if remaining else DEADLOCK_FREE
+    return idx == ends
 
 
 class Mdg(Frozen):
@@ -179,14 +175,14 @@ def check_smodel(queues: dict) -> Verdict:
     """Queue verdict, cross-checked against the MDG test, which runs once per
     call; a deadlock's witness is the pair cycle, else the totals of the
     first unpaired message."""
-    verdict = check_by_queues(queues)
+    drained = check_by_queues(queues)
     mdg = build_mdg(queues)
     cyc = find_deadlock_cycle(mdg)
-    if (bool(mdg.unpaired) or cyc is not None) != isinstance(verdict, Deadlock):
+    if (bool(mdg.unpaired) or cyc is not None) == drained:
         raise InternalDisagreement(
             "queue matching and MDG cycle test disagree on this model")
-    if not isinstance(verdict, Deadlock):
-        return verdict
+    if drained:
+        return DEADLOCK_FREE
     if cyc is not None:
         return Deadlock(MdgCycle(cyc))
     _, s, _, _ = mdg.unpaired[0]

@@ -26,21 +26,6 @@ class Deadlock(Frozen, Verdict):
 DEADLOCK_FREE = DeadlockFree()
 
 
-class StuckQueues(Frozen):
-    """Snapshot of the event queues at the point where no match was possible."""
-
-    _fields = ("remaining",)  # ((node, (symbol, ...)), ...)
-
-    def __init__(self, remaining):
-        self.__dict__.update(remaining=remaining)
-
-    def to_dict(self):
-        return {
-            "type": "stuck-queues",
-            "remaining": {str(n): [str(s) for s in q] for n, q in self.remaining},
-        }
-
-
 class MdgCycle(Frozen):
     """Directed cycle in the contracted message-pair graph."""
 

@@ -193,6 +193,15 @@ def test_mdg_file_output(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_mdg_unwritable_output_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "g.dot"
+    assert main(["mdg", prog("prog2.mdl"), "--dot", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_reg_prints_equations_and_solution(capsys):
     assert main(["reg", prog("prog3.mdl")]) == 0
     out = capsys.readouterr().out

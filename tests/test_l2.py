@@ -15,7 +15,7 @@ from mpicheck.model import (INFINITE, MAX_EVENTS, For, InfiniteLoop,
                             render_items, validate)
 from mpicheck.parser import parse
 from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
-                         related_sets, string_symbols, strip_outer_infinite)
+                         related_sets, strip_outer_infinite)
 from mpicheck.l0 import check_l0
 from mpicheck.trace import SetRecord, Trace
 from mpicheck.verdicts import Deadlock, MdgCycle, RatioInconsistency
@@ -383,7 +383,9 @@ def test_related_sets_meet_their_spec_on_random_pools():
             assert rs.eligible == bool(rs.members)
             assert not rs.members or set(rs.members) == set(rs.nodes)
             for n, m in rs.members.items():
-                held[n] = (string_symbols(m.body), rs)
+                # a cut member is recounted, the others keep their counts
+                assert m.counts == count_occurrences(m.body)
+                held[n] = (set(flatten_items(m.body)), rs)
         for n, (syms, rs) in held.items():
             # every symbol is held by both endpoints, inside the same set
             for s in syms:
@@ -398,7 +400,7 @@ def test_related_sets_meet_their_spec_on_random_pools():
                 assert (m.body, m.count, m.leftover) == (pool[n].body,
                                                        pool[n].count, ())
         waiting = {n: rs for rs in sets if not rs.eligible for n in rs.nodes}
-        original = {n: string_symbols(p.body) for n, p in pool.items()}
+        original = {n: set(flatten_items(p.body)) for n, p in pool.items()}
         for n, entry in pool.items():
             flat = flatten_items(entry.body)
             if n in held:
@@ -554,6 +556,29 @@ def test_first_of_two_kernel_deadlocks_wins():
     assert rep.verdict == _report(first).verdict
     (rec,) = rep.trace.set_records
     assert rec.solutions == [((0, 1), {0: 1, 1: 1})]
+
+
+def test_first_deadlocked_set_of_a_round_is_named_by_its_witness(
+        monkeypatch):
+    # the second and third sets both deadlock: the round's one kernel call
+    # decides it, and its witness is the second set's own
+    calls = Counter()
+    _counting(monkeypatch, "check_smodel", calls)
+    free = "\n".join(ROUND_FREE.splitlines()[:2]) + "\n"
+    text = (free + CROSSED_PAIR.format(p=2, q=3, x="c", y="d")
+            + CROSSED_PAIR.format(p=4, q=5, x="e", y="f"))
+    rep = _report(text)
+    assert calls["check_smodel"] == 1
+    strings = {n: normalize(b) for n, b in validate(parse(text)).nodes}
+    sets = related_sets(fpp(strings))
+    assert align_and_reduce(strings, sets[1:2], MAX_EVENTS,
+                            SetRecord(())) == ("deadlock", rep.verdict)
+    assert rep.verdict.witness == MdgCycle(
+        ((Symbol("c", 2, 3), 0), (Symbol("d", 3, 2), 0)))
+    (rec,) = rep.trace.set_records
+    assert [nodes for nodes, _ in rec.partition] == [(0, 1), (2, 3), (4, 5)]
+    assert rec.solutions == [((0, 1), {0: 1, 1: 2}), ((2, 3), {2: 1, 3: 1})]
+    assert rec.actions == ["reduced (0, 1) by 2 round(s)"]
 
 
 def test_set_past_the_event_cap_raises_only_when_reached():

@@ -10,10 +10,21 @@ from mpicheck.model import (INFINITE, DuplicateNode, For, Program, Symbol,
                             make_program)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED, enabled, explore,
-                             initial_state, replay, step)
+                             initial_state, step)
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
+
+
+def replay(program: Program, trace) -> tuple:
+    """Apply a rendezvous sequence from the initial state; raises when a
+    step is not enabled."""
+    state = initial_state(program)
+    for sym in trace:
+        if sym not in enabled(program, state):
+            raise ValueError(f"trace step {sym} is not enabled")
+        state = step(program, state, sym)
+    return state
 
 
 def test_empty_program_is_free():

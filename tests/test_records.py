@@ -17,7 +17,7 @@ from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
 from mpicheck.smodel import build_mdg
 from mpicheck.trace import RegRecord, SetRecord, Trace
 from mpicheck.verdicts import (Deadlock, DeadlockFree, FppStuck, MdgCycle,
-                               RatioInconsistency, StuckQueues,
+                               RatioInconsistency,
                                UnmatchedTotals)
 
 SUBMODULES = ["analyze", "l0", "l2", "model", "oracle", "parser", "record",
@@ -69,9 +69,8 @@ RECORDS = [
     (Program(((0, ()),)), "Program(nodes=((0, ()),), names=())", True),
     (DeadlockFree(), "DeadlockFree()", True),
     (Deadlock(None), "Deadlock(witness=None)", True),
-    (Deadlock(StuckQueues(((0, (A,)),))),
-     f"Deadlock(witness=StuckQueues(remaining=((0, ({SA},)),)))", True),
-    (StuckQueues(()), "StuckQueues(remaining=())", True),
+    (Deadlock(MdgCycle(((A, 0),))),
+     f"Deadlock(witness=MdgCycle(pairs=(({SA}, 0),)))", True),
     (MdgCycle(((A, 0), (B, 0))), f"MdgCycle(pairs=(({SA}, 0), ({SB}, 0)))",
      True),
     (UnmatchedTotals(A, 2, 1),
@@ -102,13 +101,15 @@ RECORDS = [
      "SetRecord(partition=((0, 1), True), solutions=[], actions=[])", False),
     (Trace(), "Trace(reg_records=[], set_records=[], strings={}, pools=[])",
      False),
-    (SetMember((A,), 2), f"SetMember(body=({SA},), count=2, leftover=())",
+    (SetMember((A,), 2, {A: 1}),
+     f"SetMember(body=({SA},), count=2, counts={{{SA}: 1}}, leftover=())",
      False),
-    (SetMember((A,), 1, (B,)),
-     f"SetMember(body=({SA},), count=1, leftover=({SB},))", False),
-    (RelatedSet((0, 1), {0: SetMember((A,), 2)}, True),
+    (SetMember((A,), 1, {A: 1}, (B,)),
+     f"SetMember(body=({SA},), count=1, counts={{{SA}: 1}}, "
+     f"leftover=({SB},))", False),
+    (RelatedSet((0, 1), {0: SetMember((A,), 2, {A: 1})}, True),
      f"RelatedSet(nodes=(0, 1), members={{0: SetMember(body=({SA},), "
-     "count=2, leftover=())}, eligible=True)", False),
+     f"count=2, counts={{{SA}: 1}}, leftover=())}}, eligible=True)", False),
     (build_mdg({0: (A, B), 1: (A, B)}),
      f"Mdg(pairs=(({SA}, 0), ({SB}, 0)), succ=((1,), ()), unpaired=())",
      True),
@@ -121,7 +122,7 @@ IDS = [type(r).__name__ for r, _, _ in RECORDS]
 FIELDS = {
     "For": ("count", "body"), "Program": ("nodes", "names"),
     "DeadlockFree": (), "Deadlock": ("witness",),
-    "StuckQueues": ("remaining",), "MdgCycle": ("pairs",),
+    "MdgCycle": ("pairs",),
     "UnmatchedTotals": ("symbol", "sends", "recvs"),
     "RatioInconsistency": ("detail", "equations"), "FppStuck": ("pool",),
     "OracleVerdict": (), "DeadlockReachable": ("trace", "state"),
@@ -132,7 +133,7 @@ FIELDS = {
     "RegRecord": ("label", "equations", "solution", "lcm", "loop_times"),
     "SetRecord": ("partition", "solutions", "actions"),
     "Trace": ("reg_records", "set_records", "strings", "pools"),
-    "SetMember": ("body", "count", "leftover"),
+    "SetMember": ("body", "count", "counts", "leftover"),
     "RelatedSet": ("nodes", "members", "eligible"),
     "Mdg": ("pairs", "succ", "unpaired"),
     "Report": ("verdict", "phase", "trace", "program", "timings"),
@@ -140,7 +141,7 @@ FIELDS = {
 
 
 def test_table_covers_every_record_class():
-    assert set(FIELDS) == set(IDS) and len(FIELDS) == 23
+    assert set(FIELDS) == set(IDS) and len(FIELDS) == 22
 
 
 @pytest.mark.parametrize("record, text, frozen", RECORDS, ids=IDS)
@@ -171,7 +172,7 @@ def test_record_equals_only_a_record_of_its_class(record, text, frozen):
 def test_records_of_different_classes_never_compare_equal():
     pairs = ((A, 0),)
     assert DeadlockFreeOracle(21) != Inconclusive(21)
-    assert MdgCycle(pairs) != StuckQueues(pairs)
+    assert MdgCycle(pairs) != FppStuck(pairs)
     assert Deadlock(None) != DeadlockFree()
     assert DeadlockFreeOracle(21) == DeadlockFreeOracle(21)
     assert DeadlockFreeOracle(21) != DeadlockFreeOracle(22)
@@ -230,7 +231,7 @@ def test_record_keywords_and_defaults():
     assert UnmatchedTotals(A, recvs=1, sends=2) == UnmatchedTotals(A, 2, 1)
     rec = RegRecord("l0", (), SOL)
     assert rec.lcm is None and rec.loop_times is None
-    assert SetMember(body=(A,), count=2).leftover == ()
+    assert SetMember(body=(A,), count=2, counts={A: 1}).leftover == ()
     report = Report(DeadlockFree(), "smodel", Trace(), PROG)
     assert report.timings == {}
     assert report.timings is not Report(DeadlockFree(), "smodel", Trace(),
@@ -256,6 +257,6 @@ def test_record_rejects_wrong_arguments(make):
 
 
 def test_mutable_records_take_assignment():
-    member = SetMember((A,), 2)
-    member.body, member.leftover = (B,), (A,)
-    assert member == SetMember((B,), 2, (A,))
+    member = SetMember((A,), 2, {A: 1})
+    member.body, member.counts, member.leftover = (B,), {B: 1}, (A,)
+    assert member == SetMember((B,), 2, {B: 1}, (A,))
