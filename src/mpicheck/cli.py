@@ -34,6 +34,18 @@ class _Usage(Exception):
     pass
 
 
+def _at_least_1(text):
+    """An argparse type for a cap: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def cmd_check(args) -> int:
     report = analyze(_load(args.path), max_events=args.max_events)
     if args.json:
@@ -168,14 +180,14 @@ def main(argv=None) -> int:
     p.add_argument("--trace", action="store_true",
                    help="print stage-by-stage details")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-events", type=int, default=MAX_EVENTS)
+    p.add_argument("--max-events", type=_at_least_1, default=MAX_EVENTS)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("mdg", help="export the contracted message "
                                    "dependence graph as DOT")
     p.add_argument("path")
     p.add_argument("--dot", default="-", help="output file, - for stdout")
-    p.add_argument("--max-events", type=int, default=MAX_EVENTS)
+    p.add_argument("--max-events", type=_at_least_1, default=MAX_EVENTS)
     p.set_defaults(fn=cmd_mdg)
 
     p = sub.add_parser("reg", help="print ratio equations and solution")
@@ -184,7 +196,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="exhaustive interleaving oracle")
     p.add_argument("path")
-    p.add_argument("--max-states", type=int, default=10**6)
+    p.add_argument("--max-states", type=_at_least_1, default=10**6)
     p.set_defaults(fn=cmd_simulate)
 
     args = ap.parse_args(argv)

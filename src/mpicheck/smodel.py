@@ -1,9 +1,10 @@
 """Deadlock detection for loop-free programs.
 
-Two independent methods: the linear multi-queue matching algorithm (the
-workhorse) and the contracted message-dependence-graph cycle test (used for
-witnesses and cross-checking).  Matching is FIFO: the k-th send instance of a
-symbol pairs with its k-th receive instance.
+Two independent methods: the linear multi-queue matching algorithm, which
+decides, and the contracted message-dependence-graph cycle test, which
+names a deadlock's witness and draws `mpicheck mdg`'s graph.  Matching is
+FIFO: the k-th send instance of a symbol pairs with its k-th receive
+instance.
 """
 from __future__ import annotations
 
@@ -172,19 +173,18 @@ def find_deadlock_cycle(mdg: Mdg):
 
 
 def check_smodel(queues: dict) -> Verdict:
-    """Queue verdict, cross-checked against the MDG test, which runs once per
-    call; a deadlock's witness is the pair cycle, else the totals of the
-    first unpaired message."""
-    drained = check_by_queues(queues)
+    """Queue verdict; only a deadlock builds and searches the MDG, once, for
+    its witness: the pair cycle, else the totals of the first unpaired
+    message."""
+    if check_by_queues(queues):
+        return DEADLOCK_FREE
     mdg = build_mdg(queues)
     cyc = find_deadlock_cycle(mdg)
-    if (bool(mdg.unpaired) or cyc is not None) == drained:
-        raise InternalDisagreement(
-            "queue matching and MDG cycle test disagree on this model")
-    if drained:
-        return DEADLOCK_FREE
     if cyc is not None:
         return Deadlock(MdgCycle(cyc))
+    if not mdg.unpaired:
+        raise InternalDisagreement(
+            "queues are stuck but the MDG has no cycle and no unpaired event")
     _, s, _, _ = mdg.unpaired[0]
     return Deadlock(UnmatchedTotals(s, queues.get(s.src, ()).count(s),
                                     queues.get(s.dst, ()).count(s)))

@@ -17,6 +17,7 @@ import conftest
 from corpus import corpus
 from test_l2 import random_power_string
 from test_smodel import match_in_random_order, schedule_queues
+from mpicheck import l0, l2, smodel
 from mpicheck.analyze import analyze
 from mpicheck.l2 import normalize, strip_outer_infinite
 from mpicheck.model import (For, Symbol, build_queues, flatten_items, unroll,
@@ -160,6 +161,34 @@ def test_criterion_4_method_agreement_and_confluence(shared_corpus):
           f"stable under 10 randomized orders each")
 
 
+def test_queue_and_mdg_agree_on_every_checked_model(shared_corpus,
+                                                    monkeypatch):
+    # check_smodel builds the MDG only for a stuck model, so here every
+    # model the pipeline hands the kernel, on each of its three routes, is
+    # also decided by the MDG, which must agree with the queues
+    seen = Counter()
+
+    def spy(route, check):
+        def checked(queues):
+            mdg = build_mdg(queues)
+            assert check_by_queues(queues) == (
+                not mdg.unpaired and find_deadlock_cycle(mdg) is None)
+            seen[route] += 1
+            return check(queues)
+        return checked
+
+    for route, module in (("smodel", smodel), ("l0", l0), ("l2", l2)):
+        monkeypatch.setattr(module, "check_smodel",
+                            spy(route, module.check_smodel))
+    for prog in shared_corpus:
+        analyze(prog)
+    for name in sorted(os.listdir(PROGRAMS)):
+        if name.endswith(".mdl"):
+            analyze(load(name))
+    # 194 l0 slices, 470 loop-free models and 509 l2 rounds when measured
+    assert len(seen) == 3 and sum(seen.values()) >= 1150, seen
+
+
 def _ping_pong_queues(n_events):
     a = Symbol("a", 0, 1)
     b = Symbol("b", 1, 0)
@@ -250,14 +279,26 @@ def test_criterion_7_slicing_balance(shared_corpus):
     ok(7, f"send/recv totals balanced in all {sliced} sliced models")
 
 
+def _crossed_at_end(queues):
+    """The model with a crossed pair between nodes 0 and 1 after their last
+    events: each receives the other's message before sending its own, so
+    the queues drain up to it and the MDG's one cycle is its two pairs."""
+    xp, xq = Symbol("xp", 0, 1), Symbol("xq", 1, 0)
+    return {**queues, 0: queues[0] + (xq, xp), 1: queues[1] + (xp, xq)}
+
+
 def test_criterion_8_loopfree_check_scaling():
-    # the whole loop-free check, MDG cross-check included, on a 64-node
-    # random schedule.  Sizes alternate so a slow spell of a shared host
-    # hits both, and the collector is paused as in timeit: its passes cost
-    # in proportion to the whole test process's heap, not the check's work.
-    # The clock is the process's CPU time, as in criterion 5.
+    # the whole loop-free check of a deadlock on a 64-node random schedule:
+    # queue matching and the MDG build each run over the full model, as the
+    # crossed pair sits after every other event, then the cycle search
+    # follows one path to it (about 3% of the pairs).  Sizes
+    # alternate so a slow spell of a shared host hits both, and the
+    # collector is paused as in timeit: its passes cost in proportion to
+    # the whole test process's heap, not the check's work.  The clock is
+    # the process's CPU time, as in criterion 5.
     sizes = (5 * 10**4, 10**5)
-    models = [schedule_queues(random.Random(8), 64, n) for n in sizes]
+    models = [_crossed_at_end(schedule_queues(random.Random(8), 64, n))
+              for n in sizes]
     best = [float("inf")] * len(sizes)
     gc.collect()
     gc.disable()
@@ -267,10 +308,11 @@ def test_criterion_8_loopfree_check_scaling():
                 t0 = time.process_time()
                 verdict = check_smodel(queues)
                 best[i] = min(best[i], time.process_time() - t0)
-                assert bool(verdict)
+                assert isinstance(verdict, Deadlock)
+                assert isinstance(verdict.witness, MdgCycle)
     finally:
         gc.enable()
     ratio = best[1] / best[0]
     assert ratio <= 2.5, f"doubling the events scaled time by {ratio:.2f}"
-    ok(8, f"check_smodel scaling ratio {ratio:.2f} <= 2.5 on a 64-node "
-          f"random schedule of 5e4 -> 1e5 events")
+    ok(8, f"check_smodel scaling ratio {ratio:.2f} <= 2.5 on a deadlocked "
+          f"64-node random schedule of 5e4 -> 1e5 events")

@@ -261,6 +261,18 @@ def test_simulate_inconclusive_exit_three(capsys):
     assert main(["simulate", prog("prog3.mdl"), "--max-states", "1"]) == 3
 
 
+@pytest.mark.parametrize("cmd,flag", [("check", "--max-events"),
+                                      ("mdg", "--max-events"),
+                                      ("simulate", "--max-states")])
+@pytest.mark.parametrize("value", ["0", "-1", "-5", "1.5", "many", ""])
+def test_cap_below_one_is_usage_error(cmd, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, prog("prog3.mdl"), f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= 1, got {value!r}" in err
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -123,6 +123,7 @@ def test_successors_follow_symbol_names_not_tuples():
 
 
 def test_check_smodel_never_derives_edges(monkeypatch):
+    # only the two deadlocked models build a graph, for their witnesses
     built = []
 
     def spy(queues):
@@ -133,7 +134,7 @@ def test_check_smodel_never_derives_edges(monkeypatch):
     for queues in ({0: (A, B), 1: (A, B)}, {0: (A, C), 1: (C, A)},
                    {0: (A, A), 1: (A,)}):
         check_smodel(queues)
-    assert len(built) == 3
+    assert [mdg.pairs for mdg in built] == [((A, 0), (C, 0)), ((A, 0),)]
     assert all("edges" not in vars(mdg) for mdg in built)
 
 
@@ -359,7 +360,8 @@ def test_one_cycle_search_per_check(monkeypatch):
             queues = _mutated(rng, queues)
         del calls[:]
         verdict = check_smodel(queues)
-        assert len(calls) == 1
+        # a free model is decided by its queues alone
+        assert len(calls) == isinstance(verdict, Deadlock)
         if not isinstance(verdict, Deadlock):
             continue
         deadlocks += 1
@@ -373,7 +375,7 @@ def test_one_cycle_search_per_check(monkeypatch):
             s = mdg.unpaired[0][1]
             assert isinstance(verdict.witness, UnmatchedTotals)
             assert verdict.witness.symbol == s
-    assert deadlocks >= 100
+    assert 100 <= deadlocks <= 200     # 156 deadlocked, 144 free
 
 
 def test_import_leaves_networkx_unloaded():
