@@ -21,13 +21,20 @@ reach such a state with an unterminated node.  Each part is explored on its
 own, so the cost is the sum of the parts' state spaces, not their product;
 ``states`` counts the states explored summed over the parts, and
 ``max_states`` bounds the states stored summed over the parts.
+
+A node's local state is its stack of loop frames, or TERMINATED.  Within a
+part's search each local state is numbered when first reached, together
+with the event at its front and, once needed, the number its firing leads
+to, so a global state is a tuple of small ints and each local transition is
+settled once however many global states reach it.  ``initial_state``,
+``enabled`` and ``step`` give the same semantics on stacks, through the
+same helpers; a deadlock's state is reported as stacks.
 """
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 
-from .model import DuplicateNode, For, Program, is_infinite
+from .model import INFINITE, DuplicateNode, For, Program
 from .record import Frozen
 
 TERMINATED = "terminated"   # a terminated node's state; compared by identity
@@ -65,42 +72,71 @@ class Inconclusive(OracleVerdict):
         self.__dict__.update(states=states)
 
 
-def _seq_at(body, stack):
-    """The statement sequence addressed by all but the innermost frame."""
-    seq = body
-    for idx, _ in stack[:-1]:
-        seq = seq[idx].body
-    return seq
-
-
-def _settle(body, stack):
-    """Advance the frames of ``stack`` (a list, changed in place) until the
-    innermost index points at an event, or the node is terminated.  Loop
-    frames carry remaining iterations (None for infinite loops)."""
-    seq = _seq_at(body, stack)
+def _settle(stack: list, seqs: list) -> tuple:
+    """Advance the frames of ``stack`` until the innermost index points at
+    an event, or the node is terminated; ``seqs`` holds the statement
+    sequence each frame indexes.  Both lists are changed in place.  Loop
+    frames carry remaining iterations (None for infinite loops).  Returns
+    the local state and the event at its front, ``(TERMINATED, None)`` for
+    a terminated node."""
+    seq = seqs[-1]
     while True:
         idx, rem = stack[-1]
         if idx < len(seq):
             st = seq[idx]
-            if not isinstance(st, For):
-                return tuple(stack)
-            stack.append((0, None if is_infinite(st.count) else st.count))
+            if type(st) is not For:
+                return tuple(stack), st
+            stack.append((0, None if st.count is INFINITE else st.count))
             seq = st.body
+            seqs.append(seq)
         elif len(stack) == 1:
-            return TERMINATED
+            return TERMINATED, None
         elif rem is None:        # infinite loop: next iteration
             stack[-1] = (0, None)
         elif rem > 1:
             stack[-1] = (0, rem - 1)
         else:
             stack.pop()
+            seqs.pop()
+            seq = seqs[-1]
             pidx, prem = stack[-1]
             stack[-1] = (pidx + 1, prem)
-            seq = _seq_at(body, stack)
+
+
+def _advance(body, stack) -> tuple:
+    """``(local state, event at its front)`` after the event at the front
+    of the settled local state ``stack`` fires: the innermost frame moves
+    past it and the frames settle."""
+    *outer, (idx, rem) = stack
+    seqs = [body]
+    for k, _ in outer:
+        seqs.append(seqs[-1][k].body)
+    outer.append((idx + 1, rem))
+    return _settle(outer, seqs)
+
+
+def _front(nid, rank: dict, event):
+    """The receiver's position when ``event``, at node ``nid``'s front, is
+    a send to another node of ``rank`` (node id -> position); None for a
+    receive, a dangling peer or a terminated node (``event`` None)."""
+    if event is None or event.src != nid or event.dst == nid:
+        return None
+    return rank.get(event.dst)
+
+
+def _event(body, stack):
+    """The event at the front of the settled local state ``stack``, None
+    for a terminated node."""
+    if stack is TERMINATED:
+        return None
+    s = body[stack[0][0]]
+    for idx, _ in stack[1:]:
+        s = s.body[idx]
+    return s
 
 
 def initial_state(program: Program) -> tuple:
-    return tuple(_settle(body, [(0, 1)]) for _, body in program.nodes)
+    return tuple(_settle([(0, 1)], [body])[0] for _, body in program.nodes)
 
 
 def enabled(program: Program, gstate: tuple) -> set:
@@ -108,26 +144,12 @@ def enabled(program: Program, gstate: tuple) -> set:
     symbol at node n's front is a send when n is its source."""
     nodes = program.nodes
     rank = program.rank
+    events = [_event(body, st) for (_, body), st in zip(nodes, gstate)]
     out = set()
-    for (nid, body), st in zip(nodes, gstate):
-        if st is TERMINATED:
-            continue
-        s = body[st[0][0]]
-        for idx, _ in st[1:]:
-            s = s.body[idx]
-        if s.src != nid or s.dst == nid:
-            continue
-        k = rank.get(s.dst)
-        if k is None:
-            continue
-        pst = gstate[k]
-        if pst is TERMINATED:
-            continue
-        r = nodes[k][1][pst[0][0]]
-        for idx, _ in pst[1:]:
-            r = r.body[idx]
-        if r == s:
-            out.add(s)
+    for (nid, _), sym in zip(nodes, events):
+        j = _front(nid, rank, sym)
+        if j is not None and events[j] == sym:
+            out.add(sym)
     return out
 
 
@@ -137,62 +159,89 @@ def step(program: Program, gstate: tuple, sym) -> tuple:
     out = list(gstate)
     for node in (sym.src, sym.dst):
         k = rank[node]
-        stack = list(out[k])
-        idx, rem = stack[-1]
-        stack[-1] = (idx + 1, rem)
-        out[k] = _settle(nodes[k][1], stack)
+        out[k] = _advance(nodes[k][1], out[k])[0]
     return tuple(out)
 
 
 def _parts(program: Program) -> list:
     """Node positions grouped into parts, each in ``program.nodes`` order,
     the parts ordered by their first node.  Two nodes share a part when a
-    message names both as its endpoints, and positions that share a node id
-    share a part.  Nodes that no message links to another node can never
-    move; they join the first part, so a program with no link is one part."""
+    message names both as its endpoints.  Nodes that no message links to
+    another node can never move; they join the first part, so a program
+    with no link is one part."""
     rank = program.rank
     syms = set()
     bodies = [body for _, body in program.nodes]
-    while bodies:
-        for st in bodies.pop():
-            if isinstance(st, For):
+    for body in bodies:
+        for st in body:
+            if type(st) is For:
                 bodies.append(st.body)
             else:
                 syms.add(st)
-    group = {}      # linked node id -> the ids of its group, one shared list
-    for a, b in set(map(itemgetter(1, 2), syms)):
-        if a == b or a not in rank or b not in rank:
+    group = [None] * len(program.nodes)  # position -> its part, shared
+    for _, a, b in syms:
+        ka, kb = rank.get(a), rank.get(b)
+        if ka is None or kb is None or ka == kb:
             continue
-        ga = group.setdefault(a, [a])
-        gb = group.setdefault(b, [b])
-        if ga is not gb:
+        ga, gb = group[ka], group[kb]
+        if ga is None and gb is None:
+            group[ka] = group[kb] = [ka, kb]
+        elif ga is None:
+            gb.append(ka)
+            group[ka] = gb
+        elif gb is None:
+            ga.append(kb)
+            group[kb] = ga
+        elif ga is not gb:
             if len(ga) < len(gb):
                 ga, gb = gb, ga
             ga += gb
-            for n in gb:
-                group[n] = ga
+            for k in gb:
+                group[k] = ga
     parts = {}
     inert = []
-    for k, (n, _) in enumerate(program.nodes):
-        g = group.get(n)
+    for k, g in enumerate(group):
         if g is None:
             inert.append(k)
         else:
-            parts.setdefault(g[0], []).append(k)
+            parts.setdefault(id(g), []).append(k)
     parts = list(parts.values()) or [[]]
     if inert:
         parts[0] = sorted(parts[0] + inert)
     return parts
 
 
-def _search(program: Program, max_states: int):
-    """Breadth-first reachability over ``program``'s states.  Returns
-    ``(dead, explored, seen)``: ``dead`` is the first stuck state, else the
-    first state with every node terminated, else None (some rendezvous is
-    enabled in every reachable state); ``seen`` maps each stored state to
+def _search(program: Program, positions: list, max_states: int):
+    """Breadth-first reachability over the states of the nodes of
+    ``program`` at ``positions``.  Each local state of a node gets a number
+    when the search first reaches it, and a global state is the tuple of
+    its nodes' numbers.  Per number, ``table`` holds a row ``[event, node,
+    partner, next, local state]``: the event at the node's front and the
+    receiver when it is a send (``_front``; node and partner are indexes
+    into ``positions``), the number reached when that event fires
+    (``_advance``, filled in when first needed) and the local state, for
+    decoding.  So expanding a global state reads two rows per node.
+
+    Returns ``(explored, seen, dead)``: ``seen`` maps each stored state to
     its (parent, symbol), and is None when more than ``max_states`` states
-    would be stored."""
-    init = initial_state(program)
+    would be stored; ``dead`` is None when some rendezvous is enabled in
+    every reachable state, else ``(state, local states)`` for the first
+    stuck state, else for the first state with every node terminated."""
+    nodes = [program.nodes[k] for k in positions]
+    rank = {nid: i for i, (nid, _) in enumerate(nodes)}
+    numbers = [{} for _ in nodes]       # local state -> number, per node
+    table = []
+
+    def number(i, local, event):
+        n = numbers[i].get(local)
+        if n is None:
+            n = numbers[i][local] = len(table)
+            table.append([event, i, _front(nodes[i][0], rank, event), None,
+                          local])
+        return n
+
+    init = tuple([number(i, *_settle([(0, 1)], [body]))
+                  for i, (_, body) in enumerate(nodes)])
     seen = {init: None}
     q = deque([init])
     explored = 0
@@ -200,21 +249,40 @@ def _search(program: Program, max_states: int):
     while q:
         state = q.popleft()
         explored += 1
-        moves = enabled(program, state)
+        rows = list(map(table.__getitem__, state))
+        moves = []
+        for row in rows:
+            j = row[2]
+            if j is not None and rows[j][0] == row[0]:
+                moves.append(row)
         if not moves:
-            if any(s is not TERMINATED for s in state):
-                return state, explored, seen
+            local = [row[4] for row in rows]
+            if local.count(TERMINATED) < len(local):
+                return explored, seen, (state, local)
             if done is None:
-                done = state
+                done = state, local
             continue
-        for sym in sorted(moves):
-            nxt = step(program, state, sym)
+        moves.sort()    # by event, which no two moves share
+        for row in moves:
+            peer = rows[row[2]]
+            nxt = list(state)
+            n = row[3]
+            if n is None:
+                i = row[1]
+                n = row[3] = number(i, *_advance(nodes[i][1], row[4]))
+            nxt[row[1]] = n
+            n = peer[3]
+            if n is None:
+                i = peer[1]
+                n = peer[3] = number(i, *_advance(nodes[i][1], peer[4]))
+            nxt[peer[1]] = n
+            nxt = tuple(nxt)
             if nxt not in seen:
                 if len(seen) >= max_states:
-                    return None, explored, None
-                seen[nxt] = (state, sym)
+                    return explored, None, None
+                seen[nxt] = (state, row[0])
                 q.append(nxt)
-    return done, explored, seen
+    return explored, seen, done
 
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
@@ -228,30 +296,27 @@ def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
                    if program.rank[n] != k)
         raise DuplicateNode(f"node {dup} declared twice")
     explored = stored = 0
-    dead = []       # (positions, dead state, seen) per part
-    parts = _parts(program)
-    for positions in parts:
+    dead = []       # (positions, seen, dead state, its local states) per part
+    for positions in _parts(program):
         # the first part's initial state is stored whatever the bound, as
         # in a search of the whole program; a later part's counts against it
         if stored and stored >= max_states:
             return Inconclusive(explored)
-        part = program if len(parts) == 1 else Program(
-            tuple(nodes[k] for k in positions))
-        state, n, seen = _search(part, max_states - stored)
+        n, seen, found = _search(program, positions, max_states - stored)
         explored += n
         if seen is None:
             return Inconclusive(explored)
-        if state is None:
+        if found is None:
             return DeadlockFreeOracle(explored)
         stored += len(seen)
-        dead.append((positions, state, seen))
-    if all(s is TERMINATED for _, state, _ in dead for s in state):
+        dead.append((positions, seen, *found))
+    if all(s is TERMINATED for *_, local in dead for s in local):
         return DeadlockFreeOracle(explored)
     trace = []
     merged = [None] * len(nodes)
-    for positions, state, seen in dead:
+    for positions, seen, state, local in dead:
         trace += _trace(seen, state)
-        for k, s in zip(positions, state):
+        for k, s in zip(positions, local):
             merged[k] = s
     return DeadlockReachable(tuple(trace), tuple(merged))
 
@@ -264,4 +329,3 @@ def _trace(seen, state) -> list:
         out.append(sym)
     out.reverse()
     return out
-

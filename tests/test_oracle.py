@@ -14,6 +14,10 @@ from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
+C = Symbol("c", 2, 3)
+D = Symbol("d", 3, 2)
+E = Symbol("e", 4, 5)
+F = Symbol("f", 5, 4)
 
 
 def replay(program: Program, trace) -> tuple:
@@ -119,25 +123,29 @@ def test_sparse_unordered_node_ids():
     assert isinstance(stuck, DeadlockReachable) and stuck.trace == ()
 
 
-def test_one_enabled_call_per_explored_state(monkeypatch):
+def test_each_state_expanded_once_and_each_local_step_settled_once(
+        monkeypatch):
+    # the search keeps no call per state to count, so the reference's
+    # explored count stands for "each state expanded once"; each local
+    # transition is settled by one _advance call, however many global
+    # states fire it
+    g = Symbol("g", 1, 2)    # joins the two pairs into one part
+    prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
+                         2: [For(2, (C, D)), g], 3: [For(2, (C, D))]})
+    assert oracle._parts(prog) == [[0, 1, 2, 3]]
+    # the pairs interleave freely (7 * 5 states), then g fires
+    ref = _product_search(prog, 10**6)[0]
+    assert ref == DeadlockFreeOracle(7 * 5 + 1)
     calls = []
-    original = oracle.enabled
+    original = oracle._advance
 
-    def counting(program, state):
-        calls.append(state)
-        return original(program, state)
+    def counting(body, stack):
+        calls.append((body, stack))
+        return original(body, stack)
 
-    monkeypatch.setattr(oracle, "enabled", counting)
-    verdict = explore(make_program({
-        0: [For(3, (A, B))], 1: [For(3, (A, B))]}))
-    assert isinstance(verdict, DeadlockFreeOracle)
-    assert len(calls) == verdict.states == 7
-
-
-C = Symbol("c", 2, 3)
-D = Symbol("d", 3, 2)
-E = Symbol("e", 4, 5)
-F = Symbol("f", 5, 4)
+    monkeypatch.setattr(oracle, "_advance", counting)
+    assert explore(prog) == ref
+    assert len(calls) == len(set(calls)) == 6 + 7 + 5 + 4
 
 
 def _union(progs, rng):
@@ -157,7 +165,8 @@ def _union(progs, rng):
 
 def _product_search(prog, max_states):
     """Breadth-first search of the whole program's state space, from the
-    public initial_state/enabled/step: the reference for explore."""
+    public initial_state/enabled/step: the reference for explore.  Returns
+    the verdict and the states stored, each mapped to (parent, symbol)."""
     init = initial_state(prog)
     seen = {init: None}
     q = deque([init])
@@ -172,16 +181,16 @@ def _product_search(prog, max_states):
                 while seen[cur] is not None:
                     cur, sym = seen[cur]
                     trace.append(sym)
-                return DeadlockReachable(tuple(reversed(trace)), state)
+                return DeadlockReachable(tuple(reversed(trace)), state), seen
             continue
         for sym in sorted(moves, key=lambda s: (s.name, s.src, s.dst)):
             nxt = step(prog, state, sym)
             if nxt not in seen:
                 if len(seen) >= max_states:
-                    return Inconclusive(explored)
+                    return Inconclusive(explored), seen
                 seen[nxt] = (state, sym)
                 q.append(nxt)
-    return DeadlockFreeOracle(explored)
+    return DeadlockFreeOracle(explored), seen
 
 
 def test_per_part_search_matches_product_search():
@@ -189,7 +198,7 @@ def test_per_part_search_matches_product_search():
     decided = multi = 0
     for _ in range(500):
         prog = _union([generate(rng) for _ in range(rng.randint(1, 3))], rng)
-        ref = _product_search(prog, 10**5)
+        ref = _product_search(prog, 10**5)[0]
         got = explore(prog)
         if isinstance(got, DeadlockReachable):
             state = replay(prog, got.trace)
@@ -207,6 +216,66 @@ def test_per_part_search_matches_product_search():
     assert decided >= 450 and multi >= 200
 
 
+def _concurrent_pairs(rng):
+    """One part of 2-3 pairs of nodes.  Pair k, nodes 2k and 2k+1, exchanges
+    x_k and y_k in a finite loop, nested or not, while the other pairs do
+    the same, so the pairs interleave and each local state is reached from
+    many global states.  A message l_k from node 2k+1 to node 2k+2 after
+    their loops joins the pairs into one part.  All, none or some of the
+    nodes wrap their body in for inf, and one pair may cross its
+    exchange."""
+    n_pairs = rng.randint(2, 3)
+    bodies = {}
+    for k in range(n_pairs):
+        u, v = 2 * k, 2 * k + 1
+        x, y = Symbol(f"x{k}", u, v), Symbol(f"y{k}", v, u)
+        a, b = rng.randint(1, 3), rng.randint(1, 2)
+        for n, pair in ((u, (x, y)), (v, (x, y))):
+            loop = (For(a, (For(b, pair),)) if rng.random() < 0.5
+                    else For(a * b, pair))
+            bodies[n] = [loop]
+        if k:
+            bodies[u].append(Symbol(f"l{k - 1}", u - 1, u))
+            bodies[u - 1].append(Symbol(f"l{k - 1}", u - 1, u))
+    if rng.random() < 0.3:
+        k = rng.randrange(n_pairs)
+        bodies[2 * k + 1][0] = For(2, (Symbol(f"y{k}", 2 * k + 1, 2 * k),
+                                       Symbol(f"x{k}", 2 * k, 2 * k + 1)))
+    wrap = rng.choice(["all", "none", "some"])
+    for n in bodies:
+        if wrap == "all" or wrap == "some" and rng.random() < 0.5:
+            bodies[n] = [For(INFINITE, tuple(bodies[n]))]
+    return make_program(bodies)
+
+
+def test_numbered_search_equals_single_state_reference():
+    rng = random.Random(19)
+    kinds = {DeadlockFreeOracle: 0, DeadlockReachable: 0}
+    global_states = local_states = 0
+    for _ in range(80):
+        prog = _concurrent_pairs(rng)
+        assert oracle._parts(prog) == [list(range(len(prog.nodes)))]
+        ref, seen = _product_search(prog, 10**6)
+        kinds[type(ref)] += 1
+        got = explore(prog)
+        assert got == ref, prog
+        stored = len(seen)
+        global_states += stored
+        local_states += sum(len({s[k] for s in seen})
+                            for k in range(len(prog.nodes)))
+        for bound in (stored - 1, stored, stored + 1):
+            assert explore(prog, max_states=bound) == \
+                _product_search(prog, bound)[0], (prog, bound)
+        if isinstance(got, DeadlockReachable):
+            # stacks of (index, remaining) frames, not the search's numbers
+            assert all(s is TERMINATED or all(
+                type(f) is tuple and len(f) == 2 for f in s)
+                for s in got.state)
+            assert replay(prog, got.trace) == got.state
+    assert kinds[DeadlockFreeOracle] >= 20 and kinds[DeadlockReachable] >= 20
+    assert global_states >= 4 * local_states
+
+
 def test_parts_cost_their_sum_not_their_product():
     part = [For(3, (A, B))]          # 7 states alone
     prog = make_program({0: part, 1: part, 2: [For(3, (C, D))],
@@ -214,7 +283,7 @@ def test_parts_cost_their_sum_not_their_product():
                          5: [For(3, (E, F))]})
     assert explore(make_program({0: part, 1: part})) == DeadlockFreeOracle(7)
     assert explore(prog, max_states=50) == DeadlockFreeOracle(21)
-    assert isinstance(_product_search(prog, 50), Inconclusive)
+    assert isinstance(_product_search(prog, 50)[0], Inconclusive)
     # the bound caps the states stored summed over the parts
     assert explore(prog, max_states=21) == DeadlockFreeOracle(21)
     assert isinstance(explore(prog, max_states=20), Inconclusive)
@@ -248,25 +317,24 @@ def test_unlinked_nodes_join_the_first_part():
         (), initial_state(dangling))
 
 
-def test_one_explore_call_and_one_enabled_call_per_state(monkeypatch):
-    explores, states = [], []
-    original_explore, original_enabled = oracle.explore, oracle.enabled
+def test_one_explore_call_and_each_part_state_expanded_once(monkeypatch):
+    explores = []
+    original_explore = oracle.explore
 
     def spy_explore(*args, **kwargs):
         explores.append(args)
         return original_explore(*args, **kwargs)
 
-    def spy_enabled(program, state):
-        states.append(state)
-        return original_enabled(program, state)
-
     monkeypatch.setattr(oracle, "explore", spy_explore)
-    monkeypatch.setattr(oracle, "enabled", spy_enabled)
-    prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B))],
-                         2: [For(2, (C, D))], 3: [For(2, (C, D))],
-                         4: [E], 5: [E]})
-    assert len(oracle._parts(prog)) == 3
+    bodies = {0: [For(3, (A, B))], 1: [For(3, (A, B))],
+              2: [For(2, (C, D))], 3: [For(2, (C, D))], 4: [E], 5: [E]}
+    prog = make_program(bodies)
+    parts = oracle._parts(prog)
+    assert parts == [[0, 1], [2, 3], [4, 5]]
     verdict = oracle.explore(prog)
     assert len(explores) == 1
-    assert verdict == DeadlockFreeOracle(7 + 5 + 2)
-    assert len(states) == verdict.states
+    # each part's states expanded once: the parts' reference counts, summed
+    per_part = [_product_search(make_program({k: bodies[k] for k in ks}),
+                                10**6)[0].states for ks in parts]
+    assert per_part == [7, 5, 2]
+    assert verdict == DeadlockFreeOracle(sum(per_part))
