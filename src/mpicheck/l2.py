@@ -5,7 +5,9 @@ loop's count its exponent.  A run of bare literals between loops is wrapped
 as a count-1 loop, so the pool and the reduction step treat everything
 uniformly; inside loop bodies literals stay bare.  One rule puts a power
 into a string: a count-1 power enters as the wrapped runs of its body.
-Normalization applies two rewrites to a fixpoint:
+Powers are built by ``tuple.__new__``, as the parser builds loops, which
+skips the named tuple's Python-level ``__new__``.  Normalization applies
+two rewrites to a fixpoint:
 
 * power reduction:      (x^p1)^p2        -> x^(p1*p2)
 * left prefix reduction: x^p1 (xy)^p2    -> x^(p1+1) y (xy)^(p2-1)
@@ -38,7 +40,7 @@ def _wrap_runs(items) -> list:
         if kind is For:
             out.extend(run)
         else:
-            out.append(For(1, tuple(run)))
+            out.append(tuple.__new__(For, (1, tuple(run))))
     return out
 
 
@@ -64,7 +66,7 @@ def _norm_power(p: For) -> list:
         return []
     if count == 1:
         return body
-    return [For(count, tuple(body))]
+    return [tuple.__new__(For, (count, tuple(body)))]
 
 
 def normalize(body: tuple) -> tuple:
@@ -91,16 +93,16 @@ def _left_prefix_fixpoint(out: list) -> tuple:
         y = b.body[len(a.body):]
         if not y:
             # same base: merge counts
-            out[i] = For(a.count + b.count, a.body)
+            out[i] = tuple.__new__(For, (a.count + b.count, a.body))
             del out[i + 1]
         else:
-            repl = [For(a.count + 1, a.body)]
+            repl = [tuple.__new__(For, (a.count + 1, a.body))]
             repl.extend(_wrap_runs(y))
             # (xy)^(p2-1) by the count-1 rule
             if b.count == 2:
                 repl.extend(_wrap_runs(b.body))
             elif b.count > 2:
-                repl.append(For(b.count - 1, b.body))
+                repl.append(tuple.__new__(For, (b.count - 1, b.body)))
             out[i:i + 2] = repl
     return tuple(out)
 
@@ -129,9 +131,17 @@ def strip_outer_infinite(strings: dict, trace: Trace):
                                      trace)
     if deadlock is not None:
         return None, deadlock
-    return {n: (normalize((For(solution.times(n), ps[0].body),))
+    return {n: (_repeat(ps[0].body, solution.times(n))
                 if is_infinite(times[n]) else ps)
             for n, ps in strings.items()}, None
+
+
+def _repeat(body, t) -> tuple:
+    """``normalize((For(t, body),))`` for the normal body of an infinite
+    power: its loops are normal already, so only the top level changes."""
+    if t == 1:
+        return _left_prefix_fixpoint(_wrap_runs(body))
+    return (tuple.__new__(For, (t, body)),)
 
 
 def fpp(strings: dict) -> dict:
@@ -162,10 +172,6 @@ class RelatedSet(Record):
         self.eligible = eligible
 
 
-def _partner(sym, n):
-    return sym.dst if sym.src == n else sym.src
-
-
 def _groups(held: dict) -> list:
     """Nodes of ``held`` (node -> symbols) linked by every symbol both of
     whose endpoints hold it, in ascending order of their smallest node."""
@@ -178,7 +184,7 @@ def _groups(held: dict) -> list:
         comp = [n]
         for v in comp:  # comp grows as the walk reaches new nodes
             for s in held[v]:
-                u = _partner(s, v)
+                u = s[2] if s[1] == v else s[1]  # v's partner
                 if u not in seen and s in held.get(u, ()):
                     seen.add(u)
                     comp.append(u)
@@ -199,20 +205,24 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
     the partner arrives.  Members only shrink, so the fixpoint does not
     depend on the order of the cuts, and a symbol's two endpoints always
     share a component, so trimming the whole pool at once is exact.  A pool
-    component left with no member is one waiting set.
+    component left with no member is one waiting set; when nothing is
+    trimmed, the pool components are the related sets.
     """
     members = {n: SetMember(p.body, p.count, count_occurrences(p.body))
                for n, p in pool.items()}
     held = {n: m.counts for n, m in members.items()}
-    waiting = _groups(held)
+    pool_groups = _groups(held)
+    trimmed = False
     todo = list(members)
     while todo:
         n = todo.pop()
         if n not in members:
             continue
-        bad = {s for s in held[n] if s not in held.get(_partner(s, n), ())}
+        bad = {s for s in held[n]
+               if s not in held.get(s[2] if s[1] == n else s[1], ())}
         if not bad:
             continue
+        trimmed = True
         m = members[n]
         pos = 0
         if m.count == 1:
@@ -225,11 +235,13 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
             m.body, m.leftover = body[:pos], body[pos:] + m.leftover
             m.counts = count_occurrences(m.body)
             lost, held[n] = held[n].keys() - m.counts.keys(), m.counts
-        todo.extend(_partner(s, n) for s in lost)
+        todo.extend(s[2] if s[1] == n else s[1] for s in lost)
+    # untrimmed, the sets are the pool components
     out = [RelatedSet(g, {n: members[n] for n in g}, True)
-           for g in _groups(held)]
-    out.extend(RelatedSet(g, {}, False) for g in waiting
-               if not any(n in members for n in g))
+           for g in (_groups(held) if trimmed else pool_groups)]
+    if trimmed:
+        out.extend(RelatedSet(g, {}, False) for g in pool_groups
+                   if not any(n in members for n in g))
     out.sort(key=lambda rs: rs.nodes[0])
     return out
 
@@ -309,9 +321,9 @@ def align_and_reduce(strings: dict, sets: list, max_events,
             rest = []
             left = m.count - rounds[k] * per_round[n]
             if left > 0:
-                rest.append(For(left, m.body))
+                rest.append(tuple.__new__(For, (left, m.body)))
             if m.leftover:
-                rest.append(For(1, m.leftover))
+                rest.append(tuple.__new__(For, (1, m.leftover)))
             new_strings[n] = tuple(rest) + strings[n][1:]
     return "progress", new_strings
 

@@ -1,7 +1,7 @@
 """Core program model: AST, validation, counting, unrolling."""
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import _count_elements, namedtuple
 from functools import cached_property
 from itertools import groupby
 
@@ -210,14 +210,15 @@ def _check(program: Program):
         raise ModelError("a program needs at least one node")
 
 
-def count_occurrences(body, times=1, out=None) -> Counter:
+def count_occurrences(body, times=1, out=None) -> dict:
     """Occurrence counts of a body with nested finite loops weighted in,
-    ``times`` over, added into ``out``.  One walk over the maximal runs of
-    Symbols and the loops between them, with a running multiplier; a run is
-    counted in one ``Counter.update`` under multiplier 1, else symbol by
-    symbol, so the keys come in order of first appearance."""
+    ``times`` over, added into ``out`` (a new plain dict by default).  One
+    walk over the maximal runs of Symbols and the loops between them, with
+    a running multiplier; a run is counted in one call of the C helper
+    behind ``Counter.update`` under multiplier 1, else symbol by symbol, so
+    the keys come in order of first appearance."""
     if out is None:
-        out = Counter()
+        out = {}
     for kind, run in groupby(body, type):
         if kind is For:
             for st in run:
@@ -226,7 +227,7 @@ def count_occurrences(body, times=1, out=None) -> Counter:
                         "infinite loop inside a counted scope")
                 count_occurrences(st.body, times * st.count, out)
         elif times == 1:
-            out.update(run)
+            _count_elements(out, run)
         else:
             get = out.get
             for st in run:

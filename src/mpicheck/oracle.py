@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import INFINITE, DuplicateNode, For, Program
+from .model import INFINITE, DuplicateNode, For, InvalidLoopCount, Program
 from .record import Frozen
 
 TERMINATED = "terminated"   # a terminated node's state; compared by identity
@@ -76,9 +76,10 @@ def _settle(stack: list, seqs: list) -> tuple:
     """Advance the frames of ``stack`` until the innermost index points at
     an event, or the node is terminated; ``seqs`` holds the statement
     sequence each frame indexes.  Both lists are changed in place.  Loop
-    frames carry remaining iterations (None for infinite loops).  Returns
-    the local state and the event at its front, ``(TERMINATED, None)`` for
-    a terminated node."""
+    frames carry remaining iterations (None for infinite loops).  Entering
+    a loop with an empty body raises InvalidLoopCount, as ``validate``
+    does.  Returns the local state and the event at its front,
+    ``(TERMINATED, None)`` for a terminated node."""
     seq = seqs[-1]
     while True:
         idx, rem = stack[-1]
@@ -86,6 +87,9 @@ def _settle(stack: list, seqs: list) -> tuple:
             st = seq[idx]
             if type(st) is not For:
                 return tuple(stack), st
+            if not st.body:
+                # an infinite loop over no event would never settle
+                raise InvalidLoopCount("empty loop body")
             stack.append((0, None if st.count is INFINITE else st.count))
             seq = st.body
             seqs.append(seq)
@@ -288,8 +292,9 @@ def _search(program: Program, positions: list, max_states: int):
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
     """Breadth-first reachability, part by part.  Returns the parts' traces
     to a stuck global state, freedom, or Inconclusive at the state bound.
-    Raises DuplicateNode on a node id declared twice, which ``validate``
-    rejects too: the search steps a node by its id."""
+    Raises DuplicateNode on a node id declared twice, as the search steps a
+    node by its id, and InvalidLoopCount on an empty loop body it reaches,
+    which would never settle; ``validate`` rejects both."""
     nodes = program.nodes
     if len(program.rank) != len(nodes):
         dup = next(n for k, (n, _) in enumerate(nodes)

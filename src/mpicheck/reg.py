@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
 from .model import COUNT_LIMIT, MAX_COUNT_DIGITS, SizeExceeded, is_infinite
 from .record import Frozen, Record
@@ -44,14 +45,19 @@ def oriented(i, j, a, b, origin=None) -> RatioEquation:
     return tuple.__new__(RatioEquation, (i, j, a, b, origin))
 
 
+_ENDS = itemgetter(0, 1)
+
+
 class RatioEquationGroup(Frozen):
     _fields = ("variables", "equations")
 
     def __init__(self, variables, equations):
         vs = set(variables)
-        for eq in equations:
-            if eq.i not in vs or eq.j not in vs:
-                raise ValueError(f"equation {eq} uses an unknown variable")
+        # both variables of every equation, in one pass of C code
+        if not vs.issuperset(chain.from_iterable(map(_ENDS, equations))):
+            eq = next(eq for eq in equations
+                      if eq.i not in vs or eq.j not in vs)
+            raise ValueError(f"equation {eq} uses an unknown variable")
         self.__dict__.update(variables=variables, equations=equations)
 
 
@@ -176,6 +182,7 @@ def solve(group: RatioEquationGroup):
             size[ri] += size[rj]
         accepted.append(eq)
 
+    name = dict(zip(group.variables, map(str, group.variables)))
     groups = {}     # root -> {member: its ratio to the root}
     for v in group.variables:
         root = parent[v]
@@ -187,13 +194,15 @@ def solve(group: RatioEquationGroup):
     comps = []
     values = {}
     for ratios in groups.values():
-        members = list(ratios)
-        denom_lcm = lcm(*(d for _, d in ratios.values()))
-        ints = {v: n * (denom_lcm // d) for v, (n, d) in ratios.items()}
-        g = gcd(*ints.values())
-        values.update({v: n // g for v, n in ints.items()})
-        comps.append(tuple(sorted(members, key=str)))
-    comps.sort(key=lambda c: str(min(c, key=str)))
+        nums, dens = zip(*ratios.values())
+        m = lcm(*dens)
+        if m > 1:
+            nums = [n * (m // d) for n, d in zip(nums, dens)]
+        g = gcd(*nums)
+        values.update(zip(ratios, nums if g == 1 else [n // g for n in nums]))
+        comps.append(tuple(sorted(ratios, key=name.__getitem__)))
+    # a component's first variable is its least by string
+    comps.sort(key=lambda c: name[c[0]])
     return RatioSolution(tuple(comps), values)
 
 
@@ -233,15 +242,21 @@ def count_equations(order, counts):
     """
     equations = []
     unmatched = []
+    # each equation is oriented as ``oriented`` does, by these strings
+    name = dict(zip(counts, map(str, counts)))
     for sym in dict.fromkeys(chain.from_iterable(map(counts.__getitem__,
                                                      order))):
         _, src, dst = sym
         c_src = counts[src].get(sym, 0)
         c_dst = counts[dst].get(sym, 0)
-        if c_src and c_dst:
-            equations.append(oriented(src, dst, c_src, c_dst, sym))
-        else:
+        if not (c_src and c_dst):
             unmatched.append((sym, c_src, c_dst))
+        elif name[dst] < name[src]:
+            equations.append(tuple.__new__(RatioEquation,
+                                           (dst, src, c_dst, c_src, sym)))
+        else:
+            equations.append(tuple.__new__(RatioEquation,
+                                           (src, dst, c_src, c_dst, sym)))
     return RatioEquationGroup(tuple(order), tuple(equations)), unmatched
 
 

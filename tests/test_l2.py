@@ -1,4 +1,5 @@
 """Power strings: normalization rewrites, pools, related sets, reduction."""
+import os
 import random
 from collections import Counter
 
@@ -272,6 +273,35 @@ def test_strip_outer_infinite_replicates_to_lcm():
     assert verdict is None
     assert finite[0] == (For(2, (A,)),)
     assert finite[1] == (For(1, (A, A)),)
+
+
+def test_strip_outer_infinite_folds_as_normalize_does():
+    # a stripped infinite body is normal already, so it is folded at the
+    # top level only; the reference normalizes the replicated loop whole
+    from test_acceptance import CORPUS_SEED, CORPUS_SIZE, PROGRAMS, load
+    programs = corpus(CORPUS_SEED, CORPUS_SIZE) + [
+        load(name) for name in sorted(os.listdir(PROGRAMS))
+        if name.endswith(".mdl")]
+    seen = Counter()
+    for prog in programs:
+        strings = {n: normalize(body) for n, body in prog.nodes}
+        infinite = [n for n, ps in strings.items()
+                    if any(p.count is INFINITE for p in ps)]
+        if not infinite or any(len(strings[n]) > 1 for n in infinite):
+            continue
+        trace = Trace()
+        finite, verdict = strip_outer_infinite(strings, trace)
+        if verdict is not None:
+            continue
+        solution = trace.reg_records[-1].solution
+        for n in infinite:
+            t = solution.times(n)
+            want = normalize((For(t, strings[n][0].body),))
+            assert finite[n] == want
+            assert render_items(finite[n]) == render_items(want)
+            seen["t = 1" if t == 1 else "t > 1"] += 1
+            seen["folded"] += len(want) > 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_strip_outer_infinite_flags_mixed_components():

@@ -1,5 +1,8 @@
 """Exhaustive interleaving explorer: verdicts, traces, determinism."""
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -55,6 +58,37 @@ def test_node_id_declared_twice_is_rejected():
     prog = Program(((0, (A,)), (1, (A,)), (0, ())))
     with pytest.raises(DuplicateNode, match="node 0 declared twice"):
         explore(prog)
+
+
+EMPTY_LOOPS = (
+    "Program(((0, (For(INFINITE, ()),)),))",
+    "Program(((0, (For(INFINITE, (For(2, ()),)),)),))",
+    "Program(((0, (A, For(INFINITE, ()))), (1, (A,))))",
+)
+
+
+@pytest.mark.parametrize("program", EMPTY_LOOPS)
+def test_empty_loop_body_is_rejected_not_explored_forever(program):
+    # validate rejects these programs; an infinite loop over no event never
+    # settles, so explore must reject them too.  The call runs in a child
+    # process, so a search that never ends fails the test by its timeout
+    code = ("import sys\n"
+            "from mpicheck.model import INFINITE, For, InvalidLoopCount, "
+            "Program, Symbol\n"
+            "from mpicheck.oracle import explore\n"
+            "A = Symbol('a', 0, 1)\n"
+            "try:\n"
+            f"    explore({program})\n"
+            "except InvalidLoopCount as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n")
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=20,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "empty loop body\n"
 
 
 def test_blocked_on_terminated_peer_is_deadlock():

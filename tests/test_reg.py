@@ -174,6 +174,42 @@ def test_count_equations_one_per_symbol_in_first_appearance_order():
     ]
 
 
+def test_count_equations_orient_as_oriented_across_digit_lengths():
+    # string order and number order disagree once ids cross a digit length:
+    # "10" < "100" < "11" < "9"; equations keep the string order of
+    # ``oriented``, and so do a solution's components and their variables
+    ids = (9, 10, 11, 100, 1)
+    rng = random.Random(3)
+    counts = {n: {} for n in ids}
+    for k, (src, dst) in enumerate((s, d) for s in ids for d in ids
+                                   if s != d):
+        sym = Symbol(f"m{k}", src, dst)
+        counts[src][sym] = rng.randint(1, 3)
+        counts[dst][sym] = counts[src][sym] * (1 + (src < dst))
+    for order in (ids, ids[::-1], (100, 9, 11, 1, 10)):
+        group, unmatched = count_equations(order, counts)
+        assert unmatched == []
+        syms = dict.fromkeys(s for n in order for s in counts[n])
+        want = tuple(oriented(s.src, s.dst, counts[s.src][s],
+                              counts[s.dst][s], s) for s in syms)
+        assert group.equations == want
+        assert all(type(eq) is RatioEquation for eq in group.equations)
+    # node 9's sends come first, each with node 9 on the right
+    group, _ = count_equations(ids, counts)
+    assert [(eq.i, eq.j) for eq in group.equations[:4]] == [
+        (10, 9), (11, 9), (100, 9), (1, 9)]
+    a = Symbol("a", 9, 100)
+    d = Symbol("d", 11, 10)
+    e = Symbol("e", 90, 8)
+    pairs = {9: {a: 1}, 100: {a: 1}, 10: {d: 2}, 11: {d: 1}, 8: {e: 1},
+             90: {e: 1}}
+    group, _ = count_equations((9, 100, 10, 11, 8, 90), pairs)
+    assert [str(eq) for eq in group.equations] == [
+        "p100 : p9 = 1 : 1  [a:9->100]", "p10 : p11 = 2 : 1  [d:11->10]",
+        "p8 : p90 = 1 : 1  [e:90->8]"]
+    assert solve(group).components == ((10, 11), (100, 9), (8, 90))
+
+
 def test_ratio_stage_slices_to_lcm_over_value():
     counts = {0: Counter({A: 2}), 1: Counter({A: 3, C: 2}), 2: Counter({C: 1}),
               3: Counter({D: 1}), 4: Counter({D: 1})}
