@@ -26,9 +26,9 @@ A node's local state is its stack of loop frames, or TERMINATED.  Within a
 part's search each local state is numbered when first reached, together
 with the event at its front and, once needed, the number its firing leads
 to, so a global state is a tuple of small ints and each local transition is
-settled once however many global states reach it.  ``initial_state``,
-``enabled`` and ``step`` give the same semantics on stacks, through the
-same helpers; a deadlock's state is reported as stacks.
+settled once however many global states reach it.  A deadlock's state is
+reported as stacks.  The tests keep their own walk of the stacks as the
+reference semantics, sharing no step code with the search.
 """
 from __future__ import annotations
 
@@ -139,10 +139,7 @@ def _event(body, stack):
     return s
 
 
-def initial_state(program: Program) -> tuple:
-    return tuple(_settle([(0, 1)], [body])[0] for _, body in program.nodes)
-
-
+# bench/tracing.py counts oracle states through this name (ROADMAP item 5)
 def enabled(program: Program, gstate: tuple) -> set:
     """Symbols whose send and receive are both at their nodes' fronts.  A
     symbol at node n's front is a send when n is its source."""
@@ -155,16 +152,6 @@ def enabled(program: Program, gstate: tuple) -> set:
         if j is not None and events[j] == sym:
             out.add(sym)
     return out
-
-
-def step(program: Program, gstate: tuple, sym) -> tuple:
-    nodes = program.nodes
-    rank = program.rank
-    out = list(gstate)
-    for node in (sym.src, sym.dst):
-        k = rank[node]
-        out[k] = _advance(nodes[k][1], out[k])[0]
-    return tuple(out)
 
 
 def _parts(program: Program) -> list:

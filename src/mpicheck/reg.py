@@ -36,15 +36,6 @@ class RatioEquation(namedtuple("RatioEquation", "i j a b origin",
         return f"p{self.i} : p{self.j} = {self.a} : {self.b}{tag}"
 
 
-def oriented(i, j, a, b, origin=None) -> RatioEquation:
-    """Equation with the smaller variable on the left, the conventional way
-    to write a proportion between two nodes.  Built by ``tuple.__new__``,
-    which skips the named tuple's Python-level ``__new__``."""
-    if str(j) < str(i):
-        return tuple.__new__(RatioEquation, (j, i, b, a, origin))
-    return tuple.__new__(RatioEquation, (i, j, a, b, origin))
-
-
 _ENDS = itemgetter(0, 1)
 
 
@@ -242,7 +233,7 @@ def count_equations(order, counts):
     """
     equations = []
     unmatched = []
-    # each equation is oriented as ``oriented`` does, by these strings
+    # each equation puts the node whose id string is smaller on the left
     name = dict(zip(counts, map(str, counts)))
     for sym in dict.fromkeys(chain.from_iterable(map(counts.__getitem__,
                                                      order))):

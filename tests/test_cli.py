@@ -116,6 +116,14 @@ def test_validation_error_exit_two(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+def test_node_declared_twice_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.mdl"
+    bad.write_text("node P0 { }\nnode P0 { }\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: node 0 declared twice\n")
+
+
 def _nested(stmt):
     """``stmt`` in two loops of 3,000 nines each: each count is within the
     parser's bound, their product is not."""
@@ -330,3 +338,73 @@ def test_check_trace_on_mid_round_deadlock(tmp_path, capsys):
         "    set solution: p2=1, p3=1",
         "    reduced (0, 1) by 2 round(s)",
     ]
+
+
+# The outer ratio stage of the nested-loop engine finds the conflict, so
+# check_l2 returns before its first pool round (fppTrace is null).
+OUTER_CONFLICT = ("node P0 { for inf { for 2 { send a to P1 }, "
+                  "send c to P1 } }\n"
+                  "node P1 { for inf { recv a from P0, recv c from P0, "
+                  "recv c from P0 } }\n")
+CONFLICT_DETAIL = ("ratio around the cycle through p0 and p1 is 2, "
+                   "equation demands 1/2")
+CONFLICT_EQUATIONS = ["p0 : p1 = 2 : 1  [a:0->1]",
+                      "p0 : p1 = 1 : 2  [c:0->1]"]
+CONFLICT_WITNESS = {"type": "ratio-inconsistency", "detail": CONFLICT_DETAIL,
+                    "equations": CONFLICT_EQUATIONS}
+CONFLICT_RECORD = ["  ratio equations (outer):",
+                   *(f"    {eq}" for eq in CONFLICT_EQUATIONS),
+                   f"    inconsistent: {CONFLICT_DETAIL}",
+                   *(f"      clashing: {eq}" for eq in CONFLICT_EQUATIONS)]
+
+
+@pytest.mark.parametrize("args,code,lines", [
+    (["check"], 1, [f"  witness: {CONFLICT_WITNESS}"]),
+    (["check", "--trace"], 1, [f"  witness: {CONFLICT_WITNESS}",
+                               "  string mapping:",
+                               "    P0 -> (a^2 c)^inf",
+                               "    P1 -> (acc)^inf",
+                               *CONFLICT_RECORD]),
+    (["reg"], 0, [*CONFLICT_RECORD, f"  deadlock: {CONFLICT_WITNESS}"]),
+], ids=["check", "check --trace", "reg"])
+def test_outer_ratio_conflict_prints_its_clashing_equations(
+        tmp_path, capsys, args, code, lines):
+    path = tmp_path / "conflict.mdl"
+    path.write_text(OUTER_CONFLICT)
+    assert main([args[0], str(path), *args[1:]]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    if args[0] == "check":
+        lines = [f"{path}: DEADLOCK (phase l2)", *lines]
+    assert out.splitlines() == lines
+
+
+def test_outer_ratio_conflict_has_no_slice_to_draw(tmp_path, capsys):
+    path = tmp_path / "conflict.mdl"
+    path.write_text(OUTER_CONFLICT)
+    assert main(["mdg", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: program has no consistent finite slice; "
+            "cannot draw its MDG\n")
+
+
+@pytest.mark.parametrize("text,phase,witness,records", [
+    (OUTER_CONFLICT, "l2", CONFLICT_WITNESS,
+     [{"stage": "outer", "equations": CONFLICT_EQUATIONS,
+       "inconsistent": CONFLICT_DETAIL}]),
+    ("node P0 { for inf { send a to P1, send b to P1 } }\n"
+     "node P1 { for inf { recv a from P0 } }\n", "l0",
+     {"type": "unmatched-totals", "symbol": "b:0->1", "sends": 1,
+      "recvs": 0}, []),
+], ids=["ratio-inconsistency", "unmatched-totals"])
+def test_check_json_deadlock_witness(tmp_path, capsys, text, phase, witness,
+                                     records):
+    path = tmp_path / "dead.mdl"
+    path.write_text(text)
+    assert main(["check", str(path), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "deadlock"
+    assert data["phase"] == phase
+    assert data["witness"] == witness
+    assert data["regSolutions"] == records
+    assert data["fppTrace"] is None

@@ -677,3 +677,16 @@ def test_one_live_deadlocked_set_makes_one_kernel_call(monkeypatch):
     # raises
     with pytest.raises(SizeExceeded, match="cap of 20 events"):
         _report(LONG_PAIR.format(p=0, q=1), max_events=20)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the pool stops at FppStuck {0: (ab)^c, 1: a} although "
+    "the literal fronts of P0 and P1 match; drop this marker once item 2 "
+    "rotates the power"))
+@pytest.mark.parametrize("c", [3, 10**9], ids=["3", "1e9"])
+def test_shifted_exchange_is_free(c):
+    # P1 runs P0's exchange shifted by one event.  The oracle finds no
+    # deadlock (7 states at c = 3)
+    prog = make_program({0: [For(c, (A, B))],
+                         1: [A, For(c - 1, (B, A)), B]})
+    assert not isinstance(analyze(prog).verdict, Deadlock)

@@ -6,12 +6,14 @@ import pytest
 
 from mpicheck import model
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, DanglingEndpoint, For, InfiniteInside,
-                            InfiniteLoop, InvalidLoopCount, MisplacedOperation,
-                            ModelError, NestedInfinite, SelfMessage,
-                            SizeExceeded, Symbol, build_queues,
-                            count_occurrences, flatten_items, is_infinite,
-                            make_program, unroll, validate, weighted_size)
+from mpicheck.model import (INFINITE, DanglingEndpoint, DuplicateNode, For,
+                            InfiniteInside, InfiniteLoop, InvalidLoopCount,
+                            MisplacedOperation, ModelError, NestedInfinite,
+                            Program, SelfMessage, SizeExceeded, Symbol,
+                            build_queues, count_occurrences, flatten_items,
+                            is_infinite, make_program, unroll, validate,
+                            weighted_size)
+from mpicheck.parser import parse
 
 A01 = Symbol("a", 0, 1)
 B10 = Symbol("b", 1, 0)
@@ -61,6 +63,26 @@ def test_validate_rejects_bad_counts():
     empty = make_program({0: [For(2, ())], 1: []})
     with pytest.raises(InvalidLoopCount):
         validate(empty)
+
+
+# (program, error class, message): programs the parser or a library caller
+# can build and validate must reject
+INVALID = [
+    pytest.param(parse("node P0 { }\nnode P0 { }\n"), DuplicateNode,
+                 "node 0 declared twice", id="node declared twice"),
+    pytest.param(Program(()), ModelError,
+                 "a program needs at least one node", id="no node"),
+    pytest.param(Program(((0, ("x",)),)), ModelError,
+                 "unknown statement 'x'", id="unknown statement"),
+]
+
+
+@pytest.mark.parametrize("program, cls, msg", INVALID)
+def test_validate_rejects_golden(program, cls, msg):
+    with pytest.raises(ModelError) as exc:
+        validate(program)
+    assert type(exc.value) is cls
+    assert str(exc.value) == msg
 
 
 def test_validate_bounds_events_per_outermost_iteration():

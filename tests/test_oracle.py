@@ -12,8 +12,7 @@ from mpicheck import oracle
 from mpicheck.model import (INFINITE, DuplicateNode, For, Program, Symbol,
                             make_program)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
-                             Inconclusive, TERMINATED, enabled, explore,
-                             initial_state, step)
+                             Inconclusive, TERMINATED, explore)
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -21,6 +20,73 @@ C = Symbol("c", 2, 3)
 D = Symbol("d", 3, 2)
 E = Symbol("e", 4, 5)
 F = Symbol("f", 5, 4)
+
+
+# The reference semantics: one node's state is its stack of loop frames
+# (statement index, remaining iterations, None for an infinite loop), the
+# outermost a count-1 frame over the node's body, or TERMINATED.  The walk
+# is written here, apart from the oracle's numbered search, so a step bug
+# in the search cannot cancel out against the reference.
+
+def _seq_at(body, stack):
+    """The statement sequence the innermost frame of ``stack`` indexes."""
+    seq = body
+    for idx, _ in stack[:-1]:
+        seq = seq[idx].body
+    return seq
+
+
+def _settle(body, stack):
+    """Advance the frames of ``stack`` (a list, changed in place) until the
+    innermost index points at an event, or the node is terminated."""
+    while True:
+        seq = _seq_at(body, stack)
+        idx, rem = stack[-1]
+        if idx < len(seq):
+            st = seq[idx]
+            if not isinstance(st, For):
+                return tuple(stack)
+            stack.append((0, None if st.count is INFINITE else st.count))
+        elif len(stack) == 1:
+            return TERMINATED
+        elif rem is None:
+            stack[-1] = (0, None)
+        elif rem > 1:
+            stack[-1] = (0, rem - 1)
+        else:
+            stack.pop()
+            pidx, prem = stack[-1]
+            stack[-1] = (pidx + 1, prem)
+
+
+def _front(body, state):
+    """The event at the front of a node's state, None when terminated."""
+    if state is TERMINATED:
+        return None
+    return _seq_at(body, state)[state[-1][0]]
+
+
+def initial_state(program: Program) -> tuple:
+    return tuple(_settle(body, [(0, 1)]) for _, body in program.nodes)
+
+
+def enabled(program: Program, gstate: tuple) -> set:
+    """Symbols at the front of both their source and their destination."""
+    fronts = {nid: _front(body, st)
+              for (nid, body), st in zip(program.nodes, gstate)}
+    return {sym for nid, sym in fronts.items()
+            if sym is not None and sym.src == nid != sym.dst
+            and fronts.get(sym.dst) == sym}
+
+
+def step(program: Program, gstate: tuple, sym) -> tuple:
+    """The global state after rendezvous ``sym`` fires at both ends."""
+    out = list(gstate)
+    for k, (nid, body) in enumerate(program.nodes):
+        if nid in (sym.src, sym.dst):
+            idx, rem = out[k][-1]
+            out[k] = _settle(body, [*out[k][:-1], (idx + 1, rem)])
+    return tuple(out)
 
 
 def replay(program: Program, trace) -> tuple:
@@ -199,8 +265,9 @@ def _union(progs, rng):
 
 def _product_search(prog, max_states):
     """Breadth-first search of the whole program's state space, from the
-    public initial_state/enabled/step: the reference for explore.  Returns
-    the verdict and the states stored, each mapped to (parent, symbol)."""
+    reference initial_state/enabled/step above: the reference for explore.
+    Returns the verdict and the states stored, each mapped to (parent,
+    symbol)."""
     init = initial_state(prog)
     seen = {init: None}
     q = deque([init])
@@ -248,6 +315,21 @@ def test_per_part_search_matches_product_search():
             multi += 1
             assert type(got) is type(ref), prog
     assert decided >= 450 and multi >= 200
+
+
+def test_oracle_enabled_equals_reference_on_every_visited_state():
+    # oracle.enabled has no caller in the search; this keeps it checked
+    rng = random.Random(23)
+    states = moving = 0
+    for k in range(120):
+        prog = (_concurrent_pairs(rng) if k % 3 == 0 else
+                _union([generate(rng) for _ in range(rng.randint(1, 2))], rng))
+        for state in _product_search(prog, 10**4)[1]:
+            want = enabled(prog, state)
+            assert oracle.enabled(prog, state) == want, (prog, state)
+            states += 1
+            moving += bool(want)
+    assert moving >= 2000 and states - moving >= 50
 
 
 def _concurrent_pairs(rng):

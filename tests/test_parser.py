@@ -136,6 +136,8 @@ ERRORS = [
      MdlSyntaxError, "expected node name, got '9'", 1, 6),
     ('node P0 { for inf send a to P1 }',
      MdlSyntaxError, "expected '{', got 'send'", 1, 19),
+    ('node P0 send a to P1 }',
+     MdlSyntaxError, "expected '{', got 'send'", 1, 9),
     ('node P0 { for 2 {\n  for 3 { send a to P1 }\n }',
      MdlSyntaxError, "unexpected end of input, missing '}'", 3, 3),
     ('node P0 { send a to P1 }\n\nnode P1 { recv a from P0, }\nnode P2 { send b to, P1 }',

@@ -1,5 +1,6 @@
 """Record types: what ``import mpicheck`` loads, and the repr, equality,
 hashing, immutability, keywords and defaults of every record class."""
+import ast
 import os
 import subprocess
 import sys
@@ -260,3 +261,35 @@ def test_mutable_records_take_assignment():
     member = SetMember((A,), 2, {A: 1})
     member.body, member.counts, member.leftover = (B,), {B: 1}, (A,)
     assert member == SetMember((B,), 2, {B: 1}, (A,))
+
+
+# module-level functions in src/ that only callers outside it name, each
+# with the reason it stays
+OUTSIDE_CALLERS = {
+    ("oracle", "enabled"): "bench/tracing.py counts oracle states through "
+                           "it until the benchmark reads stats from the "
+                           "report (ROADMAP item 5)",
+}
+
+
+def test_every_src_function_has_a_src_caller():
+    # a helper that only tests call belongs in the test that uses it
+    pkg = os.path.dirname(os.path.abspath(mpicheck.__file__))
+    tops = []       # (module, top-level statement, names used in it)
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as f:
+                tree = ast.parse(f.read())
+            for node in tree.body:
+                used = {n.id for n in ast.walk(node) if type(n) is ast.Name}
+                used |= {n.attr for n in ast.walk(node)
+                         if type(n) is ast.Attribute}
+                tops.append((fname[:-3], node, used))
+    orphans = set()
+    for mod, node, _ in tops:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name not in mpicheck.__all__ and not any(
+                    node.name in used for _, other, used in tops
+                    if other is not node):
+            orphans.add((mod, node.name))
+    assert orphans == set(OUTSIDE_CALLERS)
