@@ -257,11 +257,13 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     conflict witness are the ones it would get alone, and the first set in
     set order that deadlocks wins: the sets before a ratio conflict are
     solved and checked again without it.  Round queues balance for every
-    message, so a deadlock's witness is a pair cycle; the graph numbers its
-    pairs set by set, so the first cycle lies in the first deadlocked set,
-    is that set's own witness, and names the set by the node of its first
-    pair.  A round of more than ``max_events`` events is checked set by set
-    instead, and a set that alone is over the cap raises SizeExceeded.
+    message, so a deadlock's witness is a cycle of blocked fronts.  The
+    queues are ordered set by set and a set that does not deadlock drains,
+    so the walk for the witness starts in the first deadlocked set and
+    stays there: the cycle is that set's own witness, and its first node
+    names the set.  A round of more than ``max_events`` events is checked
+    set by set instead, and a set that alone is over the cap raises
+    SizeExceeded.
 
     Returns ("deadlock", verdict), ("progress", new strings) or
     ("noprogress", None).
@@ -291,7 +293,7 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     try:
         verdict = check_smodel(round_queues(live)) if live else DEADLOCK_FREE
         if isinstance(verdict, Deadlock):
-            node = verdict.witness.pairs[0][0].src
+            node = verdict.witness.fronts[0][0]
             stop = next(k for k in live if node in sets[k].members)
     except SizeExceeded:
         for k in live:

@@ -1,10 +1,11 @@
 """Deadlock detection for loop-free programs.
 
-Two independent methods: the linear multi-queue matching algorithm, which
-decides, and the contracted message-dependence-graph cycle test, which
-names a deadlock's witness and draws `mpicheck mdg`'s graph.  Matching is
-FIFO: the k-th send instance of a symbol pairs with its k-th receive
-instance.
+The linear multi-queue matching algorithm decides, and its stuck fronts
+name a deadlock's witness.  Matching is FIFO: the k-th send instance of a
+symbol pairs with its k-th receive instance.  The contracted
+message-dependence graph and its cycle test are a second, independent
+method: they draw `mpicheck mdg`'s graph and serve the tests as a
+reference.
 """
 from __future__ import annotations
 
@@ -12,17 +13,14 @@ from collections import deque
 from functools import cached_property
 
 from .record import Frozen
-from .verdicts import (DEADLOCK_FREE, Deadlock, MdgCycle, UnmatchedTotals,
-                       Verdict)
+from .verdicts import (DEADLOCK_FREE, Deadlock, UnmatchedTotals, Verdict,
+                       WaitCycle)
 
 
-class InternalDisagreement(Exception):
-    """The queue algorithm and the MDG cycle test disagreed — a bug."""
-
-
-def check_by_queues(queues: dict) -> bool:
+def check_by_queues(queues: dict, fronts: dict | None = None) -> bool:
     """Whether every queue drains when matching front pairs are removed
-    until none is left.
+    until none is left.  When they get stuck, ``fronts``, if given,
+    receives each node's final front index.
 
     Each event is touched a constant number of times: a node re-enters the
     worklist only when its front advances, so total work is linear in the
@@ -51,7 +49,11 @@ def check_by_queues(queues: dict) -> bool:
             idx[j] = kj + 1
             pending.append(i)
             pending.append(j)
-    return idx == ends
+    if idx == ends:
+        return True
+    if fronts is not None:
+        fronts.update(zip(nodes, idx))
+    return False
 
 
 class Mdg(Frozen):
@@ -173,21 +175,29 @@ def find_deadlock_cycle(mdg: Mdg):
 
 
 def check_smodel(queues: dict) -> Verdict:
-    """Queue verdict; only a deadlock builds and searches the MDG, once, for
-    its witness: the pair cycle, else the totals of the first unpaired
-    message."""
-    if check_by_queues(queues):
+    """Queue verdict.  A stuck model's witness comes from its stuck fronts:
+    from the first unfinished node in queue order, follow each blocked
+    front to its symbol's other endpoint.  With fixed endpoints a front
+    waits for exactly one partner, so the walk either reaches a partner
+    that has terminated, whose totals of that symbol then fall short, or
+    closes a cycle of blocked fronts, each waiting for the next.  The walk
+    visits each node at most once."""
+    at = {}
+    if check_by_queues(queues, at):
         return DEADLOCK_FREE
-    mdg = build_mdg(queues)
-    cyc = find_deadlock_cycle(mdg)
-    if cyc is not None:
-        return Deadlock(MdgCycle(cyc))
-    if not mdg.unpaired:
-        raise InternalDisagreement(
-            "queues are stuck but the MDG has no cycle and no unpaired event")
-    _, s, _, _ = mdg.unpaired[0]
-    return Deadlock(UnmatchedTotals(s, queues.get(s.src, ()).count(s),
-                                    queues.get(s.dst, ()).count(s)))
+    n = next(n for n, q in queues.items() if at[n] < len(q))
+    path = {}               # node -> its blocked front, in walk order
+    while n not in path:
+        s = path[n] = queues[n][at[n]]
+        n = s.dst if n == s.src else s.src
+        if at.get(n, 0) == len(queues.get(n, ())):
+            return Deadlock(UnmatchedTotals(
+                s, queues.get(s.src, ()).count(s),
+                queues.get(s.dst, ()).count(s)))
+    walked = list(path)
+    return Deadlock(WaitCycle(tuple(
+        (m, path[m], queues[m][:at[m]].count(path[m]))
+        for m in walked[walked.index(n):])))
 
 
 def mdg_to_dot(mdg: Mdg) -> str:

@@ -41,6 +41,22 @@ class MdgCycle(Frozen):
         }
 
 
+class WaitCycle(Frozen):
+    """Blocked fronts of a stuck event model, each waiting for the next
+    one's node, the last for the first's."""
+
+    _fields = ("fronts",)  # ((node, symbol, k), ...): k earlier instances
+
+    def __init__(self, fronts):
+        self.__dict__.update(fronts=fronts)
+
+    def to_dict(self):
+        return {
+            "type": "wait-cycle",
+            "fronts": [f"{n}: {s}#{k}" for n, s, k in self.fronts],
+        }
+
+
 class UnmatchedTotals(Frozen):
     _fields = ("symbol", "sends", "recvs")
 

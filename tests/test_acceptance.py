@@ -28,7 +28,7 @@ from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
 from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
                              find_deadlock_cycle)
 from mpicheck.trace import Trace
-from mpicheck.verdicts import Deadlock, MdgCycle
+from mpicheck.verdicts import Deadlock, UnmatchedTotals, WaitCycle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROGRAMS = os.path.join(HERE, os.pardir, "programs")
@@ -55,8 +55,8 @@ def test_criterion_1_golden_verdicts():
     t0 = time.perf_counter()
     r2 = analyze(load("prog2.mdl"))
     assert isinstance(r2.verdict, Deadlock)
-    assert isinstance(r2.verdict.witness, MdgCycle)
-    assert len(r2.verdict.witness.pairs) == 3
+    a, b, c = (Symbol("a", 0, 2), Symbol("b", 0, 1), Symbol("c", 1, 2))
+    assert r2.verdict.witness == WaitCycle(((0, a, 0), (2, c, 0), (1, b, 0)))
     assert time.perf_counter() - t0 < 1.0
 
     for name, phase in (("prog3.mdl", "l0"), ("prog10.mdl", "l2"),
@@ -66,7 +66,7 @@ def test_criterion_1_golden_verdicts():
         assert bool(rep.verdict), name
         assert rep.phase == phase
         assert time.perf_counter() - t0 < 1.0
-    ok(1, "golden verdicts: 3-pair cycle deadlock plus three free programs")
+    ok(1, "golden verdicts: 3-front cycle deadlock plus three free programs")
 
 
 def test_criterion_2_golden_artifacts():
@@ -161,32 +161,76 @@ def test_criterion_4_method_agreement_and_confluence(shared_corpus):
           f"stable under 10 randomized orders each")
 
 
+def _assert_witness_in_stuck_state(queues, witness):
+    """A deadlock's witness read against the model itself: a cycle's fronts
+    are the stuck fronts the reference matcher leaves, each waiting for the
+    next one's node; a terminated partner left the totals unequal."""
+    if isinstance(witness, UnmatchedTotals):
+        s = witness.symbol
+        assert (witness.sends, witness.recvs) == (
+            queues.get(s.src, ()).count(s), queues.get(s.dst, ()).count(s))
+        assert witness.sends != witness.recvs
+        return
+    stuck = dict(match_in_random_order(queues, random.Random(0)))
+    fronts = witness.fronts
+    nodes = [n for n, _, _ in fronts]
+    assert len(fronts) >= 2 and len(set(nodes)) == len(nodes)
+    # two fronts of one symbol would be its two endpoints', and match
+    assert len({s for _, s, _ in fronts}) == len(fronts)
+    for (n, s, k), partner in zip(fronts, nodes[1:] + nodes[:1]):
+        at = len(queues[n]) - len(stuck[n])
+        assert stuck[n][0] == s and queues[n][:at].count(s) == k
+        assert (s.dst if n == s.src else s.src) == partner
+
+
 def test_queue_and_mdg_agree_on_every_checked_model(shared_corpus,
                                                     monkeypatch):
-    # check_smodel builds the MDG only for a stuck model, so here every
-    # model the pipeline hands the kernel, on each of its three routes, is
-    # also decided by the MDG, which must agree with the queues
+    # every model the pipeline hands the kernel, on each of its three
+    # routes, is also decided by the MDG, which must agree with the queues,
+    # and each deadlock's witness is checked against the model's stuck
+    # state; a loop-free program's cycle also against the oracle's
     seen = Counter()
+    loop_free = []          # the witnesses of the loop-free route
 
     def spy(route, check):
         def checked(queues):
             mdg = build_mdg(queues)
             assert check_by_queues(queues) == (
                 not mdg.unpaired and find_deadlock_cycle(mdg) is None)
+            verdict = check(queues)
+            if isinstance(verdict, Deadlock):
+                _assert_witness_in_stuck_state(queues, verdict.witness)
+                seen[f"{route} deadlocks"] += 1
+                if route == "smodel":
+                    loop_free.append(verdict.witness)
             seen[route] += 1
-            return check(queues)
+            return verdict
         return checked
 
     for route, module in (("smodel", smodel), ("l0", l0), ("l2", l2)):
         monkeypatch.setattr(module, "check_smodel",
                             spy(route, module.check_smodel))
-    for prog in shared_corpus:
+    programs = [*shared_corpus, *(load(name) for name in
+                                  sorted(os.listdir(PROGRAMS))
+                                  if name.endswith(".mdl"))]
+    for prog in programs:
+        del loop_free[:]
         analyze(prog)
-    for name in sorted(os.listdir(PROGRAMS)):
-        if name.endswith(".mdl"):
-            analyze(load(name))
-    # 194 l0 slices, 470 loop-free models and 509 l2 rounds when measured
-    assert len(seen) == 3 and sum(seen.values()) >= 1150, seen
+        for witness in loop_free:
+            if not isinstance(witness, WaitCycle):
+                continue
+            seen["oracle-checked cycles"] += 1
+            # a loop-free node's local state is one frame (index, 1)
+            state = explore(prog).state
+            bodies = dict(prog.nodes)
+            for n, s, k in witness.fronts:
+                ((i, _),) = state[prog.rank[n]]
+                assert bodies[n][i] == s and bodies[n][:i].count(s) == k
+    # 194 l0 slices, 470 loop-free models and 509 l2 rounds when measured;
+    # 279 loop-free models deadlocked (168 in a cycle) and one l2 round
+    assert sum(seen[r] for r in ("smodel", "l0", "l2")) >= 1150, seen
+    assert seen["smodel deadlocks"] >= 100 and seen["l2 deadlocks"], seen
+    assert seen["oracle-checked cycles"] >= 100, seen
 
 
 def _ping_pong_queues(n_events):
@@ -279,19 +323,22 @@ def test_criterion_7_slicing_balance(shared_corpus):
     ok(7, f"send/recv totals balanced in all {sliced} sliced models")
 
 
+xp, xq = Symbol("xp", 0, 1), Symbol("xq", 1, 0)
+
+
 def _crossed_at_end(queues):
     """The model with a crossed pair between nodes 0 and 1 after their last
     events: each receives the other's message before sending its own, so
-    the queues drain up to it and the MDG's one cycle is its two pairs."""
-    xp, xq = Symbol("xp", 0, 1), Symbol("xq", 1, 0)
+    the queues drain up to it and get stuck there, each front waiting for
+    the other's."""
     return {**queues, 0: queues[0] + (xq, xp), 1: queues[1] + (xp, xq)}
 
 
 def test_criterion_8_loopfree_check_scaling():
     # the whole loop-free check of a deadlock on a 64-node random schedule:
-    # queue matching and the MDG build each run over the full model, as the
-    # crossed pair sits after every other event, then the cycle search
-    # follows one path to it (about 3% of the pairs).  Sizes
+    # queue matching runs over the full model, as the crossed pair sits
+    # after every other event, then the walk for the witness visits its two
+    # nodes and counts their earlier instances of their fronts.  Sizes
     # alternate so a slow spell of a shared host hits both, and the
     # collector is paused as in timeit: its passes cost in proportion to
     # the whole test process's heap, not the check's work.  The clock is
@@ -308,8 +355,8 @@ def test_criterion_8_loopfree_check_scaling():
                 t0 = time.process_time()
                 verdict = check_smodel(queues)
                 best[i] = min(best[i], time.process_time() - t0)
-                assert isinstance(verdict, Deadlock)
-                assert isinstance(verdict.witness, MdgCycle)
+                assert verdict == Deadlock(WaitCycle(((0, xq, 0),
+                                                      (1, xp, 0))))
     finally:
         gc.enable()
     ratio = best[1] / best[0]

@@ -25,7 +25,7 @@ def test_check_free_exit_zero(capsys):
 def test_check_deadlock_exit_one(capsys):
     assert main(["check", prog("prog2.mdl")]) == 1
     out = capsys.readouterr().out
-    assert "DEADLOCK" in out and "mdg-cycle" in out
+    assert "DEADLOCK" in out and "wait-cycle" in out
 
 
 def test_check_json_structure(capsys):
@@ -238,8 +238,8 @@ def test_reg_on_loop_free_program_names_phase(capsys):
     assert main(["reg", prog("prog2.mdl")]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "  no ratio equations (phase smodel)",
-        "  deadlock: {'type': 'mdg-cycle', 'pairs': ['a:0->2#0', "
-        "'b:0->1#0', 'c:1->2#0']}",
+        "  deadlock: {'type': 'wait-cycle', 'fronts': ['0: a:0->2#0', "
+        "'2: c:1->2#0', '1: b:0->1#0']}",
     ]
 
 
@@ -297,7 +297,7 @@ def test_check_json_independent_of_hash_seed():
              "--json"], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         data = json.loads(proc.stdout)
-        assert data["witness"]["type"] == "mdg-cycle"
+        assert data["witness"]["type"] == "wait-cycle"
         del data["timings"]
         outs.append(data)
     assert outs[0] == outs[1]
@@ -327,8 +327,8 @@ def test_check_trace_on_mid_round_deadlock(tmp_path, capsys):
     _, *lines = capsys.readouterr().out.splitlines()
     pool = lines.index("  fpp[0]: {P0: a^4, P1: (aa)^2, P2: (cd)^2, "
                        "P3: (dc)^2, P4: e^3, P5: e^3}")
-    assert lines[0] == ("  witness: {'type': 'mdg-cycle', "
-                        "'pairs': ['c:2->3#0', 'd:3->2#0']}")
+    assert lines[0] == ("  witness: {'type': 'wait-cycle', "
+                        "'fronts': ['2: c:2->3#0', '3: d:3->2#0']}")
     assert lines[2:4] == ["    P0 -> a^4 b", "    P1 -> (aa)^2 b"]
     assert lines[pool + 1:] == [
         "    related set ('P0', 'P1'): eligible",

@@ -19,7 +19,7 @@ from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
                          related_sets, strip_outer_infinite)
 from mpicheck.l0 import check_l0
 from mpicheck.trace import SetRecord, Trace
-from mpicheck.verdicts import Deadlock, MdgCycle, RatioInconsistency
+from mpicheck.verdicts import Deadlock, RatioInconsistency, WaitCycle
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -565,7 +565,7 @@ def test_kernel_deadlock_in_earlier_set_beats_later_ratio_conflict():
     crossed = CROSSED_PAIR.format(p=0, q=1, x="a", y="b")
     rep = _report(crossed + CONFLICT_PAIR.format(p=2, q=3))
     assert rep.verdict == _report(crossed).verdict
-    assert isinstance(rep.verdict.witness, MdgCycle)
+    assert isinstance(rep.verdict.witness, WaitCycle)
     (rec,) = rep.trace.set_records
     assert rec.solutions == [((0, 1), {0: 1, 1: 1})] and rec.actions == []
 
@@ -603,8 +603,8 @@ def test_first_deadlocked_set_of_a_round_is_named_by_its_witness(
     sets = related_sets(fpp(strings))
     assert align_and_reduce(strings, sets[1:2], MAX_EVENTS,
                             SetRecord(())) == ("deadlock", rep.verdict)
-    assert rep.verdict.witness == MdgCycle(
-        ((Symbol("c", 2, 3), 0), (Symbol("d", 3, 2), 0)))
+    assert rep.verdict.witness == WaitCycle(
+        ((2, Symbol("c", 2, 3), 0), (3, Symbol("d", 3, 2), 0)))
     (rec,) = rep.trace.set_records
     assert [nodes for nodes, _ in rec.partition] == [(0, 1), (2, 3), (4, 5)]
     assert rec.solutions == [((0, 1), {0: 1, 1: 2}), ((2, 3), {2: 1, 3: 1})]
@@ -643,8 +643,8 @@ def test_round_past_the_event_cap_raises():
 
 def test_mid_round_deadlock_records_sets_up_to_it():
     rep = _report(ROUND_DEADLOCK)
-    assert rep.verdict.witness == MdgCycle(
-        ((Symbol("c", 2, 3), 0), (Symbol("d", 3, 2), 0)))
+    assert rep.verdict.witness == WaitCycle(
+        ((2, Symbol("c", 2, 3), 0), (3, Symbol("d", 3, 2), 0)))
     (rec,) = rep.trace.set_records
     assert rec.partition == (((0, 1), True), ((2, 3), True), ((4, 5), True))
     # the set after the deadlock is neither solved nor reduced
@@ -669,8 +669,8 @@ def test_one_live_deadlocked_set_makes_one_kernel_call(monkeypatch):
     _counting(monkeypatch, "check_smodel", calls)
     rep = _report(CROSSED_PAIR.format(p=0, q=1, x="a", y="b"))
     assert calls["check_smodel"] == 1
-    assert rep.verdict == Deadlock(MdgCycle(
-        ((Symbol("a", 0, 1), 0), (Symbol("b", 1, 0), 0))))
+    assert rep.verdict == Deadlock(WaitCycle(
+        ((0, Symbol("a", 0, 1), 0), (1, Symbol("b", 1, 0), 0))))
     (rec,) = rep.trace.set_records
     assert rec.solutions == [((0, 1), {0: 1, 1: 1})] and rec.actions == []
     # over the cap there is no whole verdict to reuse: the set's own pass

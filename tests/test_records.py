@@ -18,8 +18,8 @@ from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
 from mpicheck.smodel import build_mdg
 from mpicheck.trace import RegRecord, SetRecord, Trace
 from mpicheck.verdicts import (Deadlock, DeadlockFree, FppStuck, MdgCycle,
-                               RatioInconsistency,
-                               UnmatchedTotals)
+                               RatioInconsistency, UnmatchedTotals,
+                               WaitCycle)
 
 SUBMODULES = ["analyze", "l0", "l2", "model", "oracle", "parser", "record",
               "reg", "smodel", "trace", "verdicts"]
@@ -74,6 +74,8 @@ RECORDS = [
      f"Deadlock(witness=MdgCycle(pairs=(({SA}, 0),)))", True),
     (MdgCycle(((A, 0), (B, 0))), f"MdgCycle(pairs=(({SA}, 0), ({SB}, 0)))",
      True),
+    (WaitCycle(((0, A, 0), (1, B, 2))),
+     f"WaitCycle(fronts=((0, {SA}, 0), (1, {SB}, 2)))", True),
     (UnmatchedTotals(A, 2, 1),
      f"UnmatchedTotals(symbol={SA}, sends=2, recvs=1)", True),
     (RatioInconsistency("x"), "RatioInconsistency(detail='x', equations=())",
@@ -123,7 +125,7 @@ IDS = [type(r).__name__ for r, _, _ in RECORDS]
 FIELDS = {
     "For": ("count", "body"), "Program": ("nodes", "names"),
     "DeadlockFree": (), "Deadlock": ("witness",),
-    "MdgCycle": ("pairs",),
+    "MdgCycle": ("pairs",), "WaitCycle": ("fronts",),
     "UnmatchedTotals": ("symbol", "sends", "recvs"),
     "RatioInconsistency": ("detail", "equations"), "FppStuck": ("pool",),
     "OracleVerdict": (), "DeadlockReachable": ("trace", "state"),
@@ -142,7 +144,7 @@ FIELDS = {
 
 
 def test_table_covers_every_record_class():
-    assert set(FIELDS) == set(IDS) and len(FIELDS) == 22
+    assert set(FIELDS) == set(IDS) and len(FIELDS) == 23
 
 
 @pytest.mark.parametrize("record, text, frozen", RECORDS, ids=IDS)
@@ -174,6 +176,7 @@ def test_records_of_different_classes_never_compare_equal():
     pairs = ((A, 0),)
     assert DeadlockFreeOracle(21) != Inconclusive(21)
     assert MdgCycle(pairs) != FppStuck(pairs)
+    assert WaitCycle(pairs) != MdgCycle(pairs)
     assert Deadlock(None) != DeadlockFree()
     assert DeadlockFreeOracle(21) == DeadlockFreeOracle(21)
     assert DeadlockFreeOracle(21) != DeadlockFreeOracle(22)

@@ -15,7 +15,7 @@ from mpicheck.model import InfiniteLoop, Symbol, unroll
 from mpicheck.oracle import DeadlockFreeOracle, explore
 from mpicheck.smodel import (Mdg, build_mdg, check_by_queues, check_smodel,
                              find_deadlock_cycle, mdg_to_dot)
-from mpicheck.verdicts import Deadlock, MdgCycle, UnmatchedTotals
+from mpicheck.verdicts import Deadlock, UnmatchedTotals, WaitCycle
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -79,11 +79,10 @@ def test_unmatched_send_deadlocks_with_totals_witness():
 
 
 def test_cycle_witness_preferred():
-    # a-then-c in node 0, c-then-a in node 1: a 2-pair cycle
+    # a-then-c in node 0, c-then-a in node 1: each front waits for the other
     queues = {0: (A, C), 1: (C, A)}
     verdict = check_smodel(queues)
-    assert isinstance(verdict.witness, MdgCycle)
-    assert len(verdict.witness.pairs) == 2
+    assert verdict.witness == WaitCycle(((0, A, 0), (1, C, 0)))
 
 
 def test_mdg_fifo_pairing():
@@ -120,22 +119,6 @@ def test_successors_follow_symbol_names_not_tuples():
     assert mdg.edges == (((a10, 0), (a2, 0)), ((a2, 0), (a10, 0)),
                          ((r, 0), (a10, 0)), ((r, 0), (a2, 0)))
     assert find_deadlock_cycle(mdg) == ((a10, 0), (a2, 0))
-
-
-def test_check_smodel_never_derives_edges(monkeypatch):
-    # only the two deadlocked models build a graph, for their witnesses
-    built = []
-
-    def spy(queues):
-        built.append(build_mdg(queues))
-        return built[-1]
-
-    monkeypatch.setattr(smodel, "build_mdg", spy)
-    for queues in ({0: (A, B), 1: (A, B)}, {0: (A, C), 1: (C, A)},
-                   {0: (A, A), 1: (A,)}):
-        check_smodel(queues)
-    assert [mdg.pairs for mdg in built] == [((A, 0), (C, 0)), ((A, 0),)]
-    assert all("edges" not in vars(mdg) for mdg in built)
 
 
 def test_mdg_dot_output():
@@ -344,37 +327,25 @@ def test_deep_chain_needs_no_recursion():
         (A, half - 1), (B, half - 1))
 
 
-def test_one_cycle_search_per_check(monkeypatch):
-    calls = []
+def test_check_smodel_builds_no_mdg(monkeypatch):
+    # matching decides and its stuck fronts name the witness: the graph is
+    # left to `mpicheck mdg` and the tests
+    def refuse(*args):
+        raise AssertionError("check_smodel used the MDG")
 
-    def counted(mdg):
-        calls.append(mdg)
-        return find_deadlock_cycle(mdg)
-
-    monkeypatch.setattr(smodel, "find_deadlock_cycle", counted)
+    monkeypatch.setattr(smodel, "build_mdg", refuse)
+    monkeypatch.setattr(smodel, "find_deadlock_cycle", refuse)
     rng = random.Random(5)
     deadlocks = 0
     for _ in range(300):
         queues = schedule_queues(rng, 6, rng.randint(4, 40))
         if rng.random() < 0.7:
             queues = _mutated(rng, queues)
-        del calls[:]
         verdict = check_smodel(queues)
-        # a free model is decided by its queues alone
-        assert len(calls) == isinstance(verdict, Deadlock)
-        if not isinstance(verdict, Deadlock):
-            continue
-        deadlocks += 1
-        # the witness is the pair cycle, else the first unpaired event's
-        # totals
-        mdg = build_mdg(queues)
-        cyc = find_deadlock_cycle(mdg)
-        if cyc is not None:
-            assert verdict.witness == MdgCycle(cyc)
-        else:
-            s = mdg.unpaired[0][1]
-            assert isinstance(verdict.witness, UnmatchedTotals)
-            assert verdict.witness.symbol == s
+        assert bool(verdict) == check_by_queues(queues)
+        if isinstance(verdict, Deadlock):
+            deadlocks += 1
+            assert isinstance(verdict.witness, (WaitCycle, UnmatchedTotals))
     assert 100 <= deadlocks <= 200     # 156 deadlocked, 144 free
 
 
