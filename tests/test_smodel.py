@@ -327,21 +327,49 @@ def test_deep_chain_needs_no_recursion():
         (A, half - 1), (B, half - 1))
 
 
-def test_check_smodel_builds_no_mdg(monkeypatch):
-    # matching decides and its stuck fronts name the witness: the graph is
+def test_check_smodel_never_derives_edges(monkeypatch):
+    # matching decides and its stuck fronts name the witness: no model,
+    # free or deadlocked, builds a graph inside the check
+    built = []
+
+    def spy(queues):
+        built.append(build_mdg(queues))
+        return built[-1]
+
+    monkeypatch.setattr(smodel, "build_mdg", spy)
+    verdicts = [check_smodel(queues)
+                for queues in ({0: (A, B), 1: (A, B)}, {0: (A, C), 1: (C, A)},
+                               {0: (A, A), 1: (A,)})]
+    assert built == []
+    assert verdicts[0] and not isinstance(verdicts[0], Deadlock)
+    assert verdicts[1] == Deadlock(WaitCycle(((0, A, 0), (1, C, 0))))
+    assert verdicts[2] == Deadlock(UnmatchedTotals(A, 2, 1))
+
+
+def test_one_cycle_search_per_check(monkeypatch):
+    # the matcher is the check's one search; the MDG and its cycle test are
     # left to `mpicheck mdg` and the tests
     def refuse(*args):
         raise AssertionError("check_smodel used the MDG")
 
+    calls = []
+
+    def counted(queues, fronts=None):
+        calls.append(queues)
+        return check_by_queues(queues, fronts)
+
     monkeypatch.setattr(smodel, "build_mdg", refuse)
     monkeypatch.setattr(smodel, "find_deadlock_cycle", refuse)
+    monkeypatch.setattr(smodel, "check_by_queues", counted)
     rng = random.Random(5)
     deadlocks = 0
     for _ in range(300):
         queues = schedule_queues(rng, 6, rng.randint(4, 40))
         if rng.random() < 0.7:
             queues = _mutated(rng, queues)
+        del calls[:]
         verdict = check_smodel(queues)
+        assert len(calls) == 1
         assert bool(verdict) == check_by_queues(queues)
         if isinstance(verdict, Deadlock):
             deadlocks += 1
