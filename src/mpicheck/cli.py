@@ -194,7 +194,9 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.set_defaults(fn=cmd_reg)
 
-    p = sub.add_parser("simulate", help="exhaustive interleaving oracle")
+    p = sub.add_parser(
+        "simulate", help="ground-truth oracle: one run to a stuck or "
+        "repeated state")
     p.add_argument("path")
     p.add_argument("--max-states", type=_at_least_1, default=10**6)
     p.set_defaults(fn=cmd_simulate)

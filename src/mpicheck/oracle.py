@@ -1,9 +1,9 @@
-"""Ground-truth deadlock decision by exhaustive state-space exploration.
+"""Ground-truth deadlock decision by one run of the program per part.
 
 Rendezvous semantics: a send and its matching receive fire together, each
 blocks until the other is ready.  Infinite loops cycle through their body
-with no counter, so every node's control space is finite and exploration is
-exact on everything the DSL admits.
+with no counter, so every node's control space is finite and a run either
+stops or repeats a state.
 
 Meaning of deadlock: a reachable global state with no enabled rendezvous in
 which at least one node has not terminated.  A node blocked forever on a
@@ -11,28 +11,32 @@ terminated peer therefore counts only once every other node is blocked or
 terminated too; while an unrelated pair can still exchange, the state is not
 stuck.
 
-The search runs per part.  A part is a group of nodes linked by the two
+Why one run decides: each node has exactly one event at its front, so two
+enabled rendezvous never share a node.  Firing one leaves the others
+enabled, and any two commute.  A single enabled rendezvous is therefore a
+persistent set (Godefroid, 1996), and every maximal run reaches the same
+stuck state when one exists, in the same number of steps (Keller, 1975).
+The run fires the least enabled rendezvous in ``Symbol`` order and stops
+when none is enabled (a stuck or terminated state) or when a state repeats
+(the part is live).  The exhaustive search over every interleaving that it
+replaces is kept in ``tests/reference.py``, which the tests hold the run
+to.
+
+The run goes part by part.  A part is a group of nodes linked by the two
 endpoints of a message; nodes that no message links to another node can
-never move, and join the first part.  Parts share no rendezvous, so their
-moves commute and the global states reachable are exactly the products of
-the parts' reachable states.  The program is therefore deadlocked when every
-part can reach a state with no enabled rendezvous and at least one part can
-reach such a state with an unterminated node.  Each part is explored on its
-own, so the cost is the sum of the parts' state spaces, not their product;
-``states`` counts the states explored summed over the parts, and
-``max_states`` bounds the states stored summed over the parts.
+never move, and join the first part.  Parts share no rendezvous, so the
+program is deadlocked when every part stops and at least one stops with an
+unterminated node.  ``states`` counts the states visited summed over the
+parts, and ``max_states`` bounds them; every state visited is stored.
 
 A node's local state is its stack of loop frames, or TERMINATED.  Within a
-part's search each local state is numbered when first reached, together
-with the event at its front and, once needed, the number its firing leads
-to, so a global state is a tuple of small ints and each local transition is
-settled once however many global states reach it.  A deadlock's state is
-reported as stacks.  The tests keep their own walk of the stacks as the
-reference semantics, sharing no step code with the search.
+part's run each local state is numbered when first reached, together with
+the event at its front and, once needed, the number its firing leads to, so
+a global state is a tuple of small ints and each local transition is
+settled once however often the run takes it.  A deadlock's state is
+reported as stacks.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from .model import INFINITE, DuplicateNode, For, InvalidLoopCount, Program
 from .record import Frozen
@@ -202,22 +206,23 @@ def _parts(program: Program) -> list:
     return parts
 
 
-def _search(program: Program, positions: list, max_states: int):
-    """Breadth-first reachability over the states of the nodes of
-    ``program`` at ``positions``.  Each local state of a node gets a number
-    when the search first reaches it, and a global state is the tuple of
-    its nodes' numbers.  Per number, ``table`` holds a row ``[event, node,
-    partner, next, local state]``: the event at the node's front and the
-    receiver when it is a send (``_front``; node and partner are indexes
-    into ``positions``), the number reached when that event fires
-    (``_advance``, filled in when first needed) and the local state, for
-    decoding.  So expanding a global state reads two rows per node.
+def _run(program: Program, positions: list, max_states: int):
+    """One run over the states of the nodes of ``program`` at
+    ``positions``, firing at each state the least enabled rendezvous in
+    ``Symbol`` order.  Each local state of a node gets a number when the
+    run first reaches it, and a global state is the tuple of its nodes'
+    numbers.  Per number, ``table`` holds a row ``[event, node, partner,
+    next, local state]``: the event at the node's front and the receiver
+    when it is a send (``_front``; node and partner are indexes into
+    ``positions``), the number reached when that event fires (``_advance``,
+    filled in when first needed) and the local state, for decoding.  So a
+    step reads two rows per node, and each local transition is settled
+    once however often the run takes it.
 
-    Returns ``(explored, seen, dead)``: ``seen`` maps each stored state to
-    its (parent, symbol), and is None when more than ``max_states`` states
-    would be stored; ``dead`` is None when some rendezvous is enabled in
-    every reachable state, else ``(state, local states)`` for the first
-    stuck state, else for the first state with every node terminated."""
+    Returns ``(visited, trace, local)``: the states visited, all of them
+    stored; the symbols fired, None when more than ``max_states`` states
+    would be stored; and the local states of the state where no rendezvous
+    is enabled, None when the run repeats a state first."""
     nodes = [program.nodes[k] for k in positions]
     rank = {nid: i for i, (nid, _) in enumerate(nodes)}
     numbers = [{} for _ in nodes]       # local state -> number, per node
@@ -231,93 +236,64 @@ def _search(program: Program, positions: list, max_states: int):
                           local])
         return n
 
-    init = tuple([number(i, *_settle([(0, 1)], [body]))
-                  for i, (_, body) in enumerate(nodes)])
-    seen = {init: None}
-    q = deque([init])
-    explored = 0
-    done = None
-    while q:
-        state = q.popleft()
-        explored += 1
+    state = tuple([number(i, *_settle([(0, 1)], [body]))
+                   for i, (_, body) in enumerate(nodes)])
+    seen = {state}
+    trace = []
+    while True:
         rows = list(map(table.__getitem__, state))
-        moves = []
+        move = None
         for row in rows:
             j = row[2]
-            if j is not None and rows[j][0] == row[0]:
-                moves.append(row)
-        if not moves:
-            local = [row[4] for row in rows]
-            if local.count(TERMINATED) < len(local):
-                return explored, seen, (state, local)
-            if done is None:
-                done = state, local
-            continue
-        moves.sort()    # by event, which no two moves share
-        for row in moves:
-            peer = rows[row[2]]
-            nxt = list(state)
+            if j is not None and rows[j][0] == row[0] and (
+                    move is None or row[0] < move[0]):
+                move = row
+        if move is None:
+            return len(seen), trace, [row[4] for row in rows]
+        nxt = list(state)
+        for row in (move, rows[move[2]]):
             n = row[3]
             if n is None:
                 i = row[1]
                 n = row[3] = number(i, *_advance(nodes[i][1], row[4]))
             nxt[row[1]] = n
-            n = peer[3]
-            if n is None:
-                i = peer[1]
-                n = peer[3] = number(i, *_advance(nodes[i][1], peer[4]))
-            nxt[peer[1]] = n
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    return explored, None, None
-                seen[nxt] = (state, row[0])
-                q.append(nxt)
-    return explored, seen, done
+        trace.append(move[0])
+        state = tuple(nxt)
+        if state in seen:
+            return len(seen), trace, None
+        if len(seen) >= max_states:
+            return len(seen), None, None
+        seen.add(state)
 
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
-    """Breadth-first reachability, part by part.  Returns the parts' traces
-    to a stuck global state, freedom, or Inconclusive at the state bound.
-    Raises DuplicateNode on a node id declared twice, as the search steps a
-    node by its id, and InvalidLoopCount on an empty loop body it reaches,
-    which would never settle; ``validate`` rejects both."""
+    """One run per part.  Returns the parts' traces to a stuck global
+    state, freedom, or Inconclusive at the state bound.  Raises
+    DuplicateNode on a node id declared twice, as the run steps a node by
+    its id, and InvalidLoopCount on an empty loop body it reaches, which
+    would never settle; ``validate`` rejects both."""
     nodes = program.nodes
     if len(program.rank) != len(nodes):
         dup = next(n for k, (n, _) in enumerate(nodes)
                    if program.rank[n] != k)
         raise DuplicateNode(f"node {dup} declared twice")
-    explored = stored = 0
-    dead = []       # (positions, seen, dead state, its local states) per part
-    for positions in _parts(program):
-        # the first part's initial state is stored whatever the bound, as
-        # in a search of the whole program; a later part's counts against it
-        if stored and stored >= max_states:
-            return Inconclusive(explored)
-        n, seen, found = _search(program, positions, max_states - stored)
-        explored += n
-        if seen is None:
-            return Inconclusive(explored)
-        if found is None:
-            return DeadlockFreeOracle(explored)
-        stored += len(seen)
-        dead.append((positions, seen, *found))
-    if all(s is TERMINATED for *_, local in dead for s in local):
-        return DeadlockFreeOracle(explored)
+    visited = 0
     trace = []
     merged = [None] * len(nodes)
-    for positions, seen, state, local in dead:
-        trace += _trace(seen, state)
+    for positions in _parts(program):
+        # the first part's initial state is stored whatever the bound, as
+        # in a run of the whole program; a later part's counts against it
+        if visited and visited >= max_states:
+            return Inconclusive(visited)
+        n, steps, local = _run(program, positions, max_states - visited)
+        visited += n
+        if steps is None:
+            return Inconclusive(visited)
+        if local is None:
+            return DeadlockFreeOracle(visited)
+        trace += steps
         for k, s in zip(positions, local):
             merged[k] = s
+    if all(s is TERMINATED for s in merged):
+        return DeadlockFreeOracle(visited)
     return DeadlockReachable(tuple(trace), tuple(merged))
-
-
-def _trace(seen, state) -> list:
-    out = []
-    cur = state
-    while seen[cur] is not None:
-        cur, sym = seen[cur]
-        out.append(sym)
-    out.reverse()
-    return out

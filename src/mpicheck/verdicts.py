@@ -26,21 +26,6 @@ class Deadlock(Frozen, Verdict):
 DEADLOCK_FREE = DeadlockFree()
 
 
-class MdgCycle(Frozen):
-    """Directed cycle in the contracted message-pair graph."""
-
-    _fields = ("pairs",)  # ((symbol, k), ...)
-
-    def __init__(self, pairs):
-        self.__dict__.update(pairs=pairs)
-
-    def to_dict(self):
-        return {
-            "type": "mdg-cycle",
-            "pairs": [f"{s}#{k}" for s, k in self.pairs],
-        }
-
-
 class WaitCycle(Frozen):
     """Blocked fronts of a stuck event model, each waiting for the next
     one's node, the last for the first's."""

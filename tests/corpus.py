@@ -1,8 +1,9 @@
 """Random program generation shared by the agreement and property tests.
 
 Programs stay small (at most 4 nodes, 12 events per node, loop counts up to
-4, nesting depth up to 2) so the exhaustive oracle is cheap.  Several styles
-are mixed so both verdicts occur and every engine path gets exercised:
+4, nesting depth up to 2) so the exhaustive reference search is cheap.
+Several styles are mixed so both verdicts occur and every engine path gets
+exercised:
 
 * loop-free programs, both arbitrary and built along a global rendezvous
   schedule (the latter are balanced and usually deadlock-free)

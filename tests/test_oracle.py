@@ -1,18 +1,23 @@
-"""Exhaustive interleaving explorer: verdicts, traces, determinism."""
+"""The one-run oracle: verdicts, traces, determinism, and agreement with the
+exhaustive reference search of ``reference.py``."""
 import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter
 
 import pytest
 
-from corpus import generate
+from corpus import corpus, generate
 from mpicheck import oracle
 from mpicheck.model import (INFINITE, DuplicateNode, For, Program, Symbol,
-                            make_program)
+                            make_program, validate)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED, explore)
+from mpicheck.parser import parse
+from reference import (enabled, greedy_run, initial_state, product_search,
+                       replay, step)
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -20,84 +25,6 @@ C = Symbol("c", 2, 3)
 D = Symbol("d", 3, 2)
 E = Symbol("e", 4, 5)
 F = Symbol("f", 5, 4)
-
-
-# The reference semantics: one node's state is its stack of loop frames
-# (statement index, remaining iterations, None for an infinite loop), the
-# outermost a count-1 frame over the node's body, or TERMINATED.  The walk
-# is written here, apart from the oracle's numbered search, so a step bug
-# in the search cannot cancel out against the reference.
-
-def _seq_at(body, stack):
-    """The statement sequence the innermost frame of ``stack`` indexes."""
-    seq = body
-    for idx, _ in stack[:-1]:
-        seq = seq[idx].body
-    return seq
-
-
-def _settle(body, stack):
-    """Advance the frames of ``stack`` (a list, changed in place) until the
-    innermost index points at an event, or the node is terminated."""
-    while True:
-        seq = _seq_at(body, stack)
-        idx, rem = stack[-1]
-        if idx < len(seq):
-            st = seq[idx]
-            if not isinstance(st, For):
-                return tuple(stack)
-            stack.append((0, None if st.count is INFINITE else st.count))
-        elif len(stack) == 1:
-            return TERMINATED
-        elif rem is None:
-            stack[-1] = (0, None)
-        elif rem > 1:
-            stack[-1] = (0, rem - 1)
-        else:
-            stack.pop()
-            pidx, prem = stack[-1]
-            stack[-1] = (pidx + 1, prem)
-
-
-def _front(body, state):
-    """The event at the front of a node's state, None when terminated."""
-    if state is TERMINATED:
-        return None
-    return _seq_at(body, state)[state[-1][0]]
-
-
-def initial_state(program: Program) -> tuple:
-    return tuple(_settle(body, [(0, 1)]) for _, body in program.nodes)
-
-
-def enabled(program: Program, gstate: tuple) -> set:
-    """Symbols at the front of both their source and their destination."""
-    fronts = {nid: _front(body, st)
-              for (nid, body), st in zip(program.nodes, gstate)}
-    return {sym for nid, sym in fronts.items()
-            if sym is not None and sym.src == nid != sym.dst
-            and fronts.get(sym.dst) == sym}
-
-
-def step(program: Program, gstate: tuple, sym) -> tuple:
-    """The global state after rendezvous ``sym`` fires at both ends."""
-    out = list(gstate)
-    for k, (nid, body) in enumerate(program.nodes):
-        if nid in (sym.src, sym.dst):
-            idx, rem = out[k][-1]
-            out[k] = _settle(body, [*out[k][:-1], (idx + 1, rem)])
-    return tuple(out)
-
-
-def replay(program: Program, trace) -> tuple:
-    """Apply a rendezvous sequence from the initial state; raises when a
-    step is not enabled."""
-    state = initial_state(program)
-    for sym in trace:
-        if sym not in enabled(program, state):
-            raise ValueError(f"trace step {sym} is not enabled")
-        state = step(program, state, sym)
-    return state
 
 
 def test_empty_program_is_free():
@@ -223,19 +150,9 @@ def test_sparse_unordered_node_ids():
     assert isinstance(stuck, DeadlockReachable) and stuck.trace == ()
 
 
-def test_each_state_expanded_once_and_each_local_step_settled_once(
-        monkeypatch):
-    # the search keeps no call per state to count, so the reference's
-    # explored count stands for "each state expanded once"; each local
-    # transition is settled by one _advance call, however many global
-    # states fire it
-    g = Symbol("g", 1, 2)    # joins the two pairs into one part
-    prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
-                         2: [For(2, (C, D)), g], 3: [For(2, (C, D))]})
-    assert oracle._parts(prog) == [[0, 1, 2, 3]]
-    # the pairs interleave freely (7 * 5 states), then g fires
-    ref = _product_search(prog, 10**6)[0]
-    assert ref == DeadlockFreeOracle(7 * 5 + 1)
+@pytest.fixture
+def advance_calls(monkeypatch):
+    """Every ``_advance`` call the oracle makes, as ``(body, stack)``."""
     calls = []
     original = oracle._advance
 
@@ -244,8 +161,94 @@ def test_each_state_expanded_once_and_each_local_step_settled_once(
         return original(body, stack)
 
     monkeypatch.setattr(oracle, "_advance", counting)
-    assert explore(prog) == ref
-    assert len(calls) == len(set(calls)) == 6 + 7 + 5 + 4
+    return calls
+
+
+def _part_programs(prog):
+    """``(positions, program of those nodes)`` per part of ``prog``."""
+    return [(part, Program(tuple(prog.nodes[k] for k in part)))
+            for part in oracle._parts(prog)]
+
+
+def _reference_run(prog):
+    """``explore``'s run from the reference stepper: ``greedy_run`` on each
+    part in turn, up to the first part that repeats a state.  Returns the
+    verdict, the states visited, and the local transitions fired, one per
+    distinct (node, local state), counted by (body, local state)."""
+    visited = 0
+    trace, merged = [], [None] * len(prog.nodes)
+    fired = set()
+    for part, sub in _part_programs(prog):
+        steps, states, live = greedy_run(sub)
+        visited += len(states)
+        for sym, state in zip(steps, states):
+            fired.update((k, local) for k, local in zip(part, state)
+                         if prog.nodes[k][0] in (sym.src, sym.dst))
+        if live:
+            return DeadlockFreeOracle(visited), visited, fired
+        trace += steps
+        for k, local in zip(part, states[-1]):
+            merged[k] = local
+    if all(s is TERMINATED for s in merged):
+        return DeadlockFreeOracle(visited), visited, fired
+    return DeadlockReachable(tuple(trace), tuple(merged)), visited, fired
+
+
+def _projection(trace, nid):
+    return [sym for sym in trace if nid in (sym.src, sym.dst)]
+
+
+def _check_run(prog, ref, stored, calls):
+    """``explore`` on ``prog`` against the exhaustive reference ``ref``,
+    which stored ``stored`` states, and against the reference run.  The
+    verdict class and stuck state equal the reference's; a deadlock's trace
+    replays to that state and takes each node through the reference
+    trace's events; the run visits at most ``stored`` states, and exactly
+    that many are its bound; each local transition it takes is settled by
+    one ``_advance`` call.  Against an inconclusive ``ref`` only the
+    reference run and the bound are checked.  Returns the verdict and the
+    states visited."""
+    calls.clear()
+    got = explore(prog)
+    want, visited, fired = _reference_run(prog)
+    assert got == want, prog
+    assert Counter(calls) == Counter(
+        (prog.nodes[k][1], local) for k, local in fired), prog
+    assert explore(prog, max_states=visited) == got, prog
+    if visited > 1:
+        assert explore(prog, max_states=visited - 1) == \
+            Inconclusive(visited - 1), prog
+    if isinstance(ref, Inconclusive):
+        return got, visited
+    assert type(got) is type(ref), prog
+    if isinstance(ref, DeadlockReachable):
+        assert got.state == ref.state, prog
+        assert replay(prog, got.trace) == got.state
+        for nid, _ in prog.nodes:
+            assert _projection(got.trace, nid) == \
+                _projection(ref.trace, nid), (prog, nid)
+    assert visited <= stored, prog
+    return got, visited
+
+
+def test_each_state_expanded_once_and_each_local_step_settled_once(
+        advance_calls):
+    # the run visits each state once, so it stops at its first repeat; each
+    # local transition is settled by one _advance call, however often the
+    # run takes it
+    g = Symbol("g", 1, 2)    # joins the two pairs into one part
+    prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
+                         2: [For(2, (C, D)), g], 3: [For(2, (C, D))]})
+    assert oracle._parts(prog) == [[0, 1, 2, 3]]
+    # the pairs interleave freely (7 * 5 states), then g fires
+    ref, seen = product_search(prog, 10**6)
+    assert ref == DeadlockFreeOracle(7 * 5 + 1) and len(seen) == 36
+    # the run: a, b three times, then c, d twice, then g
+    assert _check_run(prog, ref, len(seen), advance_calls) == \
+        (DeadlockFreeOracle(12), 12)
+    advance_calls.clear()
+    explore(prog)
+    assert len(advance_calls) == len(set(advance_calls)) == 6 + 7 + 5 + 4
 
 
 def _union(progs, rng):
@@ -263,44 +266,21 @@ def _union(progs, rng):
     return make_program(dict(nodes))
 
 
-def _product_search(prog, max_states):
-    """Breadth-first search of the whole program's state space, from the
-    reference initial_state/enabled/step above: the reference for explore.
-    Returns the verdict and the states stored, each mapped to (parent,
-    symbol)."""
-    init = initial_state(prog)
-    seen = {init: None}
-    q = deque([init])
-    explored = 0
-    while q:
-        state = q.popleft()
-        explored += 1
-        moves = enabled(prog, state)
-        if not moves:
-            if any(s != TERMINATED for s in state):
-                trace, cur = [], state
-                while seen[cur] is not None:
-                    cur, sym = seen[cur]
-                    trace.append(sym)
-                return DeadlockReachable(tuple(reversed(trace)), state), seen
-            continue
-        for sym in sorted(moves, key=lambda s: (s.name, s.src, s.dst)):
-            nxt = step(prog, state, sym)
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    return Inconclusive(explored), seen
-                seen[nxt] = (state, sym)
-                q.append(nxt)
-    return DeadlockFreeOracle(explored), seen
-
-
-def test_per_part_search_matches_product_search():
+def _unions(n):
     rng = random.Random(3)
+    return [_union([generate(rng) for _ in range(rng.randint(1, 3))], rng)
+            for _ in range(n)]
+
+
+def test_per_part_search_matches_product_search(advance_calls):
     decided = multi = 0
-    for _ in range(500):
-        prog = _union([generate(rng) for _ in range(rng.randint(1, 3))], rng)
-        ref = _product_search(prog, 10**5)[0]
-        got = explore(prog)
+    for prog in _unions(500):
+        ref, seen = product_search(prog, 10**5)
+        # explore's count is summed over the parts, so it is held to the
+        # parts' exhaustive counts, summed
+        stored = sum(len(product_search(sub, 10**5)[1])
+                     for _, sub in _part_programs(prog))
+        got = _check_run(prog, ref, stored, advance_calls)[0]
         if isinstance(got, DeadlockReachable):
             state = replay(prog, got.trace)
             assert state == got.state
@@ -309,12 +289,26 @@ def test_per_part_search_matches_product_search():
         if isinstance(ref, Inconclusive):
             continue
         decided += 1
-        if len(oracle._parts(prog)) == 1:
-            assert got == ref, prog
-        else:
-            multi += 1
-            assert type(got) is type(ref), prog
+        multi += len(oracle._parts(prog)) > 1
     assert decided >= 450 and multi >= 200
+
+
+def test_enabled_rendezvous_are_node_disjoint_and_stay_enabled():
+    # the premise of the one run: each node has one front event, so two
+    # enabled rendezvous share no node, and firing one leaves the others
+    # enabled.  A single enabled move is then a persistent set, and one
+    # run reaches every stuck state the full search reaches
+    states = concurrent = 0
+    for prog in corpus(CORPUS_SEED, CORPUS_SIZE) + _unions(500):
+        for state in product_search(prog, 10**5)[1]:
+            moves = enabled(prog, state)
+            ends = [n for sym in moves for n in (sym.src, sym.dst)]
+            assert len(ends) == len(set(ends)), (prog, state)
+            for sym in moves:
+                assert moves - {sym} <= enabled(prog, step(prog, state, sym))
+            states += 1
+            concurrent += len(moves) > 1
+    assert concurrent >= 10000 and states - concurrent >= 5000
 
 
 def test_oracle_enabled_equals_reference_on_every_visited_state():
@@ -324,7 +318,7 @@ def test_oracle_enabled_equals_reference_on_every_visited_state():
     for k in range(120):
         prog = (_concurrent_pairs(rng) if k % 3 == 0 else
                 _union([generate(rng) for _ in range(rng.randint(1, 2))], rng))
-        for state in _product_search(prog, 10**4)[1]:
+        for state in product_search(prog, 10**4)[1]:
             want = enabled(prog, state)
             assert oracle.enabled(prog, state) == want, (prog, state)
             states += 1
@@ -364,32 +358,53 @@ def _concurrent_pairs(rng):
     return make_program(bodies)
 
 
-def test_numbered_search_equals_single_state_reference():
+def test_numbered_search_equals_single_state_reference(advance_calls):
     rng = random.Random(19)
     kinds = {DeadlockFreeOracle: 0, DeadlockReachable: 0}
-    global_states = local_states = 0
+    global_states = local_states = run_states = 0
     for _ in range(80):
         prog = _concurrent_pairs(rng)
         assert oracle._parts(prog) == [list(range(len(prog.nodes)))]
-        ref, seen = _product_search(prog, 10**6)
+        ref, seen = product_search(prog, 10**6)
         kinds[type(ref)] += 1
-        got = explore(prog)
-        assert got == ref, prog
-        stored = len(seen)
-        global_states += stored
+        got, visited = _check_run(prog, ref, len(seen), advance_calls)
+        global_states += len(seen)
         local_states += sum(len({s[k] for s in seen})
                             for k in range(len(prog.nodes)))
-        for bound in (stored - 1, stored, stored + 1):
-            assert explore(prog, max_states=bound) == \
-                _product_search(prog, bound)[0], (prog, bound)
+        run_states += visited
         if isinstance(got, DeadlockReachable):
-            # stacks of (index, remaining) frames, not the search's numbers
+            # stacks of (index, remaining) frames, not the run's numbers
             assert all(s is TERMINATED or all(
                 type(f) is tuple and len(f) == 2 for f in s)
                 for s in got.state)
-            assert replay(prog, got.trace) == got.state
     assert kinds[DeadlockFreeOracle] >= 20 and kinds[DeadlockReachable] >= 20
     assert global_states >= 4 * local_states
+    assert global_states >= 4 * run_states
+
+
+def _six_pair_exchanges():
+    """Six pairs P2k/P2k+1, each exchanging ak and bk 50 times; after its
+    loop P2k+1 sends zk to P2k+2, which takes it after its own loop."""
+    out = []
+    for k in range(6):
+        u, v = f"P{2 * k}", f"P{2 * k + 1}"
+        head = f"  recv z{k - 1} from P{2 * k - 1}\n" if k else ""
+        tail = f"  send z{k} to P{2 * k + 2}\n" if k < 5 else ""
+        out.append(f"node {u} {{\n  for 50 {{ send a{k} to {v}, "
+                   f"recv b{k} from {v} }}\n{head}}}\n")
+        out.append(f"node {v} {{\n  for 50 {{ recv a{k} from {u}, "
+                   f"send b{k} to {u} }}\n{tail}}}\n")
+    return "".join(out)
+
+
+def test_concurrent_pair_exchanges_decide_in_one_run():
+    # the pairs interleave in about 101^6 global states, far past the
+    # default bound of an exhaustive search; the run fires 6 * 100
+    # exchanges and the 5 chain messages
+    prog = validate(parse(_six_pair_exchanges()))
+    assert len(oracle._parts(prog)) == 1
+    assert explore(prog) == DeadlockFreeOracle(606)
+    assert explore(prog, max_states=605) == Inconclusive(605)
 
 
 def test_parts_cost_their_sum_not_their_product():
@@ -399,7 +414,7 @@ def test_parts_cost_their_sum_not_their_product():
                          5: [For(3, (E, F))]})
     assert explore(make_program({0: part, 1: part})) == DeadlockFreeOracle(7)
     assert explore(prog, max_states=50) == DeadlockFreeOracle(21)
-    assert isinstance(_product_search(prog, 50)[0], Inconclusive)
+    assert isinstance(product_search(prog, 50)[0], Inconclusive)
     # the bound caps the states stored summed over the parts
     assert explore(prog, max_states=21) == DeadlockFreeOracle(21)
     assert isinstance(explore(prog, max_states=20), Inconclusive)
@@ -450,7 +465,7 @@ def test_one_explore_call_and_each_part_state_expanded_once(monkeypatch):
     verdict = oracle.explore(prog)
     assert len(explores) == 1
     # each part's states expanded once: the parts' reference counts, summed
-    per_part = [_product_search(make_program({k: bodies[k] for k in ks}),
+    per_part = [product_search(make_program({k: bodies[k] for k in ks}),
                                 10**6)[0].states for ks in parts]
     assert per_part == [7, 5, 2]
     assert verdict == DeadlockFreeOracle(sum(per_part))

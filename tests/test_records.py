@@ -17,7 +17,7 @@ from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
                           RatioSolution)
 from mpicheck.smodel import build_mdg
 from mpicheck.trace import RegRecord, SetRecord, Trace
-from mpicheck.verdicts import (Deadlock, DeadlockFree, FppStuck, MdgCycle,
+from mpicheck.verdicts import (Deadlock, DeadlockFree, FppStuck,
                                RatioInconsistency, UnmatchedTotals,
                                WaitCycle)
 
@@ -70,10 +70,8 @@ RECORDS = [
     (Program(((0, ()),)), "Program(nodes=((0, ()),), names=())", True),
     (DeadlockFree(), "DeadlockFree()", True),
     (Deadlock(None), "Deadlock(witness=None)", True),
-    (Deadlock(MdgCycle(((A, 0),))),
-     f"Deadlock(witness=MdgCycle(pairs=(({SA}, 0),)))", True),
-    (MdgCycle(((A, 0), (B, 0))), f"MdgCycle(pairs=(({SA}, 0), ({SB}, 0)))",
-     True),
+    (Deadlock(WaitCycle(((0, A, 0),))),
+     f"Deadlock(witness=WaitCycle(fronts=((0, {SA}, 0),)))", True),
     (WaitCycle(((0, A, 0), (1, B, 2))),
      f"WaitCycle(fronts=((0, {SA}, 0), (1, {SB}, 2)))", True),
     (UnmatchedTotals(A, 2, 1),
@@ -125,7 +123,7 @@ IDS = [type(r).__name__ for r, _, _ in RECORDS]
 FIELDS = {
     "For": ("count", "body"), "Program": ("nodes", "names"),
     "DeadlockFree": (), "Deadlock": ("witness",),
-    "MdgCycle": ("pairs",), "WaitCycle": ("fronts",),
+    "WaitCycle": ("fronts",),
     "UnmatchedTotals": ("symbol", "sends", "recvs"),
     "RatioInconsistency": ("detail", "equations"), "FppStuck": ("pool",),
     "OracleVerdict": (), "DeadlockReachable": ("trace", "state"),
@@ -144,7 +142,7 @@ FIELDS = {
 
 
 def test_table_covers_every_record_class():
-    assert set(FIELDS) == set(IDS) and len(FIELDS) == 23
+    assert set(FIELDS) == set(IDS) and len(FIELDS) == 22
 
 
 @pytest.mark.parametrize("record, text, frozen", RECORDS, ids=IDS)
@@ -175,8 +173,7 @@ def test_record_equals_only_a_record_of_its_class(record, text, frozen):
 def test_records_of_different_classes_never_compare_equal():
     pairs = ((A, 0),)
     assert DeadlockFreeOracle(21) != Inconclusive(21)
-    assert MdgCycle(pairs) != FppStuck(pairs)
-    assert WaitCycle(pairs) != MdgCycle(pairs)
+    assert WaitCycle(pairs) != FppStuck(pairs)
     assert Deadlock(None) != DeadlockFree()
     assert DeadlockFreeOracle(21) == DeadlockFreeOracle(21)
     assert DeadlockFreeOracle(21) != DeadlockFreeOracle(22)
