@@ -27,14 +27,17 @@ endpoints of a message; nodes that no message links to another node can
 never move, and join the first part.  Parts share no rendezvous, so the
 program is deadlocked when every part stops and at least one stops with an
 unterminated node.  ``states`` counts the states visited summed over the
-parts, and ``max_states`` bounds them; every state visited is stored.
+parts, and ``max_states`` bounds them.
 
-A node's local state is its stack of loop frames, or TERMINATED.  Within a
-part's run each local state is numbered when first reached, together with
-the event at its front and, once needed, the number its firing leads to, so
-a global state is a tuple of small ints and each local transition is
-settled once however often the run takes it.  A deadlock's state is
-reported as stacks.
+A node's local state is its stack of loop frames, or TERMINATED.  A part
+with no infinite loop never repeats a state, as each step moves two nodes
+past an event of their unrolled bodies, each passed once: its run steps
+each node's frames in place and stores nothing.  A part with an infinite
+loop stores every state it visits and numbers each local state when first
+reached, with the event at its front and, once needed, the number its
+firing leads to, so a global state is a tuple of small ints and each local
+transition is settled once however often the run takes it.  A deadlock's
+state is reported as stacks.
 """
 from __future__ import annotations
 
@@ -111,16 +114,20 @@ def _settle(stack: list, seqs: list) -> tuple:
             stack[-1] = (pidx + 1, prem)
 
 
+def _step(stack: list, seqs: list) -> tuple:
+    """``_settle`` after the event at the front of the settled ``stack``
+    fires: the innermost frame moves past it, in place."""
+    idx, rem = stack[-1]
+    stack[-1] = (idx + 1, rem)
+    return _settle(stack, seqs)
+
+
 def _advance(body, stack) -> tuple:
-    """``(local state, event at its front)`` after the event at the front
-    of the settled local state ``stack`` fires: the innermost frame moves
-    past it and the frames settle."""
-    *outer, (idx, rem) = stack
+    """``_step`` on a copy of the settled local state ``stack``."""
     seqs = [body]
-    for k, _ in outer:
+    for k, _ in stack[:-1]:
         seqs.append(seqs[-1][k].body)
-    outer.append((idx + 1, rem))
-    return _settle(outer, seqs)
+    return _step(list(stack), seqs)
 
 
 def _front(nid, rank: dict, event):
@@ -158,21 +165,25 @@ def enabled(program: Program, gstate: tuple) -> set:
     return out
 
 
-def _parts(program: Program) -> list:
+def _parts(program: Program, looping: set = None) -> list:
     """Node positions grouped into parts, each in ``program.nodes`` order,
     the parts ordered by their first node.  Two nodes share a part when a
     message names both as its endpoints.  Nodes that no message links to
     another node can never move; they join the first part, so a program
-    with no link is one part."""
+    with no link is one part.  The positions of nodes that hold an
+    infinite loop are added to ``looping`` when it is given."""
     rank = program.rank
     syms = set()
-    bodies = [body for _, body in program.nodes]
-    for body in bodies:
-        for st in body:
-            if type(st) is For:
+    for k, (_, top) in enumerate(program.nodes):
+        bodies = [top]
+        for body in bodies:
+            for st in body:
+                if type(st) is not For:
+                    syms.add(st)
+                    continue
                 bodies.append(st.body)
-            else:
-                syms.add(st)
+                if st.count is INFINITE and looping is not None:
+                    looping.add(k)
     group = [None] * len(program.nodes)  # position -> its part, shared
     for _, a, b in syms:
         ka, kb = rank.get(a), rank.get(b)
@@ -204,6 +215,32 @@ def _parts(program: Program) -> list:
     if inert:
         parts[0] = sorted(parts[0] + inert)
     return parts
+
+
+def _run_in_place(program: Program, positions: list, max_states: int):
+    """``_run`` over a part with no infinite loop, which repeats no state:
+    each node's frames are stepped in place, and nothing is stored."""
+    nodes = [program.nodes[k] for k in positions]
+    rank = {nid: i for i, (nid, _) in enumerate(nodes)}
+    frames = [([(0, 1)], [body]) for _, body in nodes]
+    events = [_settle(*f)[1] for f in frames]
+    partner = [_front(nid, rank, e) for (nid, _), e in zip(nodes, events)]
+    trace = []
+    while True:
+        move = None
+        for i, j in enumerate(partner):
+            if j is not None and events[j] == events[i] and (
+                    move is None or events[i] < move):
+                move, m = events[i], i
+        if move is None:
+            # settling a settled stack decodes it
+            return len(trace) + 1, trace, [_settle(*f)[0] for f in frames]
+        trace.append(move)
+        if len(trace) >= max_states:
+            return len(trace), None, None
+        for i in (m, partner[m]):
+            events[i] = e = _step(*frames[i])[1]
+            partner[i] = _front(nodes[i][0], rank, e)
 
 
 def _run(program: Program, positions: list, max_states: int):
@@ -280,12 +317,14 @@ def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
     visited = 0
     trace = []
     merged = [None] * len(nodes)
-    for positions in _parts(program):
-        # the first part's initial state is stored whatever the bound, as
+    looping = set()
+    for positions in _parts(program, looping):
+        # the first part's initial state is counted whatever the bound, as
         # in a run of the whole program; a later part's counts against it
         if visited and visited >= max_states:
             return Inconclusive(visited)
-        n, steps, local = _run(program, positions, max_states - visited)
+        run = _run if looping.intersection(positions) else _run_in_place
+        n, steps, local = run(program, positions, max_states - visited)
         visited += n
         if steps is None:
             return Inconclusive(visited)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
 from mpicheck.parser import parse
 from reference import (enabled, greedy_run, initial_state, product_search,
                        replay, step)
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE, PROGRAMS, load
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -152,15 +153,17 @@ def test_sparse_unordered_node_ids():
 
 @pytest.fixture
 def advance_calls(monkeypatch):
-    """Every ``_advance`` call the oracle makes, as ``(body, stack)``."""
+    """Every local step the oracle settles, as ``(body, local state before
+    the step)``: each ``_step`` call, made by ``_advance`` in the numbered
+    run and directly by the in-place run."""
     calls = []
-    original = oracle._advance
+    original = oracle._step
 
-    def counting(body, stack):
-        calls.append((body, stack))
-        return original(body, stack)
+    def counting(stack, seqs):
+        calls.append((seqs[0], tuple(stack)))
+        return original(stack, seqs)
 
-    monkeypatch.setattr(oracle, "_advance", counting)
+    monkeypatch.setattr(oracle, "_step", counting)
     return calls
 
 
@@ -205,7 +208,7 @@ def _check_run(prog, ref, stored, calls):
     replays to that state and takes each node through the reference
     trace's events; the run visits at most ``stored`` states, and exactly
     that many are its bound; each local transition it takes is settled by
-    one ``_advance`` call.  Against an inconclusive ``ref`` only the
+    one ``_step`` call.  Against an inconclusive ``ref`` only the
     reference run and the bound are checked.  Returns the verdict and the
     states visited."""
     calls.clear()
@@ -234,7 +237,7 @@ def _check_run(prog, ref, stored, calls):
 def test_each_state_expanded_once_and_each_local_step_settled_once(
         advance_calls):
     # the run visits each state once, so it stops at its first repeat; each
-    # local transition is settled by one _advance call, however often the
+    # local transition is settled by one _step call, however often the
     # run takes it
     g = Symbol("g", 1, 2)    # joins the two pairs into one part
     prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
@@ -291,6 +294,52 @@ def test_per_part_search_matches_product_search(advance_calls):
         decided += 1
         multi += len(oracle._parts(prog)) > 1
     assert decided >= 450 and multi >= 200
+
+
+def _holds_infinite_loop(body):
+    return any(isinstance(st, For) and (
+        st.count is INFINITE or _holds_infinite_loop(st.body)) for st in body)
+
+
+def test_in_place_run_equals_numbered_run_on_every_acyclic_part():
+    # a part with no infinite loop never repeats a state, so explore runs
+    # it in place and stores none; the numbered run must give the same
+    # states visited, trace and stuck state, at the default bound and at
+    # the bounds that just fit the run and just miss it
+    progs = corpus(CORPUS_SEED, CORPUS_SIZE) + _unions(500) + [
+        load(f) for f in sorted(os.listdir(PROGRAMS)) if f.endswith(".mdl")]
+    acyclic = cyclic = 0
+    for prog in progs:
+        looping = set()
+        parts = oracle._parts(prog, looping)
+        assert looping == {k for k, (_, body) in enumerate(prog.nodes)
+                           if _holds_infinite_loop(body)}, prog
+        for part in parts:
+            if looping.intersection(part):
+                cyclic += 1
+                continue
+            acyclic += 1
+            want = oracle._run(prog, part, 10**6)
+            assert oracle._run_in_place(prog, part, 10**6) == want, prog
+            for bound in {want[0], max(want[0] - 1, 1)}:
+                assert oracle._run_in_place(prog, part, bound) == \
+                    oracle._run(prog, part, bound), (prog, bound)
+    assert acyclic >= 1800 and cyclic >= 400
+
+
+def test_finite_exchange_runs_without_a_state_store():
+    # 2 * 10^5 rounds of a and b: a stored state per step would take
+    # hundreds of MB, the in-place run keeps little more than its trace
+    loop = [For(200000, (A, B))]
+    prog = make_program({0: loop, 1: loop})
+    tracemalloc.start()
+    try:
+        verdict = explore(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == DeadlockFreeOracle(400001)
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_enabled_rendezvous_are_node_disjoint_and_stay_enabled():
