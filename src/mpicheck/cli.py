@@ -25,7 +25,7 @@ def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Usage(f"cannot read {path}: {exc}")
     return validate(parse(text))
 

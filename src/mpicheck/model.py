@@ -151,13 +151,29 @@ def make_program(bodies: dict, names: dict | None = None) -> Program:
 # the checks print counts, ratios and their products.
 MAX_COUNT_DIGITS = 4300
 COUNT_LIMIT = 10**MAX_COUNT_DIGITS
+# The deepest nesting of loops validate accepts.  Every recursive walk over
+# a loop tree (validate, count_occurrences, weighted_size, flatten_items,
+# render_items, the parser's render and l2's normalization) takes one or two
+# Python frames per level, so a program within it stays far under the
+# default recursion limit of 1,000 frames, whatever stack it is checked on.
+MAX_NESTING = 200
 
 
 def validate(program: Program) -> Program:
     """Check well-formedness and size (a top-level infinite loop counted
     once); returns the program unchanged or raises.  The walk runs once per
-    Program."""
+    Program, and not at all for one the parser has certified."""
     program._valid
+    return program
+
+
+def certified(nodes, names) -> Program:
+    """A Program its builder has already found valid, as the parser does
+    when none of validate's conditions fired while it built each part:
+    validate returns it without a walk.  The walk, run on every other
+    program, stays the only source of a ModelError."""
+    program = Program(nodes, names)
+    program.__dict__["_valid"] = True
     return program
 
 
@@ -168,8 +184,9 @@ def _check(program: Program):
             raise DuplicateNode(f"node {nid} declared twice")
         seen.add(nid)
 
-    def check(nid, body, top):
-        """The events of ``body`` per outermost iteration."""
+    def check(nid, body, depth):
+        """The events of ``body``, ``depth`` loops deep, per outermost
+        iteration."""
         events = len(body)
         for st in body:
             if isinstance(st, Symbol):
@@ -186,7 +203,7 @@ def _check(program: Program):
             elif isinstance(st, For):
                 times = st.count
                 if is_infinite(times):
-                    if not top:
+                    if depth:
                         raise NestedInfinite(
                             f"infinite loop below top level in node {nid}")
                     times = 1
@@ -195,7 +212,10 @@ def _check(program: Program):
                         f"loop count {times!r} in node {nid}")
                 if not st.body:
                     raise InvalidLoopCount(f"empty loop body in node {nid}")
-                events += times * check(nid, st.body, False) - 1
+                if depth == MAX_NESTING:
+                    raise SizeExceeded(f"loops nest more than {MAX_NESTING} "
+                                       f"deep in node {nid}")
+                events += times * check(nid, st.body, depth + 1) - 1
             else:
                 raise ModelError(f"unknown statement {st!r}")
         if events >= COUNT_LIMIT:
@@ -205,7 +225,7 @@ def _check(program: Program):
         return events
 
     for nid, body in program.nodes:
-        check(nid, body, True)
+        check(nid, body, 0)
     if not program.nodes:
         raise ModelError("a program needs at least one node")
 

@@ -15,19 +15,33 @@ statement and of a "node" or "for" header are separated by blanks (spaces,
 tabs, carriage returns) only.  Node names map to ranks in declaration order.
 
 The scanner takes a whole "send" or "recv" statement, and a whole "node
-NAME" or "for COUNT" header, as one token, so the parser makes one step per
-statement and looks each repeated statement up with one dict hit.  A token
-that cannot stand where it is (a lone keyword, a stray name or digit run, an
-illegal character) is an error, diagnosed by scanning single words from that
+NAME" or "for COUNT" header, as one token, with the header's "{" when only
+blanks come before it (a brace further on is a token of its own), so the
+parser makes one step per statement or header and looks each repeated
+statement up with one dict hit.  It walks the tokens with one iterator; a
+token's index is recovered only to report an error.  A token that cannot
+stand where it is (a lone keyword, a stray name or digit run, an illegal
+character) is an error, diagnosed by scanning single words from that
 token's start: the checks that name the word at fault run only once the text
 is known to be wrong, not on every statement of a well-formed one.
+
+The parser also checks validate's conditions as it builds each statement,
+loop and node: a message to the node's own rank, an undeclared peer, a node
+declared twice, a "for inf" inside a loop, a count of 0, an empty loop body,
+loops nested past model.MAX_NESTING, and events per outermost iteration of
+MAX_COUNT_DIGITS digits or more.  When none holds, the Program comes back
+certified (model.certified), and validate returns it without a walk.  When
+one does, validate's walk runs as on any other Program and raises the
+error, so each message keeps its one wording and order.
 """
 from __future__ import annotations
 
 import re
 from itertools import islice
+from operator import length_hint
 
-from .model import INFINITE, MAX_COUNT_DIGITS, For, Program, Symbol
+from .model import (COUNT_LIMIT, INFINITE, MAX_COUNT_DIGITS, MAX_NESTING, For,
+                    Program, Symbol, certified)
 
 
 class MdlSyntaxError(Exception):
@@ -43,15 +57,18 @@ class MdlLexError(MdlSyntaxError):
 
 _NAME = r"[^\W\d]\w*"
 # Blanks, separators and comments, then one token: a whole send or recv
-# statement, a node or loop header, or else one word token (below).
+# statement, a node or loop header with its "{" if only blanks come before
+# it, or else one word token (below).
 _SCAN = re.compile(
     r"[ \t\r\n,]*(?:#[^\n]*[ \t\r\n,]*)*("
     rf"send[ \t\r]+{_NAME}[ \t\r]+to[ \t\r]+{_NAME}"
     rf"|recv[ \t\r]+{_NAME}[ \t\r]+from[ \t\r]+{_NAME}"
-    rf"|node[ \t\r]+{_NAME}|for[ \t\r]+(?:[0-9]+|inf)(?!\w)"
+    rf"|(?:node[ \t\r]+{_NAME}|for[ \t\r]+(?:[0-9]+|inf)(?!\w))"
+    rf"(?:[ \t\r]*{{)?"
     rf"|[{{}}]|\d+|{_NAME}|.|\Z)")
-# A node header, and its name, in the scanned tokens joined one to a line.
-_HEAD = re.compile(r"\n(node[ \t\r]+(\w+))")
+# A node header token, and its name, in the scanned tokens joined one to a
+# line.
+_HEAD = re.compile(r"\n(node[ \t\r]+(\w+)[^\n]*)")
 # Blanks and a comment, then one word token: a brace, a separator, a digit
 # run, a name, any other single character (which is illegal), or the end of
 # the text (""), so that every position matches and nothing is skipped.
@@ -126,8 +143,16 @@ def _fault(text, k, expected):
     _fail(text, off, f"expected a statement, got {t!r}")
 
 
+def _index(toks, it):
+    """The index in ``toks`` of the token ``it`` yielded last."""
+    return len(toks) - length_hint(it) - 1
+
+
 def parse(text: str) -> Program:
-    """Parse source text into a Program (unvalidated)."""
+    """Parse source text into a Program, checking validate's conditions as
+    each part is built.  A program for which none holds comes back
+    certified, and validate returns it without a walk; any other comes back
+    unvalidated, and validate's walk raises the error."""
     toks = _SCAN.findall(text)      # ends in "", the end of the text
     # Ranks follow declaration order, and a body may name a node declared
     # later, so find the node headers first.  Undeclared targets get fresh
@@ -135,35 +160,42 @@ def parse(text: str) -> Program:
     # context.
     heads = {}                      # header token -> node name
     ranks = {}
-    for head, name in _HEAD.findall("\n" + "\n".join(toks)):
+    found = _HEAD.findall("\n" + "\n".join(toks))
+    for head, name in found:
         heads[head] = name
         ranks.setdefault(name, len(ranks))
+    declared = len(ranks)
+    # False once one of validate's conditions holds: here, a duplicate node
+    ok = len(found) == declared
     symbols = {}                    # (name, src, dst) -> its one Symbol
     nodes = []
-    i = 0
-    if not toks[0]:
-        _fault(text, 0, "node")
-    while toks[i]:
-        name = heads.get(toks[i])
+    it = iter(toks)
+    for t in it:
+        name = heads.get(t)
         if name is None:
-            _fault(text, i, "node")
+            if t or not nodes:
+                _fault(text, _index(toks, it), "node")
+            break
         here = ranks[name]
-        if toks[i + 1] != "{":
-            _fault(text, i + 1, "{")
-        i += 2
+        if t[-1] != "{" and next(it) != "{":
+            _fault(text, _index(toks, it), "{")
         stmts = {}                  # statement token -> its Symbol
         body = []
-        outer = []                  # (count, enclosing body) per open loop
-        while True:
-            t = toks[i]
-            i += 1
+        extra = 0                   # its loops' events, less one per loop
+        outer = []                  # (count, times, enclosing body, extra)
+        for t in it:
             st = stmts.get(t)
             if st is not None:
                 body.append(st)
             elif t == "}":
                 if not outer:
                     break
-                count, enclosing = outer.pop()
+                count, times, enclosing, enclosing_extra = outer.pop()
+                events = len(body) + extra
+                if not 0 < events < COUNT_LIMIT:    # empty, or too many
+                    ok = False
+                    events = 1      # no longer certified; keep it small
+                extra = enclosing_extra + times * events - 1
                 enclosing.append(tuple.__new__(For, (count, tuple(body))))
                 body = enclosing
             else:
@@ -175,24 +207,43 @@ def parse(text: str) -> Program:
                         peer = ranks[peer_name] = len(ranks)
                     fields = ((msg, here, peer) if kw == "send"
                               else (msg, peer, here))
-                    st = symbols.get(fields) or symbols.setdefault(
-                        fields, tuple.__new__(Symbol, fields))
+                    st = symbols.get(fields)
+                    if st is None:
+                        # a self-message's one Symbol is made here, once
+                        if peer == here:
+                            ok = False
+                        st = symbols[fields] = tuple.__new__(Symbol, fields)
                     stmts[t] = st
                     body.append(st)
-                elif len(words) == 2 and words[0] == "for":
-                    if len(words[1]) > MAX_COUNT_DIGITS:
-                        _fault(text, i - 1, "statement")
-                    if toks[i] != "{":
-                        _fault(text, i, "{")
-                    i += 1
-                    outer.append((INFINITE if words[1] == "inf"
-                                  else int(words[1]), body))
-                    body = []
+                    continue
+                # else a loop header, its brace in its last word or not
+                if len(words) < 2 or words[0] != "for":
+                    _fault(text, _index(toks, it), "statement")
+                count = words[1].rstrip("{")
+                if len(count) > MAX_COUNT_DIGITS:
+                    _fault(text, _index(toks, it), "statement")
+                if t[-1] != "{" and next(it) != "{":
+                    _fault(text, _index(toks, it), "{")
+                if count == "inf":
+                    count, times = INFINITE, 1
+                    if outer:
+                        ok = False
                 else:
-                    _fault(text, i - 1, "statement")
+                    count = times = int(count)
+                    if not count:
+                        ok = False
+                if len(outer) == MAX_NESTING:
+                    ok = False
+                outer.append((count, times, body, extra))
+                body = []
+                extra = 0
+        if extra and len(body) + extra >= COUNT_LIMIT:
+            ok = False
         nodes.append((here, tuple(body)))
-    names = tuple((r, n) for n, r in ranks.items())
-    return Program(tuple(nodes), names)
+    names = tuple(zip(ranks.values(), ranks))
+    if len(names) > declared:       # a peer no node header declares
+        ok = False
+    return (certified if ok else Program)(tuple(nodes), names)
 
 
 def render(program: Program) -> str:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from test_parser import _nested_for
 from mpicheck.cli import main
+from mpicheck.model import MAX_NESTING
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROGRAMS = os.path.join(HERE, os.pardir, "programs")
@@ -94,6 +96,15 @@ def test_missing_file_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.mdl"
+    bad.write_bytes(b"node P0 { }\n\xff\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {bad}: 'utf-8' codec can't decode byte "
+        "0xff in position 12: invalid start byte\n")
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.mdl"
     bad.write_text("node P0 { send a }")
@@ -122,6 +133,26 @@ def test_node_declared_twice_exit_two(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr() == (
         "", f"error: {bad}: node 0 declared twice\n")
+
+
+@pytest.mark.parametrize("cmd", ["check", "simulate", "reg", "mdg"])
+def test_nesting_at_the_bound_checks(tmp_path, capsys, cmd):
+    path = tmp_path / "deep.mdl"
+    path.write_text(_nested_for(MAX_NESTING))
+    assert main([cmd, str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cmd", ["check", "simulate"])
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000])
+def test_nesting_past_the_bound_exit_two(tmp_path, capsys, cmd, depth):
+    # 1,000 levels once overflowed the recursion limit, an exit of 1
+    path = tmp_path / "deep.mdl"
+    path.write_text(_nested_for(depth))
+    assert main([cmd, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: loops nest more than {MAX_NESTING} deep in "
+        "node 0\n")
 
 
 def _nested(stmt):

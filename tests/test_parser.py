@@ -1,17 +1,28 @@
 """Text format: parsing, errors with positions, render round trips."""
 import gc
+import glob
+import os
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import generate
+from corpus import corpus, generate
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+from test_model import _counting_check
 from test_smodel import schedule_queues
-from mpicheck.model import INFINITE, For, Symbol, make_program, validate
+from mpicheck import model
+from mpicheck.model import (INFINITE, MAX_NESTING, DanglingEndpoint,
+                            DuplicateNode, For, InvalidLoopCount,
+                            NestedInfinite, SelfMessage, SizeExceeded,
+                            Symbol, make_program, validate)
 from mpicheck.parser import (MAX_COUNT_DIGITS, MdlLexError, MdlSyntaxError,
                              parse, render)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 SIMPLE = """
 node P0 {
@@ -205,6 +216,10 @@ ACCEPTS = [
      ((0, (For(INFINITE, (Symbol("for", 1, 0),)),)),
       (1, (For(INFINITE, (Symbol("for", 1, 0),)),))),
      ((0, "node"), (1, "inf"))),
+    # a header's brace right after it, or on the next line
+    ('node P0{for 2{send a to P1}}\nnode P1\n{for 2\n{recv a from P0}}',
+     ((0, (For(2, (A01,)),)), (1, (For(2, (A01,)),))),
+     ((0, "P0"), (1, "P1"))),
 ]
 
 
@@ -301,3 +316,120 @@ def test_round_trip_of_a_node_that_sends_and_receives_one_name():
     assert prog.nodes[0][1] == (Symbol("a", 0, 1), Symbol("a", 1, 0))
     assert render(prog) == text
     assert parse(render(prog)).nodes == prog.nodes
+
+
+# The parser checks validate's conditions as it builds a program and, when
+# none holds, hands it over certified: validate then skips its walk.
+def _valid_texts():
+    """The criterion-3 corpus rendered to text, every example program, and
+    the four benchmark workloads' seed-1 and seed-2 program sets."""
+    texts = [render(p) for p in corpus(CORPUS_SEED, CORPUS_SIZE)]
+    for path in sorted(glob.glob(os.path.join(HERE, os.pardir, "programs",
+                                              "*.mdl"))):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2):
+            for oracle in (False, True):
+                texts += [case.text for case in
+                          workloads.program_set(name, seed, oracle)]
+    return texts
+
+
+def test_valid_text_is_certified(monkeypatch):
+    texts = _valid_texts()
+    walk = model._check
+    calls = _counting_check(monkeypatch)
+    assert len(texts) > 4000
+    for i, text in enumerate(texts):
+        prog = parse(text)
+        assert validate(prog) is prog
+        assert not calls, f"text {i} was not certified"
+        walk(prog)                      # which the walk passes
+
+
+def _nested_for(depth):
+    """P0 sends P1 one message inside ``depth`` nested loops."""
+    return ("node P0 {" + " for 1 {" * depth + " send a to P1" + " }" * depth
+            + " }\nnode P1 { recv a from P0 }")
+
+
+NINES = "9" * 3000
+# (text, class, message): each ModelError that text can reach, with the
+# class and message validate has always raised for it
+UNCERTIFIED = [
+    pytest.param("node P0 { send a to P0 }\n",
+                 SelfMessage, "a:0->0 has identical endpoints",
+                 id="self-message"),
+    pytest.param("node P0 { send a to P1 }\n",
+                 DanglingEndpoint, "a:0->1 references an undeclared node",
+                 id="undeclared peer"),
+    pytest.param("node P0 { }\nnode P0 { }\n",
+                 DuplicateNode, "node 0 declared twice",
+                 id="duplicate node"),
+    pytest.param("node P0 { for 2 { for inf { send a to P1 } } }\n"
+                 "node P1 { for inf { recv a from P0 } }\n",
+                 NestedInfinite, "infinite loop below top level in node 0",
+                 id="nested for inf"),
+    pytest.param("node P0 { for 0 { send a to P1 } }\nnode P1 { }\n",
+                 InvalidLoopCount, "loop count 0 in node 0", id="for 0"),
+    pytest.param("node P0 { for 3 { } }\nnode P1 { }\n",
+                 InvalidLoopCount, "empty loop body in node 0",
+                 id="empty body at top level"),
+    pytest.param("node P0 { for 3 { for 2 { } send a to P1 } }\n"
+                 "node P1 { recv a from P0 }\n",
+                 InvalidLoopCount, "empty loop body in node 0",
+                 id="empty body nested"),
+    pytest.param(f"node P0 {{ for {NINES} {{ for {NINES} {{ send a to P1 }}"
+                 " } }\nnode P1 { for inf { recv a from P0 } }\n",
+                 SizeExceeded, "events per outermost iteration of node 0 "
+                 "have more than 4300 digits", id="two nested 3,000 nines"),
+    pytest.param(_nested_for(MAX_NESTING + 1), SizeExceeded,
+                 f"loops nest more than {MAX_NESTING} deep in node 0",
+                 id="depth past the bound"),
+]
+
+
+@pytest.mark.parametrize("text, cls, msg", UNCERTIFIED)
+def test_invalid_text_is_not_certified(monkeypatch, text, cls, msg):
+    calls = _counting_check(monkeypatch)
+    prog = parse(text)
+    with pytest.raises(cls) as exc:
+        validate(prog)
+    assert len(calls) == 1
+    assert type(exc.value) is cls and str(exc.value) == msg
+
+
+def test_nested_huge_counts_parse_as_fast_as_siblings():
+    # the parser's count of events stops growing once it is past the bound,
+    # so 150 nested 4,300-digit counts cost what 150 sibling ones do,
+    # rather than products of up to 645,000 digits
+    count = "9" * MAX_COUNT_DIGITS
+    nested = ("node P0 {" + f" for {count} {{" * 150 + " send a to P1"
+              + " }" * 151 + "\nnode P1 { recv a from P0 }")
+    siblings = ("node P0 {" + f" for {count} {{ send a to P1 }}" * 150
+                + " }\nnode P1 { recv a from P0 }")
+    best = {}
+    for text in (nested, siblings) * 2:
+        t0 = time.process_time()
+        prog = parse(text)
+        best[text] = min(best.get(text, 1e9), time.process_time() - t0)
+        with pytest.raises(SizeExceeded):
+            validate(prog)
+    ratio = best[nested] / best[siblings]
+    assert ratio < 5, f"nested counts parsed {ratio:.1f} times as slowly"
+
+
+def test_validate_makes_no_walk_of_parsed_text(monkeypatch):
+    calls = _counting_check(monkeypatch)
+    prog = parse(SIMPLE)
+    assert validate(prog) is prog
+    validate(parse(_nested_for(MAX_NESTING)))
+    assert calls == []
+    validate(make_program(dict(prog.nodes)))  # built by a library caller
+    assert len(calls) == 1
