@@ -6,7 +6,10 @@ Exit codes: 0 deadlock-free, 1 deadlock, 2 usage/parse/validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 
 from . import oracle
@@ -202,14 +205,26 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_simulate)
 
     args = ap.parse_args(argv)
+    # the output is written once the exit code is known, so a reader that
+    # closes its end early (`| head -1`) cannot change the code
+    out = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            code = args.fn(args)
     except (MdlSyntaxError, ModelError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull
+        # (the note on SIGPIPE in the docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

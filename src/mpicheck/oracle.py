@@ -29,15 +29,14 @@ program is deadlocked when every part stops and at least one stops with an
 unterminated node.  ``states`` counts the states visited summed over the
 parts, and ``max_states`` bounds them.
 
-A node's local state is its stack of loop frames, or TERMINATED.  A part
-with no infinite loop never repeats a state, as each step moves two nodes
-past an event of their unrolled bodies, each passed once: its run steps
-each node's frames in place and stores nothing.  A part with an infinite
-loop stores every state it visits and numbers each local state when first
-reached, with the event at its front and, once needed, the number its
-firing leads to, so a global state is a tuple of small ints and each local
-transition is settled once however often the run takes it.  A deadlock's
-state is reported as stacks.
+A node's local state is its stack of loop frames, or TERMINATED.  The run
+steps each node's frames in place and keeps the event at each front.  A
+part with no infinite loop never repeats a state, as each step moves two
+nodes past an event of their unrolled bodies, each passed once, so its run
+stores nothing.  In a part with an infinite loop each node numbers its
+local states when first reached, and the run stores every global state it
+visits as a tuple of those numbers.  A local transition the run takes again
+is settled again.  A deadlock's state is reported as stacks.
 """
 from __future__ import annotations
 
@@ -79,21 +78,20 @@ class Inconclusive(OracleVerdict):
         self.__dict__.update(states=states)
 
 
-def _settle(stack: list, seqs: list) -> tuple:
+def _settle(stack: list, seqs: list):
     """Advance the frames of ``stack`` until the innermost index points at
     an event, or the node is terminated; ``seqs`` holds the statement
     sequence each frame indexes.  Both lists are changed in place.  Loop
     frames carry remaining iterations (None for infinite loops).  Entering
     a loop with an empty body raises InvalidLoopCount, as ``validate``
-    does.  Returns the local state and the event at its front,
-    ``(TERMINATED, None)`` for a terminated node."""
+    does.  Returns the event at the front, None for a terminated node."""
     seq = seqs[-1]
     while True:
         idx, rem = stack[-1]
         if idx < len(seq):
             st = seq[idx]
             if type(st) is not For:
-                return tuple(stack), st
+                return st
             if not st.body:
                 # an infinite loop over no event would never settle
                 raise InvalidLoopCount("empty loop body")
@@ -101,7 +99,7 @@ def _settle(stack: list, seqs: list) -> tuple:
             seq = st.body
             seqs.append(seq)
         elif len(stack) == 1:
-            return TERMINATED, None
+            return None
         elif rem is None:        # infinite loop: next iteration
             stack[-1] = (0, None)
         elif rem > 1:
@@ -114,20 +112,12 @@ def _settle(stack: list, seqs: list) -> tuple:
             stack[-1] = (pidx + 1, prem)
 
 
-def _step(stack: list, seqs: list) -> tuple:
+def _step(stack: list, seqs: list):
     """``_settle`` after the event at the front of the settled ``stack``
     fires: the innermost frame moves past it, in place."""
     idx, rem = stack[-1]
     stack[-1] = (idx + 1, rem)
     return _settle(stack, seqs)
-
-
-def _advance(body, stack) -> tuple:
-    """``_step`` on a copy of the settled local state ``stack``."""
-    seqs = [body]
-    for k, _ in stack[:-1]:
-        seqs.append(seqs[-1][k].body)
-    return _step(list(stack), seqs)
 
 
 def _front(nid, rank: dict, event):
@@ -217,14 +207,33 @@ def _parts(program: Program, looping: set = None) -> list:
     return parts
 
 
-def _run_in_place(program: Program, positions: list, max_states: int):
-    """``_run`` over a part with no infinite loop, which repeats no state:
-    each node's frames are stepped in place, and nothing is stored."""
+def _run(program: Program, positions: list, max_states: int, looping: bool):
+    """One run over the states of the nodes of ``program`` at
+    ``positions``, firing at each state the least enabled rendezvous in
+    ``Symbol`` order.  Each node's frames are stepped in place, with the
+    event at its front and, when that is a send, the receiver's index
+    (``_front``).  In a ``looping`` part each node also numbers its local
+    states when first reached, and the run stores every global state, as
+    the tuple of its nodes' numbers, to stop at the first repeat; any other
+    part repeats no state and stores none.
+
+    Returns ``(visited, trace, local)``: the states visited; the symbols
+    fired, None when more than ``max_states`` states would be stored; and
+    the local states of the state where no rendezvous is enabled, None
+    when the run repeats a state first."""
     nodes = [program.nodes[k] for k in positions]
     rank = {nid: i for i, (nid, _) in enumerate(nodes)}
     frames = [([(0, 1)], [body]) for _, body in nodes]
-    events = [_settle(*f)[1] for f in frames]
+    events = [_settle(*f) for f in frames]
     partner = [_front(nid, rank, e) for (nid, _), e in zip(nodes, events)]
+
+    def local(i):
+        return TERMINATED if events[i] is None else tuple(frames[i][0])
+
+    if looping:
+        numbers = [{local(i): 0} for i in range(len(nodes))]
+        state = [0] * len(nodes)
+        seen = {tuple(state)}
     trace = []
     while True:
         move = None
@@ -233,74 +242,20 @@ def _run_in_place(program: Program, positions: list, max_states: int):
                     move is None or events[i] < move):
                 move, m = events[i], i
         if move is None:
-            # settling a settled stack decodes it
-            return len(trace) + 1, trace, [_settle(*f)[0] for f in frames]
+            return len(trace) + 1, trace, [local(i) for i in range(len(nodes))]
         trace.append(move)
+        for i in (m, partner[m]):
+            events[i] = e = _step(*frames[i])
+            partner[i] = _front(nodes[i][0], rank, e)
+            if looping:
+                state[i] = numbers[i].setdefault(local(i), len(numbers[i]))
+        if looping:
+            key = tuple(state)
+            if key in seen:
+                return len(trace), trace, None
+            seen.add(key)
         if len(trace) >= max_states:
             return len(trace), None, None
-        for i in (m, partner[m]):
-            events[i] = e = _step(*frames[i])[1]
-            partner[i] = _front(nodes[i][0], rank, e)
-
-
-def _run(program: Program, positions: list, max_states: int):
-    """One run over the states of the nodes of ``program`` at
-    ``positions``, firing at each state the least enabled rendezvous in
-    ``Symbol`` order.  Each local state of a node gets a number when the
-    run first reaches it, and a global state is the tuple of its nodes'
-    numbers.  Per number, ``table`` holds a row ``[event, node, partner,
-    next, local state]``: the event at the node's front and the receiver
-    when it is a send (``_front``; node and partner are indexes into
-    ``positions``), the number reached when that event fires (``_advance``,
-    filled in when first needed) and the local state, for decoding.  So a
-    step reads two rows per node, and each local transition is settled
-    once however often the run takes it.
-
-    Returns ``(visited, trace, local)``: the states visited, all of them
-    stored; the symbols fired, None when more than ``max_states`` states
-    would be stored; and the local states of the state where no rendezvous
-    is enabled, None when the run repeats a state first."""
-    nodes = [program.nodes[k] for k in positions]
-    rank = {nid: i for i, (nid, _) in enumerate(nodes)}
-    numbers = [{} for _ in nodes]       # local state -> number, per node
-    table = []
-
-    def number(i, local, event):
-        n = numbers[i].get(local)
-        if n is None:
-            n = numbers[i][local] = len(table)
-            table.append([event, i, _front(nodes[i][0], rank, event), None,
-                          local])
-        return n
-
-    state = tuple([number(i, *_settle([(0, 1)], [body]))
-                   for i, (_, body) in enumerate(nodes)])
-    seen = {state}
-    trace = []
-    while True:
-        rows = list(map(table.__getitem__, state))
-        move = None
-        for row in rows:
-            j = row[2]
-            if j is not None and rows[j][0] == row[0] and (
-                    move is None or row[0] < move[0]):
-                move = row
-        if move is None:
-            return len(seen), trace, [row[4] for row in rows]
-        nxt = list(state)
-        for row in (move, rows[move[2]]):
-            n = row[3]
-            if n is None:
-                i = row[1]
-                n = row[3] = number(i, *_advance(nodes[i][1], row[4]))
-            nxt[row[1]] = n
-        trace.append(move[0])
-        state = tuple(nxt)
-        if state in seen:
-            return len(seen), trace, None
-        if len(seen) >= max_states:
-            return len(seen), None, None
-        seen.add(state)
 
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
@@ -323,8 +278,8 @@ def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
         # in a run of the whole program; a later part's counts against it
         if visited and visited >= max_states:
             return Inconclusive(visited)
-        run = _run if looping.intersection(positions) else _run_in_place
-        n, steps, local = run(program, positions, max_states - visited)
+        n, steps, local = _run(program, positions, max_states - visited,
+                               bool(looping.intersection(positions)))
         visited += n
         if steps is None:
             return Inconclusive(visited)

@@ -350,6 +350,27 @@ def test_simulate_independent_of_hash_seed():
     assert "deadlock reachable after 4 rendezvous" in outs[0]
 
 
+@pytest.mark.parametrize("args, code", [
+    (["check", "--json", "prog9.mdl"], 0), (["simulate", "prog9.mdl"], 0),
+    (["check", "--json", "prog2.mdl"], 1), (["simulate", "prog2.mdl"], 1)])
+def test_closed_stdout_keeps_the_verdict_exit_code(args, code):
+    # a reader that has gone (`| head -c1`) leaves the exit code to the
+    # verdict, with nothing on stderr
+    src = os.path.join(HERE, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpicheck.cli", *args[:-1], prog(args[-1])],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_check_trace_on_mid_round_deadlock(tmp_path, capsys):
     from test_l2 import ROUND_DEADLOCK
     path = tmp_path / "round.mdl"

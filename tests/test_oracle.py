@@ -154,8 +154,8 @@ def test_sparse_unordered_node_ids():
 @pytest.fixture
 def advance_calls(monkeypatch):
     """Every local step the oracle settles, as ``(body, local state before
-    the step)``: each ``_step`` call, made by ``_advance`` in the numbered
-    run and directly by the in-place run."""
+    the step)``: one ``_step`` call per node moved by each fired
+    rendezvous, a transition taken again settled again."""
     calls = []
     original = oracle._step
 
@@ -176,16 +176,18 @@ def _part_programs(prog):
 def _reference_run(prog):
     """``explore``'s run from the reference stepper: ``greedy_run`` on each
     part in turn, up to the first part that repeats a state.  Returns the
-    verdict, the states visited, and the local transitions fired, one per
-    distinct (node, local state), counted by (body, local state)."""
+    verdict, the states visited, and the local transitions fired: one per
+    node moved by each step, counted with multiplicity by (body, local
+    state before the step)."""
     visited = 0
     trace, merged = [], [None] * len(prog.nodes)
-    fired = set()
+    fired = Counter()
     for part, sub in _part_programs(prog):
         steps, states, live = greedy_run(sub)
         visited += len(states)
         for sym, state in zip(steps, states):
-            fired.update((k, local) for k, local in zip(part, state)
+            fired.update((prog.nodes[k][1], local)
+                         for k, local in zip(part, state)
                          if prog.nodes[k][0] in (sym.src, sym.dst))
         if live:
             return DeadlockFreeOracle(visited), visited, fired
@@ -201,26 +203,32 @@ def _projection(trace, nid):
     return [sym for sym in trace if nid in (sym.src, sym.dst)]
 
 
-def _check_run(prog, ref, stored, calls):
-    """``explore`` on ``prog`` against the exhaustive reference ``ref``,
-    which stored ``stored`` states, and against the reference run.  The
-    verdict class and stuck state equal the reference's; a deadlock's trace
-    replays to that state and takes each node through the reference
-    trace's events; the run visits at most ``stored`` states, and exactly
-    that many are its bound; each local transition it takes is settled by
-    one ``_step`` call.  Against an inconclusive ``ref`` only the
-    reference run and the bound are checked.  Returns the verdict and the
+def _check_reference_run(prog, calls):
+    """``explore`` on ``prog`` against the reference run: the same verdict,
+    one ``_step`` call per node moved by each fired rendezvous, and the
+    states the run visits exactly its bound.  Returns the verdict and the
     states visited."""
     calls.clear()
     got = explore(prog)
     want, visited, fired = _reference_run(prog)
     assert got == want, prog
-    assert Counter(calls) == Counter(
-        (prog.nodes[k][1], local) for k, local in fired), prog
+    assert Counter(calls) == fired, prog
     assert explore(prog, max_states=visited) == got, prog
     if visited > 1:
         assert explore(prog, max_states=visited - 1) == \
             Inconclusive(visited - 1), prog
+    return got, visited
+
+
+def _check_run(prog, ref, stored, calls):
+    """``explore`` on ``prog`` against the reference run
+    (``_check_reference_run``) and the exhaustive reference ``ref``, which
+    stored ``stored`` states.  The verdict class and stuck state equal
+    ``ref``'s; a deadlock's trace replays to that state and takes each node
+    through the reference trace's events; the run visits at most
+    ``stored`` states.  Against an inconclusive ``ref`` only the reference
+    run is checked.  Returns the verdict and the states visited."""
+    got, visited = _check_reference_run(prog, calls)
     if isinstance(ref, Inconclusive):
         return got, visited
     assert type(got) is type(ref), prog
@@ -236,9 +244,9 @@ def _check_run(prog, ref, stored, calls):
 
 def test_each_state_expanded_once_and_each_local_step_settled_once(
         advance_calls):
-    # the run visits each state once, so it stops at its first repeat; each
-    # local transition is settled by one _step call, however often the
-    # run takes it
+    # the run visits each state once, so it stops at its first repeat;
+    # each fired rendezvous settles its two nodes' steps once each, and a
+    # local transition the run takes again is settled again
     g = Symbol("g", 1, 2)    # joins the two pairs into one part
     prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
                          2: [For(2, (C, D)), g], 3: [For(2, (C, D))]})
@@ -252,6 +260,16 @@ def test_each_state_expanded_once_and_each_local_step_settled_once(
     advance_calls.clear()
     explore(prog)
     assert len(advance_calls) == len(set(advance_calls)) == 6 + 7 + 5 + 4
+    # a small lasso: node 0 sends a, a, c per round, node 1 takes a three
+    # at a time, so the run fires 9 rendezvous before the initial state
+    # repeats, each node's local transitions taken 3, 2 and 3 times
+    c = Symbol("c", 0, 2)
+    prog = make_program({0: [For(INFINITE, (For(2, (A,)), c))],
+                         1: [For(INFINITE, (For(3, (A,)),))],
+                         2: [For(INFINITE, (c,))]})
+    advance_calls.clear()
+    assert explore(prog) == DeadlockFreeOracle(9)
+    assert len(advance_calls) == 2 * 9 and len(set(advance_calls)) == 3 + 3 + 1
 
 
 def _union(progs, rng):
@@ -301,11 +319,10 @@ def _holds_infinite_loop(body):
         st.count is INFINITE or _holds_infinite_loop(st.body)) for st in body)
 
 
-def test_in_place_run_equals_numbered_run_on_every_acyclic_part():
-    # a part with no infinite loop never repeats a state, so explore runs
-    # it in place and stores none; the numbered run must give the same
-    # states visited, trace and stuck state, at the default bound and at
-    # the bounds that just fit the run and just miss it
+def test_run_equals_reference_run_at_and_below_its_bound(advance_calls):
+    # explore's one run on every part, with or without an infinite loop,
+    # gives the reference run's verdict and steps, at the default bound
+    # and at the bounds that just fit the run and just miss it
     progs = corpus(CORPUS_SEED, CORPUS_SIZE) + _unions(500) + [
         load(f) for f in sorted(os.listdir(PROGRAMS)) if f.endswith(".mdl")]
     acyclic = cyclic = 0
@@ -314,16 +331,9 @@ def test_in_place_run_equals_numbered_run_on_every_acyclic_part():
         parts = oracle._parts(prog, looping)
         assert looping == {k for k, (_, body) in enumerate(prog.nodes)
                            if _holds_infinite_loop(body)}, prog
-        for part in parts:
-            if looping.intersection(part):
-                cyclic += 1
-                continue
-            acyclic += 1
-            want = oracle._run(prog, part, 10**6)
-            assert oracle._run_in_place(prog, part, 10**6) == want, prog
-            for bound in {want[0], max(want[0] - 1, 1)}:
-                assert oracle._run_in_place(prog, part, bound) == \
-                    oracle._run(prog, part, bound), (prog, bound)
+        cyclic += sum(bool(looping.intersection(part)) for part in parts)
+        acyclic += sum(not looping.intersection(part) for part in parts)
+        _check_reference_run(prog, advance_calls)
     assert acyclic >= 1800 and cyclic >= 400
 
 
@@ -518,3 +528,41 @@ def test_one_explore_call_and_each_part_state_expanded_once(monkeypatch):
                                 10**6)[0].states for ks in parts]
     assert per_part == [7, 5, 2]
     assert verdict == DeadlockFreeOracle(sum(per_part))
+
+
+LASSO = """node P0 {
+  for inf {
+    for %d { send a to P1 }
+    send c to P2
+  }
+}
+node P1 {
+  for inf {
+    for %d { recv a from P0 }
+  }
+}
+node P2 {
+  for inf { recv c from P0 }
+}
+"""
+
+
+def test_long_lasso_takes_its_local_transitions_again(advance_calls):
+    # P0's rounds of 104 events and P1's of 107 realign only after about a
+    # hundred rounds, so the run takes each local transition about a
+    # hundred times before the first repeated state, and settles it each
+    # time
+    prog = validate(parse(LASSO % (103, 107)))
+    trace, states, live = greedy_run(prog)
+    assert live and len(trace) == len(states) == 11128
+    advance_calls.clear()
+    assert explore(prog) == DeadlockFreeOracle(11128)
+    assert len(advance_calls) == 2 * 11128
+    assert len(set(advance_calls)) == 104 + 107 + 1
+
+
+def test_lasso_longer_than_the_bound_is_inconclusive():
+    # rounds of 1004 and 1033 events first repeat a state after about 10^6
+    # steps; the bound stops the run first
+    prog = validate(parse(LASSO % (1003, 1033)))
+    assert explore(prog, max_states=10**5) == Inconclusive(10**5)
