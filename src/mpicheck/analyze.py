@@ -6,9 +6,8 @@ import time
 from . import l0, l2, smodel
 from .model import MAX_EVENTS, For, Program, unroll, validate
 from .record import Record
-from .reg import Inconsistent
 from .trace import Trace
-from .verdicts import Deadlock, Verdict, witness_dict
+from .verdicts import Deadlock, RatioInconsistency, Verdict, witness_dict
 
 
 class Report(Record):
@@ -30,7 +29,7 @@ class Report(Record):
                 "equations": [str(e) for e in rec.equations],
             }
             sol = rec.solution
-            if isinstance(sol, Inconsistent):
+            if isinstance(sol, RatioInconsistency):
                 entry["inconsistent"] = sol.detail
             else:
                 entry["components"] = [

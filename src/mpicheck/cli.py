@@ -18,10 +18,9 @@ from .l2 import normalize, strip_outer_infinite
 from .model import (MAX_EVENTS, For, ModelError, build_queues, is_infinite,
                     validate)
 from .parser import MdlSyntaxError, parse
-from .reg import Inconsistent
 from .smodel import build_mdg, mdg_to_dot
 from .trace import Trace
-from .verdicts import Deadlock, witness_dict
+from .verdicts import Deadlock, RatioInconsistency, witness_dict
 
 
 def _load(path):
@@ -95,7 +94,7 @@ def _print_reg(rec, name):
     for eq in rec.equations:
         print(f"    {eq}")
     sol = rec.solution
-    if isinstance(sol, Inconsistent):
+    if isinstance(sol, RatioInconsistency):
         print(f"    inconsistent: {sol.detail}")
         for eq in sol.equations:
             print(f"      clashing: {eq}")

@@ -25,12 +25,11 @@ from .model import (INFINITE, MAX_EVENTS, For, Program, SizeExceeded,
                     UnsupportedProgram, build_queues, count_occurrences,
                     is_infinite)
 from .record import Record
-from .reg import (Inconsistent, check_digits, count_equations, ratio_stage,
-                  solve)
+from .reg import check_digits, count_equations, ratio_stage, solve
 from .smodel import check_smodel
 from .trace import SetRecord, Trace
 from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
-                       Verdict)
+                       Verdict, WaitCycle)
 
 
 def _wrap_runs(items) -> list:
@@ -164,12 +163,11 @@ class SetMember(Record):
 
 
 class RelatedSet(Record):
-    _fields = ("nodes", "members", "eligible")
+    _fields = ("nodes", "members")
 
-    def __init__(self, nodes, members, eligible):
+    def __init__(self, nodes, members):
         self.nodes = nodes  # sorted; a waiting set names its pool component
-        self.members = members  # node -> SetMember (trimmed), {} if waiting
-        self.eligible = eligible
+        self.members = members  # node -> SetMember (trimmed); {}: waiting
 
 
 def _groups(held: dict) -> list:
@@ -237,10 +235,10 @@ def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
             lost, held[n] = held[n].keys() - m.counts.keys(), m.counts
         todo.extend(s[2] if s[1] == n else s[1] for s in lost)
     # untrimmed, the sets are the pool components
-    out = [RelatedSet(g, {n: members[n] for n in g}, True)
+    out = [RelatedSet(g, {n: members[n] for n in g})
            for g in (_groups(held) if trimmed else pool_groups)]
     if trimmed:
-        out.extend(RelatedSet(g, {}, False) for g in pool_groups
+        out.extend(RelatedSet(g, {}) for g in pool_groups
                    if not any(n in members for n in g))
     out.sort(key=lambda rs: rs.nodes[0])
     return out
@@ -268,15 +266,14 @@ def align_and_reduce(strings: dict, sets: list, max_events,
     Returns ("deadlock", verdict), ("progress", new strings) or
     ("noprogress", None).
     """
-    sets = [rs for rs in sets if rs.eligible]
+    sets = [rs for rs in sets if rs.members]
     counts = {n: m.counts for rs in sets for n, m in rs.members.items()}
     solution = _solve(sets, counts)
     conflict = None
-    if isinstance(solution, Inconsistent):
+    if isinstance(solution, RatioInconsistency):
         bad = solution.equations[-1].i
         first = next(k for k, rs in enumerate(sets) if bad in rs.members)
-        conflict = Deadlock(
-            RatioInconsistency(solution.detail, solution.equations))
+        conflict = Deadlock(solution)
         sets = sets[:first]
         solution = _solve(sets, counts)
 
@@ -341,23 +338,39 @@ def check_l2(program: Program, trace: Trace,
     strings = {n: normalize(body) for n, body in program.nodes}
     trace.strings = strings
 
-    strings, verdict = strip_outer_infinite(strings, trace)
+    stripped, verdict = strip_outer_infinite(strings, trace)
     if verdict is not None:
         return verdict
 
+    strings = stripped
     while True:
         pool = fpp(strings)
         trace.pools.append(pool)
         if not pool:
             return DEADLOCK_FREE
         sets = related_sets(pool, max_events)
-        record = SetRecord(tuple((rs.nodes, rs.eligible) for rs in sets))
+        record = SetRecord(tuple((rs.nodes, bool(rs.members)) for rs in sets))
         trace.set_records.append(record)
         kind, payload = align_and_reduce(strings, sets, max_events, record)
         if kind == "deadlock":
-            return payload
+            return _from_start(payload, stripped, strings)
         if kind == "noprogress":
             snapshot = tuple(sorted(
                 (n, str(p)) for n, p in pool.items()))
             return Deadlock(FppStuck(snapshot))
         strings = payload
+
+
+def _from_start(verdict: Deadlock, stripped: dict, strings: dict) -> Deadlock:
+    """``verdict`` with the k of each wait-cycle front counted from its
+    node's start in ``stripped``, not from the round that deadlocked, which
+    started from ``strings``: the rounds before consumed the symbol's count
+    in the first less its count in the second, both in closed form."""
+    if not isinstance(verdict.witness, WaitCycle):
+        return verdict
+    fronts = tuple(
+        (n, s, k + count_occurrences(stripped[n]).get(s, 0)
+         - count_occurrences(strings[n]).get(s, 0))
+        for n, s, k in verdict.witness.fronts)
+    check_digits([k for _, _, k in fronts], "a witness count has")
+    return Deadlock(WaitCycle(fronts))

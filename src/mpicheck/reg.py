@@ -71,17 +71,6 @@ class RatioSolution(Record):
         return self._times[var]
 
 
-class Inconsistent(Record):
-    """Conflict witness: a chain of accepted equations joining the two
-    variables, plus the equation whose ratio disagrees around the cycle."""
-
-    _fields = ("equations", "detail")
-
-    def __init__(self, equations, detail):
-        self.equations = equations
-        self.detail = detail
-
-
 def _frac(n, d):
     g = gcd(n, d)
     return n // g, d // g
@@ -133,8 +122,10 @@ class _UnionFind:
 
 
 def solve(group: RatioEquationGroup):
-    """Solution or an Inconsistent witness; a conflicting group is a first
-    class result, not an error."""
+    """Solution or a RatioInconsistency witness: the chain of accepted
+    equations joining the two variables of the equation whose ratio
+    disagrees around the cycle, then that equation.  A conflicting group
+    is a first class result, not an error."""
     uf = _UnionFind(group.variables)
     parent, ratio, size = uf.parent, uf.ratio, uf.size
     accepted = []   # spanning equations, in the order they were accepted
@@ -156,10 +147,10 @@ def solve(group: RatioEquationGroup):
             if fin * fjd * b != fid * fjn * a:
                 path = _chain(accepted, i, j)
                 have = _ratio_str(fin * fjd, fid * fjn)
-                return Inconsistent(
-                    tuple(path) + (eq,),
+                return RatioInconsistency(
                     f"ratio around the cycle through p{i} and p{j} "
-                    f"is {have}, equation demands {_ratio_str(a, b)}")
+                    f"is {have}, equation demands {_ratio_str(a, b)}",
+                    tuple(path) + (eq,))
             continue
         # attach the smaller tree below the larger
         if size[ri] < size[rj]:
@@ -265,8 +256,8 @@ def ratio_stage(order, counts, times, label, trace: Trace):
     if unmatched:
         return None, Deadlock(UnmatchedTotals(*unmatched[0]))
     solution = solve(group)
-    if isinstance(solution, Inconsistent):
-        conflict = RatioInconsistency(solution.detail, solution.equations)
+    if isinstance(solution, RatioInconsistency):
+        conflict = solution
     else:
         check_digits(solution.values.values(), "a ratio value has")
         conflict = _unequal_products(solution, times)

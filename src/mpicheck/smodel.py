@@ -4,8 +4,8 @@ The linear multi-queue matching algorithm decides, and its stuck fronts
 name a deadlock's witness.  Matching is FIFO: the k-th send instance of a
 symbol pairs with its k-th receive instance.  The contracted
 message-dependence graph and its cycle test are a second, independent
-method: they draw `mpicheck mdg`'s graph and serve the tests as a
-reference.
+method, off the check path: they draw `mpicheck mdg`'s graph and serve the
+tests as a reference.
 """
 from __future__ import annotations
 
@@ -84,56 +84,39 @@ class Mdg(Frozen):
 
 def build_mdg(queues: dict) -> Mdg:
     """The contracted MDG of the queues of a validated program, in which a
-    symbol sits only in its two endpoints' queues, in time linear in the
-    events.  Pairs are numbered in order of their symbols' first
-    appearance, so the cycle found does not depend on the hash seed.  The
-    symbols' strings are formatted in one pass, so a pair's successors, at
-    most two (one per endpoint), are kept in (symbol name, k) order with
-    one comparison when the second is found."""
-    sends = {}
-    recvs = {}
+    symbol sits only in its two endpoints' queues.  Pairs are numbered in
+    order of their symbols' first appearance, so the cycle found does not
+    depend on the hash seed.  Each node links its consecutive pairs."""
+    sends, recvs = {}, {}
     for n, q in queues.items():
         for s in q:
-            if n == s.src:
-                sends[s] = sends.get(s, 0) + 1
-            else:
-                recvs[s] = recvs.get(s, 0) + 1
-    syms = [*dict.fromkeys([*sends, *recvs])]
+            tally = sends if n == s.src else recvs
+            tally[s] = tally.get(s, 0) + 1
     pairs = []
-    first = {}      # symbol -> (its number, its str, index of pair 0, end)
-    for i, (name, s) in enumerate(zip(map("%s:%s->%s".__mod__, syms), syms)):
+    first = {}          # symbol -> (position of its pair 0, end)
+    for s in dict.fromkeys([*sends, *recvs]):
         k = min(sends.get(s, 0), recvs.get(s, 0))
-        base = len(pairs)
-        first[s] = (i, name, base, base + k)
-        if k == 1:          # the common case, without a comprehension
-            pairs.append((s, 0))
-        else:
-            pairs.extend([(s, j) for j in range(k)])
+        first[s] = (len(pairs), len(pairs) + k)
+        pairs.extend((s, j) for j in range(k))
     succ = [()] * len(pairs)
-    head = [""] * len(pairs)    # str of the symbol of a first successor
     unpaired = []
     for n, q in queues.items():
         seen = {}            # within one node a symbol has a single role
         prev = None
         for s in q:
-            i, name, base, end = first[s]
-            cur = seen.get(i, base)
-            seen[i] = cur + 1
+            base, end = first[s]
+            cur = seen.get(s, base)
+            seen[s] = cur + 1
             if cur >= end:
                 unpaired.append((n, s, "send" if n == s.src else "recv",
                                  cur - base))
                 continue
-            if prev is not None:
-                out = succ[prev]
-                if not out:
-                    succ[prev] = (cur,)
-                    head[prev] = name
-                elif cur not in out:
-                    a = out[0]
-                    succ[prev] = ((cur, a) if (name, cur) < (head[prev], a)
-                                  else (a, cur))
+            if prev is not None and cur not in succ[prev]:
+                succ[prev] += (cur,)
             prev = cur
-    return Mdg(tuple(pairs), tuple(succ), tuple(unpaired))
+    succ = [sorted(out, key=lambda u: (str(pairs[u][0]), pairs[u][1]))
+            for out in succ]
+    return Mdg(tuple(pairs), tuple(map(tuple, succ)), tuple(unpaired))
 
 
 _WHITE, _GREY, _BLACK = 0, 1, 2

@@ -11,7 +11,7 @@ class RegRecord(Record):
                  loop_times=None):
         self.label = label
         self.equations = equations
-        self.solution = solution      # RatioSolution or Inconsistent
+        self.solution = solution      # RatioSolution or RatioInconsistency
         self.lcm = lcm                # component tuple -> lcm, when sliced
         self.loop_times = loop_times
 

@@ -18,14 +18,15 @@ import pytest
 import conftest
 from corpus import corpus
 from reference import product_search
-from test_l2 import random_power_string
+from test_l2 import loop_prefix_deadlock, random_power_string
 from test_smodel import match_in_random_order, schedule_queues
 from mpicheck import l0, l2, smodel
 from mpicheck.analyze import analyze
 from mpicheck.l2 import normalize, strip_outer_infinite
 from mpicheck.model import (For, Symbol, build_queues, flatten_items, unroll,
                             validate)
-from mpicheck.oracle import DeadlockFreeOracle, DeadlockReachable, explore
+from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable, _event,
+                             explore)
 from mpicheck.parser import parse
 from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
 from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
@@ -196,9 +197,9 @@ def test_queue_and_mdg_agree_on_every_checked_model(shared_corpus,
     # every model the pipeline hands the kernel, on each of its three
     # routes, is also decided by the MDG, which must agree with the queues,
     # and each deadlock's witness is checked against the model's stuck
-    # state; a loop-free program's cycle also against the oracle's
+    # state; each wait cycle also against the oracle's stuck state, with
+    # each front's k counted from its node's start
     seen = Counter()
-    loop_free = []          # the witnesses of the loop-free route
 
     def spy(route, check):
         def checked(queues):
@@ -209,8 +210,6 @@ def test_queue_and_mdg_agree_on_every_checked_model(shared_corpus,
             if isinstance(verdict, Deadlock):
                 _assert_witness_in_stuck_state(queues, verdict.witness)
                 seen[f"{route} deadlocks"] += 1
-                if route == "smodel":
-                    loop_free.append(verdict.witness)
             seen[route] += 1
             return verdict
         return checked
@@ -220,25 +219,30 @@ def test_queue_and_mdg_agree_on_every_checked_model(shared_corpus,
                             spy(route, module.check_smodel))
     programs = [*shared_corpus, *(load(name) for name in
                                   sorted(os.listdir(PROGRAMS))
-                                  if name.endswith(".mdl"))]
+                                  if name.endswith(".mdl")),
+                *map(loop_prefix_deadlock, range(1, 6))]
     for prog in programs:
-        del loop_free[:]
-        analyze(prog)
-        for witness in loop_free:
-            if not isinstance(witness, WaitCycle):
-                continue
-            seen["oracle-checked cycles"] += 1
-            # a loop-free node's local state is one frame (index, 1)
-            state = explore(prog).state
-            bodies = dict(prog.nodes)
-            for n, s, k in witness.fronts:
-                ((i, _),) = state[prog.rank[n]]
-                assert bodies[n][i] == s and bodies[n][:i].count(s) == k
-    # 194 l0 slices, 470 loop-free models and 509 l2 rounds when measured;
-    # 279 loop-free models deadlocked (168 in a cycle) and one l2 round
+        report = analyze(prog)
+        witness = getattr(report.verdict, "witness", None)
+        if not isinstance(witness, WaitCycle):
+            continue
+        oracle = explore(prog)
+        if not isinstance(oracle, DeadlockReachable):
+            assert report.phase != "smodel"     # loop-free: always decided
+            continue
+        seen[f"oracle-checked {report.phase} cycles"] += 1
+        bodies = dict(prog.nodes)
+        for n, s, k in witness.fronts:
+            assert _event(bodies[n], oracle.state[prog.rank[n]]) == s
+            assert oracle.trace.count(s) == k
+    # 194 l0 slices, 470 loop-free models and 519 l2 rounds when measured;
+    # 279 loop-free models deadlocked (168 in a cycle), and 6 l2 rounds in
+    # a cycle: one of the corpus and the five loop-prefix deadlocks
     assert sum(seen[r] for r in ("smodel", "l0", "l2")) >= 1150, seen
-    assert seen["smodel deadlocks"] >= 100 and seen["l2 deadlocks"], seen
-    assert seen["oracle-checked cycles"] >= 100, seen
+    assert seen["smodel deadlocks"] >= 100, seen
+    assert seen["l2 deadlocks"] >= 6, seen
+    assert seen["oracle-checked smodel cycles"] >= 100, seen
+    assert seen["oracle-checked l2 cycles"] >= 6, seen
 
 
 def _ping_pong_queues(n_events):

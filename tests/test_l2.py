@@ -357,7 +357,7 @@ def test_related_sets_split_by_shared_symbols():
     pool = fpp({0: (For(2, (A,)),), 1: (For(2, (A,)),),
                 2: (For(1, (Symbol("e", 2, 3),)),),
                 3: (For(1, (Symbol("e", 2, 3),)),)})
-    sets = {rs.nodes: rs.eligible for rs in related_sets(pool)}
+    sets = {rs.nodes: bool(rs.members) for rs in related_sets(pool)}
     assert sets == {(0, 1): True, (2, 3): True}
 
 
@@ -365,7 +365,7 @@ def test_related_sets_trim_misaligned_run():
     # node 0 leads with "a b" but b's partner still sits behind a power
     pool = {0: For(1, (A, C)), 1: For(1, (A,))}
     (rs,) = related_sets(pool)
-    assert rs.eligible and rs.nodes == (0, 1)
+    assert rs.members and rs.nodes == (0, 1)
     assert rs.members[0].body == (A,)
     assert rs.members[0].leftover == (C,)
 
@@ -373,7 +373,7 @@ def test_related_sets_trim_misaligned_run():
 def test_related_sets_drop_blocked_power():
     pool = {0: For(3, (A, C)), 1: For(1, (A,))}
     sets = related_sets(pool)
-    assert all(not rs.eligible for rs in sets)
+    assert all(not rs.members for rs in sets)
 
 
 def random_pool(rng):
@@ -410,7 +410,6 @@ def test_related_sets_meet_their_spec_on_random_pools():
         held = {}
         for rs in sets:
             assert list(rs.nodes) == sorted(rs.nodes)
-            assert rs.eligible == bool(rs.members)
             assert not rs.members or set(rs.members) == set(rs.nodes)
             for n, m in rs.members.items():
                 # a cut member is recounted, the others keep their counts
@@ -429,7 +428,7 @@ def test_related_sets_meet_their_spec_on_random_pools():
             else:
                 assert (m.body, m.count, m.leftover) == (pool[n].body,
                                                        pool[n].count, ())
-        waiting = {n: rs for rs in sets if not rs.eligible for n in rs.nodes}
+        waiting = {n: rs for rs in sets if not rs.members for n in rs.nodes}
         original = {n: set(flatten_items(p.body)) for n, p in pool.items()}
         for n, entry in pool.items():
             flat = flatten_items(entry.body)
@@ -453,8 +452,8 @@ def test_related_sets_meet_their_spec_on_random_pools():
                     p = _partner(s, n)
                     if s in original.get(p, ()):
                         assert waiting.get(p) is waiting[n]
-        seen["eligible"] += sum(rs.eligible for rs in sets)
-        seen["waiting"] += sum(not rs.eligible for rs in sets)
+        seen["eligible"] += sum(bool(rs.members) for rs in sets)
+        seen["waiting"] += sum(not rs.members for rs in sets)
     assert min(seen.values()) >= 20, seen
 
 
@@ -499,6 +498,27 @@ def test_check_l2_free_on_staggered_nesting():
         1: [For(INFINITE, (A, A, B))],
     })
     assert bool(check_l2(prog, Trace()))
+
+
+def loop_prefix_deadlock(count):
+    """Two nodes exchange ``count`` times, then each waits for the other:
+    P1 is stuck at its ``count + 1``-th ``recv a``.  On the ``l2`` route
+    the deadlock shows in the second pool round, after ``count`` instances
+    of ``a`` were consumed."""
+    return validate(parse(
+        f"node P0 {{ for {count} {{ send a to P1, recv e from P1 }}\n"
+        "  recv b from P1\n  send a to P1 }\n"
+        f"node P1 {{ for {count} {{ recv a from P0, send e to P0 }}\n"
+        "  recv a from P0\n  send b to P0 }\n"))
+
+
+@pytest.mark.parametrize("count, front", [(1000, "1: a:0->1#1000"),
+                                          (10**9, "1: a:0->1#1000000000")])
+def test_wait_cycle_front_counts_from_the_node_start(count, front):
+    report = analyze(loop_prefix_deadlock(count))
+    assert report.phase == "l2"
+    assert report.verdict.witness.to_dict()["fronts"] == ["0: b:1->0#0",
+                                                          front]
 
 
 # Three pairs in separate related sets; the middle pair's loop is crossed.

@@ -13,8 +13,7 @@ from mpicheck.l2 import RelatedSet, SetMember
 from mpicheck.model import INFINITE, For, Program, Symbol
 from mpicheck.oracle import (TERMINATED, DeadlockFreeOracle,
                              DeadlockReachable, Inconclusive, OracleVerdict)
-from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
-                          RatioSolution)
+from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution
 from mpicheck.smodel import build_mdg
 from mpicheck.trace import RegRecord, SetRecord, Trace
 from mpicheck.verdicts import (Deadlock, DeadlockFree, FppStuck,
@@ -90,8 +89,6 @@ RECORDS = [
     (RatioEquationGroup((0, 1), (EQ,)),
      f"RatioEquationGroup(variables=(0, 1), equations=({SEQ},))", True),
     (SOL, SSOL, False),
-    (Inconsistent((EQ,), "d"),
-     f"Inconsistent(equations=({SEQ},), detail='d')", False),
     (RegRecord("l0", (EQ,), SOL),
      f"RegRecord(label='l0', equations=({SEQ},), solution={SSOL}, "
      "lcm=None, loop_times=None)", False),
@@ -108,9 +105,9 @@ RECORDS = [
     (SetMember((A,), 1, {A: 1}, (B,)),
      f"SetMember(body=({SA},), count=1, counts={{{SA}: 1}}, "
      f"leftover=({SB},))", False),
-    (RelatedSet((0, 1), {0: SetMember((A,), 2, {A: 1})}, True),
+    (RelatedSet((0, 1), {0: SetMember((A,), 2, {A: 1})}),
      f"RelatedSet(nodes=(0, 1), members={{0: SetMember(body=({SA},), "
-     f"count=2, counts={{{SA}: 1}}, leftover=())}}, eligible=True)", False),
+     f"count=2, counts={{{SA}: 1}}, leftover=())}})", False),
     (build_mdg({0: (A, B), 1: (A, B)}),
      f"Mdg(pairs=(({SA}, 0), ({SB}, 0)), succ=((1,), ()), unpaired=())",
      True),
@@ -130,19 +127,18 @@ FIELDS = {
     "DeadlockFreeOracle": ("states",), "Inconclusive": ("states",),
     "RatioEquationGroup": ("variables", "equations"),
     "RatioSolution": ("components", "values"),
-    "Inconsistent": ("equations", "detail"),
     "RegRecord": ("label", "equations", "solution", "lcm", "loop_times"),
     "SetRecord": ("partition", "solutions", "actions"),
     "Trace": ("reg_records", "set_records", "strings", "pools"),
     "SetMember": ("body", "count", "counts", "leftover"),
-    "RelatedSet": ("nodes", "members", "eligible"),
+    "RelatedSet": ("nodes", "members"),
     "Mdg": ("pairs", "succ", "unpaired"),
     "Report": ("verdict", "phase", "trace", "program", "timings"),
 }
 
 
 def test_table_covers_every_record_class():
-    assert set(FIELDS) == set(IDS) and len(FIELDS) == 22
+    assert set(FIELDS) == set(IDS) and len(FIELDS) == 21
 
 
 @pytest.mark.parametrize("record, text, frozen", RECORDS, ids=IDS)

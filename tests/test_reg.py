@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from mpicheck import reg
 from mpicheck.model import INFINITE, MAX_COUNT_DIGITS, SizeExceeded, Symbol
-from mpicheck.reg import (Inconsistent, RatioEquation, RatioEquationGroup,
-                          RatioSolution, count_equations, ratio_stage,
-                          solve)
+from mpicheck.reg import (RatioEquation, RatioEquationGroup, RatioSolution,
+                          count_equations, ratio_stage, solve)
 from mpicheck.trace import Trace
 from mpicheck.verdicts import RatioInconsistency, UnmatchedTotals
 
@@ -79,7 +78,7 @@ def test_inconsistent_yields_witness_chain():
         RatioEquation(0, 2, 1, 1),   # conflicts: implies p0:p2 = 1:2
     )
     out = solve(RatioEquationGroup((0, 1, 2), eqs))
-    assert isinstance(out, Inconsistent)
+    assert isinstance(out, RatioInconsistency)
     assert out.equations[-1] == eqs[2]
     # the chain joins the conflicting equation's endpoints
     chain_vars = {v for eq in out.equations for v in (eq.i, eq.j)}
@@ -159,7 +158,7 @@ def test_perturbed_cycle_detected(seed):
     e = eqs[t]
     eqs[t] = RatioEquation(e.i, e.j, e.a * 3, e.b * 2)
     out = solve(RatioEquationGroup(tuple(range(n)), tuple(eqs)))
-    assert isinstance(out, Inconsistent)
+    assert isinstance(out, RatioInconsistency)
 
 
 def test_unknown_variable_rejected():
@@ -256,7 +255,7 @@ def test_ratio_stage_solver_conflict():
     assert isinstance(verdict.witness, RatioInconsistency)
     assert len(verdict.witness.equations) == 2
     (rec,) = trace.reg_records
-    assert isinstance(rec.solution, Inconsistent) and rec.lcm is None
+    assert isinstance(rec.solution, RatioInconsistency) and rec.lcm is None
 
 
 def test_ratio_stage_theorem_2_conflict():

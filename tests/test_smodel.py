@@ -227,62 +227,6 @@ def equivalence_graphs(equivalence_models):
     return [build_mdg(queues) for queues in models] + digraphs
 
 
-def reference_build_mdg(queues):
-    """``build_mdg`` as it was before a second successor was placed by one
-    comparison of symbol strings: symbols sorted with ``key=str``, a sort
-    key per pair, and ``sorted`` for each successor tuple.  Returns (pairs,
-    succ, unpaired)."""
-    sends = {}
-    recvs = {}
-    for n, q in queues.items():
-        for s in q:
-            if n == s.src:
-                sends[s] = sends.get(s, 0) + 1
-            else:
-                recvs[s] = recvs.get(s, 0) + 1
-    pairs = []
-    first = {}
-    for i, s in enumerate(dict.fromkeys([*sends, *recvs])):
-        k = min(sends.get(s, 0), recvs.get(s, 0))
-        first[s] = (i, len(pairs), len(pairs) + k)
-        pairs.extend((s, j) for j in range(k))
-    key = [0] * len(pairs)
-    c = 0
-    for s in sorted(first, key=str):
-        _, base, end = first[s]
-        key[base:end] = range(c, c + end - base)
-        c += end - base
-    succ = [()] * len(pairs)
-    unpaired = []
-    for n, q in queues.items():
-        seen = {}
-        prev = None
-        for s in q:
-            i, base, end = first[s]
-            cur = seen.get(i, base)
-            seen[i] = cur + 1
-            if cur >= end:
-                unpaired.append((n, s, "send" if n == s.src else "recv",
-                                 cur - base))
-                continue
-            if prev is not None and cur not in succ[prev]:
-                succ[prev] = tuple(sorted((*succ[prev], cur),
-                                          key=key.__getitem__))
-            prev = cur
-    return tuple(pairs), tuple(succ), tuple(unpaired)
-
-
-def test_build_mdg_matches_reference(equivalence_models):
-    models, _ = equivalence_models
-    two = 0
-    for queues in models:
-        mdg = build_mdg(queues)
-        assert (mdg.pairs, mdg.succ, mdg.unpaired) == \
-            reference_build_mdg(queues)
-        two += sum(len(out) == 2 for out in mdg.succ)
-    assert len(models) >= 2000 and two >= 10000
-
-
 def test_cycle_search_matches_networkx(equivalence_graphs):
     nx = pytest.importorskip("networkx")
     cyclic = 0
