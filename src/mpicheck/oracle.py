@@ -22,12 +22,15 @@ when none is enabled (a stuck or terminated state) or when a state repeats
 replaces is kept in ``tests/reference.py``, which the tests hold the run
 to.
 
-The run goes part by part.  A part is a group of nodes linked by the two
-endpoints of a message; nodes that no message links to another node can
-never move, and join the first part.  Parts share no rendezvous, so the
-program is deadlocked when every part stops and at least one stops with an
-unterminated node.  ``states`` counts the states visited summed over the
-parts, and ``max_states`` bounds them.
+``explore`` takes a program ``validate`` accepts: it calls ``validate``
+first, so an invalid one raises the ModelError ``analyze`` raises before a
+run starts, and a run meets no dangling or self partner, no duplicate node
+and no empty loop body.  The run goes part by part.  A part is a group of
+nodes linked by the two endpoints of a message; the empty nodes, exactly
+the ones no message links to another node, join the first part.  Parts
+share no rendezvous, so the program is deadlocked when every part stops
+and at least one stops with an unterminated node.  ``states`` counts the
+states visited summed over the parts, and ``max_states`` bounds them.
 
 A node's local state is its stack of loop frames, or TERMINATED.  The run
 steps each node's frames in place and keeps the event at each front.  A
@@ -40,7 +43,7 @@ is settled again.  A deadlock's state is reported as stacks.
 """
 from __future__ import annotations
 
-from .model import INFINITE, DuplicateNode, For, InvalidLoopCount, Program
+from .model import INFINITE, For, Program, validate
 from .record import Frozen
 
 TERMINATED = "terminated"   # a terminated node's state; compared by identity
@@ -82,9 +85,8 @@ def _settle(stack: list, seqs: list):
     """Advance the frames of ``stack`` until the innermost index points at
     an event, or the node is terminated; ``seqs`` holds the statement
     sequence each frame indexes.  Both lists are changed in place.  Loop
-    frames carry remaining iterations (None for infinite loops).  Entering
-    a loop with an empty body raises InvalidLoopCount, as ``validate``
-    does.  Returns the event at the front, None for a terminated node."""
+    frames carry remaining iterations (None for infinite loops).  Returns
+    the event at the front, None for a terminated node."""
     seq = seqs[-1]
     while True:
         idx, rem = stack[-1]
@@ -92,9 +94,6 @@ def _settle(stack: list, seqs: list):
             st = seq[idx]
             if type(st) is not For:
                 return st
-            if not st.body:
-                # an infinite loop over no event would never settle
-                raise InvalidLoopCount("empty loop body")
             stack.append((0, None if st.count is INFINITE else st.count))
             seq = st.body
             seqs.append(seq)
@@ -121,12 +120,12 @@ def _step(stack: list, seqs: list):
 
 
 def _front(nid, rank: dict, event):
-    """The receiver's position when ``event``, at node ``nid``'s front, is
-    a send to another node of ``rank`` (node id -> position); None for a
-    receive, a dangling peer or a terminated node (``event`` None)."""
-    if event is None or event.src != nid or event.dst == nid:
+    """The receiver's position in ``rank`` (node id -> position) when
+    ``event``, at node ``nid``'s front, is a send; None for a receive or a
+    terminated node (``event`` None)."""
+    if event is None or event.src != nid:
         return None
-    return rank.get(event.dst)
+    return rank[event.dst]
 
 
 def _event(body, stack):
@@ -158,10 +157,10 @@ def enabled(program: Program, gstate: tuple) -> set:
 def _parts(program: Program, looping: set = None) -> list:
     """Node positions grouped into parts, each in ``program.nodes`` order,
     the parts ordered by their first node.  Two nodes share a part when a
-    message names both as its endpoints.  Nodes that no message links to
-    another node can never move; they join the first part, so a program
-    with no link is one part.  The positions of nodes that hold an
-    infinite loop are added to ``looping`` when it is given."""
+    message names both as its endpoints.  The empty nodes, which no
+    message links, join the first part, so a program with no link is one
+    part.  The positions of nodes that hold an infinite loop are added to
+    ``looping`` when it is given."""
     rank = program.rank
     syms = set()
     for k, (_, top) in enumerate(program.nodes):
@@ -176,9 +175,7 @@ def _parts(program: Program, looping: set = None) -> list:
                     looping.add(k)
     group = [None] * len(program.nodes)  # position -> its part, shared
     for _, a, b in syms:
-        ka, kb = rank.get(a), rank.get(b)
-        if ka is None or kb is None or ka == kb:
-            continue
+        ka, kb = rank[a], rank[b]
         ga, gb = group[ka], group[kb]
         if ga is None and gb is None:
             group[ka] = group[kb] = [ka, kb]
@@ -260,15 +257,10 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:
     """One run per part.  Returns the parts' traces to a stuck global
-    state, freedom, or Inconclusive at the state bound.  Raises
-    DuplicateNode on a node id declared twice, as the run steps a node by
-    its id, and InvalidLoopCount on an empty loop body it reaches, which
-    would never settle; ``validate`` rejects both."""
-    nodes = program.nodes
-    if len(program.rank) != len(nodes):
-        dup = next(n for k, (n, _) in enumerate(nodes)
-                   if program.rank[n] != k)
-        raise DuplicateNode(f"node {dup} declared twice")
+    state, freedom, or Inconclusive at the state bound.  Takes a program
+    ``validate`` accepts; ``validate``'s ModelError on any other is raised
+    before a run starts."""
+    nodes = validate(program).nodes
     visited = 0
     trace = []
     merged = [None] * len(nodes)

@@ -91,34 +91,23 @@ def _ratio_str(n, d) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-class _UnionFind:
-    """Ratios are kept as reduced positive (numerator, denominator) pairs,
-    formatted only for error messages.  A root's ratio is (1, 1), so a
-    variable whose parent is a root has its ratio to the root in ``ratio``
-    without a walk."""
-
-    def __init__(self, variables):
-        self.parent = {v: v for v in variables}
-        # value(v) / value(parent(v))
-        self.ratio = dict.fromkeys(variables, (1, 1))
-        self.size = dict.fromkeys(variables, 1)
-
-    def find(self, v):
-        """(root, value(v) / value(root)), compressing the path."""
-        path = []
-        while self.parent[v] != v:
-            path.append(v)
-            v = self.parent[v]
-        if not path:
-            return v, (1, 1)
-        root = v
-        num, den = self.ratio[path.pop()]   # already reduced, to the root
-        for u in reversed(path):
-            un, ud = self.ratio[u]
-            num, den = _frac(num * un, den * ud)
-            self.parent[u] = root
-            self.ratio[u] = (num, den)
-        return root, (num, den)
+def _find(parent, ratio, v):
+    """(root, value(v) / value(root)) in ``solve``'s union-find forest,
+    compressing the path."""
+    path = []
+    while parent[v] != v:
+        path.append(v)
+        v = parent[v]
+    if not path:
+        return v, (1, 1)
+    root = v
+    num, den = ratio[path.pop()]    # already reduced, to the root
+    for u in reversed(path):
+        un, ud = ratio[u]
+        num, den = _frac(num * un, den * ud)
+        parent[u] = root
+        ratio[u] = (num, den)
+    return root, (num, den)
 
 
 def solve(group: RatioEquationGroup):
@@ -126,8 +115,11 @@ def solve(group: RatioEquationGroup):
     equations joining the two variables of the equation whose ratio
     disagrees around the cycle, then that equation.  A conflicting group
     is a first class result, not an error."""
-    uf = _UnionFind(group.variables)
-    parent, ratio, size = uf.parent, uf.ratio, uf.size
+    parent = {v: v for v in group.variables}
+    # value(v) / value(parent(v)), a reduced positive (numerator,
+    # denominator) pair; a root's is (1, 1)
+    ratio = dict.fromkeys(group.variables, (1, 1))
+    size = dict.fromkeys(group.variables, 1)
     accepted = []   # spanning equations, in the order they were accepted
     for eq in group.equations:
         i, j, a, b, _ = eq
@@ -136,12 +128,12 @@ def solve(group: RatioEquationGroup):
         if parent[ri] == ri:
             fin, fid = ratio[i]
         else:
-            ri, (fin, fid) = uf.find(i)
+            ri, (fin, fid) = _find(parent, ratio, i)
         rj = parent[j]
         if parent[rj] == rj:
             fjn, fjd = ratio[j]
         else:
-            rj, (fjn, fjd) = uf.find(j)
+            rj, (fjn, fjd) = _find(parent, ratio, j)
         # demanded: value(i) / value(j) = a / b
         if ri == rj:
             if fin * fjd * b != fid * fjn * a:
@@ -171,7 +163,7 @@ def solve(group: RatioEquationGroup):
         if parent[root] == root:
             groups.setdefault(root, {})[v] = ratio[v]
         else:
-            root, r = uf.find(v)
+            root, r = _find(parent, ratio, v)
             groups.setdefault(root, {})[v] = r
     comps = []
     values = {}

@@ -40,9 +40,7 @@ def check_by_queues(queues: dict, fronts: dict | None = None) -> bool:
             continue
         s = qs[i][k]
         _, src, dst = s
-        j = rank.get(dst if nodes[i] == src else src)
-        if j is None or j == i:
-            continue
+        j = rank[dst if nodes[i] == src else src]
         kj = idx[j]
         if kj < ends[j] and qs[j][kj] == s:
             idx[i] = k + 1

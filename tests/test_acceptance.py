@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 import conftest
+import fuzz
 from corpus import corpus
 from reference import product_search
 from test_l2 import loop_prefix_deadlock, random_power_string
@@ -27,7 +28,7 @@ from mpicheck.model import (For, Symbol, build_queues, flatten_items, unroll,
                             validate)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable, _event,
                              explore)
-from mpicheck.parser import parse
+from mpicheck.parser import parse, render
 from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
 from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
                              find_deadlock_cycle)
@@ -389,3 +390,20 @@ def test_criterion_8_loopfree_check_scaling():
         f"rounds' ratios; ms at 5e4/1e5 events: {_rounds_ms(times)})")
     ok(8, f"check_smodel scaling ratio {ratio:.2f} <= 2.5 on a deadlocked "
           f"64-node random schedule of 5e4 -> 1e5 events")
+
+
+def test_criterion_9_static_free_implies_oracle_free():
+    # the paper's claim that the static method finds every deadlock, on
+    # tests/fuzz.py's pattern programs at a fixed seed.  A static deadlock
+    # the oracle calls free (ROADMAP items 2 and 3) is counted, not gated
+    t0 = time.perf_counter()
+    wrong, tally = fuzz.gate(1, 3000)
+    assert not wrong, f"static free, oracle deadlocked:\n{render(wrong[0])}"
+    assert tally["decided"] >= 2900
+    kinds = ", ".join(f"{tally[k]} {k}" for k in
+                      ("FppStuck", "RatioInconsistency", "UnmatchedTotals",
+                       "WaitCycle"))
+    ok(9, f"static free implies oracle free on {tally['decided']}/3000 "
+          f"decided fuzz programs of seed 1 in "
+          f"{time.perf_counter() - t0:.1f}s; oracle-free static deadlocks: "
+          f"{kinds}")

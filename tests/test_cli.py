@@ -460,3 +460,31 @@ def test_check_json_deadlock_witness(tmp_path, capsys, text, phase, witness,
     assert data["witness"] == witness
     assert data["regSolutions"] == records
     assert data["fppTrace"] is None
+
+
+def _fpp_stuck_program(tmp_path, c):
+    path = tmp_path / f"fpp{c}.mdl"
+    path.write_text(f"node P0 {{\n  for {c} {{ send a to P1 }}\n"
+                    "  recv b from P1\n  send a to P1\n}\n"
+                    f"node P1 {{\n  for {c + 1} {{ recv a from P0 }}\n"
+                    "  send b to P0\n}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("c", [1000, 10**9], ids=["1e3", "1e9"])
+def test_fpp_stuck_json_golden(tmp_path, capsys, c):
+    # a true deadlock whose witness is still a pool of strings, not fronts;
+    # ROADMAP item 15 changes this golden
+    assert main(["check", _fpp_stuck_program(tmp_path, c), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "deadlock" and data["phase"] == "l2"
+    assert data["witness"] == {"type": "fpp-stuck",
+                               "pool": {"0": "ba", "1": "a"}}
+
+
+def test_fpp_stuck_program_deadlocks_in_the_oracle(tmp_path, capsys):
+    path = _fpp_stuck_program(tmp_path, 1000)
+    assert main(["simulate", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"{path}: deadlock reachable after 1000 "
+                          "rendezvous\n")

@@ -18,6 +18,7 @@ from mpicheck.parser import parse
 from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
                          related_sets, strip_outer_infinite)
 from mpicheck.l0 import check_l0
+from mpicheck.oracle import DeadlockReachable, explore
 from mpicheck.trace import SetRecord, Trace
 from mpicheck.verdicts import Deadlock, RatioInconsistency, WaitCycle
 
@@ -710,3 +711,30 @@ def test_shifted_exchange_is_free(c):
     prog = make_program({0: [For(c, (A, B))],
                          1: [A, For(c - 1, (B, A)), B]})
     assert not isinstance(analyze(prog).verdict, Deadlock)
+
+
+# P0 runs P1's first exchange shifted by one event, then both trade c and d
+# the other way round
+STUCK_BY_LUCK = """\
+node P0 {
+  recv a from P1
+  for 1 { send b to P1, recv a from P1 }
+  send b to P1
+  for 2 { recv d from P1, send c to P1 }
+}
+node P1 {
+  for 2 { send a to P0, recv b from P0 }
+  for 2 { recv c from P0, send d to P0 }
+}
+"""
+
+
+def test_stuck_pool_with_matching_fronts_is_right_by_luck():
+    # the pool stops at FppStuck {0: a, 1: (ab)^2}, whose literal fronts
+    # match (ROADMAP item 2), yet the program does deadlock: after four
+    # rendezvous P0 waits to receive d while P1 waits to receive c.  Only
+    # the verdict kinds are pinned, so item 2 may change the witness
+    prog = validate(parse(STUCK_BY_LUCK))
+    assert isinstance(analyze(prog).verdict, Deadlock)
+    truth = explore(prog)
+    assert isinstance(truth, DeadlockReachable) and len(truth.trace) == 4

@@ -11,14 +11,16 @@ import pytest
 
 from corpus import corpus, generate
 from mpicheck import oracle
-from mpicheck.model import (INFINITE, DuplicateNode, For, Program, Symbol,
-                            make_program, validate)
+from mpicheck.model import (INFINITE, DanglingEndpoint, DuplicateNode, For,
+                            InvalidLoopCount, MisplacedOperation, ModelError,
+                            Program, Symbol, make_program, validate)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED, explore)
 from mpicheck.parser import parse
 from reference import (enabled, greedy_run, initial_state, product_search,
                        replay, step)
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, PROGRAMS, load
+from test_parser import UNCERTIFIED
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -46,12 +48,39 @@ def test_crossed_sends_deadlock_immediately():
     assert verdict.trace == ()
 
 
-def test_node_id_declared_twice_is_rejected():
-    # validate rejects this program; explore, which a library caller may
-    # reach without it, must reject it too rather than step the wrong node
-    prog = Program(((0, (A,)), (1, (A,)), (0, ())))
-    with pytest.raises(DuplicateNode, match="node 0 declared twice"):
-        explore(prog)
+# (program, class, message): programs validate rejects, with its class and
+# message.  A library caller may reach explore without validate, so explore
+# must raise the same error rather than run, say, the wrong node of a
+# duplicate id.  The parser's texts reach validate uncertified
+INVALID = [pytest.param(parse(p.values[0]), *p.values[1:], id=p.id)
+           for p in UNCERTIFIED] + [
+    pytest.param(Program(((0, (A,)), (1, (A,)), (0, ()))), DuplicateNode,
+                 "node 0 declared twice", id="library duplicate node"),
+    pytest.param(make_program({0: [Symbol("a", 0, 9)], 1: []}),
+                 DanglingEndpoint, "a:0->9 references an undeclared node",
+                 id="library dangling peer"),
+    pytest.param(make_program({0: [A], 1: [A], 2: [A]}), MisplacedOperation,
+                 "a:0->1 found in node 2, which is neither its source nor "
+                 "its destination", id="library misplaced symbol"),
+    pytest.param(make_program({0: [For(3, ())], 1: []}), InvalidLoopCount,
+                 "empty loop body in node 0", id="library empty body"),
+]
+
+
+@pytest.mark.parametrize("program, cls, msg", INVALID)
+def test_invalid_program_raises_validates_error_before_any_run(
+        monkeypatch, program, cls, msg):
+    def no_run(*args):
+        raise AssertionError("a run started on an invalid program")
+
+    monkeypatch.setattr(oracle, "_parts", no_run)
+    monkeypatch.setattr(oracle, "_run", no_run)
+    with pytest.raises(ModelError) as got:
+        explore(program)
+    assert type(got.value) is cls and str(got.value) == msg
+    with pytest.raises(ModelError) as want:
+        validate(program)
+    assert type(want.value) is cls and str(want.value) == msg
 
 
 EMPTY_LOOPS = (
@@ -64,8 +93,9 @@ EMPTY_LOOPS = (
 @pytest.mark.parametrize("program", EMPTY_LOOPS)
 def test_empty_loop_body_is_rejected_not_explored_forever(program):
     # validate rejects these programs; an infinite loop over no event never
-    # settles, so explore must reject them too.  The call runs in a child
-    # process, so a search that never ends fails the test by its timeout
+    # settles, so explore must raise validate's error before it runs.  The
+    # call runs in a child process, so a run that never ends fails the test
+    # by its timeout
     code = ("import sys\n"
             "from mpicheck.model import INFINITE, For, InvalidLoopCount, "
             "Program, Symbol\n"
@@ -82,7 +112,7 @@ def test_empty_loop_body_is_rejected_not_explored_forever(program):
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=20,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "empty loop body\n"
+    assert done.stdout == "empty loop body in node 0\n"
 
 
 def test_blocked_on_terminated_peer_is_deadlock():
@@ -502,9 +532,8 @@ def test_unlinked_nodes_join_the_first_part():
     assert oracle._parts(prog) == [[0, 1, 2]]
     assert explore(prog) == DeadlockFreeOracle(3)
     dangling = make_program({0: [Symbol("a", 0, 9)], 1: []})
-    assert oracle._parts(dangling) == [[0, 1]]
-    assert explore(dangling) == DeadlockReachable(
-        (), initial_state(dangling))
+    with pytest.raises(DanglingEndpoint):
+        explore(dangling)
 
 
 def test_one_explore_call_and_each_part_state_expanded_once(monkeypatch):
