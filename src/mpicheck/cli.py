@@ -15,7 +15,7 @@ import sys
 from . import oracle
 from .analyze import analyze
 from .l2 import normalize, strip_outer_infinite
-from .model import (MAX_EVENTS, For, ModelError, build_queues, is_infinite,
+from .model import (INFINITE, MAX_EVENTS, For, ModelError, build_queues,
                     validate)
 from .parser import MdlSyntaxError, parse
 from .smodel import build_mdg, mdg_to_dot
@@ -57,7 +57,7 @@ def cmd_check(args) -> int:
         print(f"{args.path}: "
               f"{'DEADLOCK' if isinstance(verdict, Deadlock) else 'deadlock-free'}"
               f" (phase {report.phase})")
-        if isinstance(verdict, Deadlock) and verdict.witness is not None:
+        if isinstance(verdict, Deadlock):
             print(f"  witness: {verdict.witness.to_dict()}")
         if args.trace:
             _print_trace(report)
@@ -130,7 +130,7 @@ def cmd_mdg(args) -> int:
 def _as_queues(program, max_events):
     bodies = dict(program.nodes)
     # validate() allows `for inf` at the top level only
-    if any(isinstance(st, For) and is_infinite(st.count)
+    if any(isinstance(st, For) and st.count is INFINITE
            for body in bodies.values() for st in body):
         # slice infinite loops down to one consistent round first
         strings = {n: normalize(b) for n, b in program.nodes}

@@ -22,8 +22,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .model import (INFINITE, MAX_EVENTS, For, Program, SizeExceeded,
-                    UnsupportedProgram, build_queues, count_occurrences,
-                    is_infinite)
+                    UnsupportedProgram, build_queues, count_occurrences)
 from .record import Record
 from .reg import check_digits, count_equations, ratio_stage, solve
 from .smodel import check_smodel
@@ -58,7 +57,7 @@ def _norm_power(p: For) -> list:
     count = p.count
     if len(body) == 1 and type(body[0]) is For:
         inner = body[0]
-        count = (INFINITE if is_infinite(count) or is_infinite(inner.count)
+        count = (INFINITE if count is INFINITE or inner.count is INFINITE
                  else count * inner.count)
         body = inner.body
     if not body or count == 0:
@@ -84,7 +83,7 @@ def _left_prefix_fixpoint(out: list) -> tuple:
     i = 0
     while i + 1 < len(out):
         a, b = out[i], out[i + 1]
-        if (is_infinite(a.count) or is_infinite(b.count)
+        if (a.count is INFINITE or b.count is INFINITE
                 or len(a.body) > len(b.body)
                 or b.body[:len(a.body)] != a.body):
             i += 1
@@ -116,7 +115,7 @@ def strip_outer_infinite(strings: dict, trace: Trace):
     counts = {}
     times = {}
     for n, ps in strings.items():
-        if any(is_infinite(p.count) for p in ps):
+        if any(p.count is INFINITE for p in ps):
             if len(ps) != 1:
                 raise UnsupportedProgram(
                     f"node {n} mixes an infinite loop with other top-level "
@@ -131,7 +130,7 @@ def strip_outer_infinite(strings: dict, trace: Trace):
     if deadlock is not None:
         return None, deadlock
     return {n: (_repeat(ps[0].body, solution.times(n))
-                if is_infinite(times[n]) else ps)
+                if times[n] is INFINITE else ps)
             for n, ps in strings.items()}, None
 
 

@@ -25,10 +25,6 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-def is_infinite(count) -> bool:
-    return count is INFINITE
-
-
 class ModelError(Exception):
     pass
 
@@ -202,7 +198,7 @@ def _check(program: Program):
                         "source nor its destination")
             elif isinstance(st, For):
                 times = st.count
-                if is_infinite(times):
+                if times is INFINITE:
                     if depth:
                         raise NestedInfinite(
                             f"infinite loop below top level in node {nid}")
@@ -242,7 +238,7 @@ def count_occurrences(body, times=1, out=None) -> dict:
     for kind, run in groupby(body, type):
         if kind is For:
             for st in run:
-                if is_infinite(st.count):
+                if st.count is INFINITE:
                     raise InfiniteInside(
                         "infinite loop inside a counted scope")
                 count_occurrences(st.body, times * st.count, out)
@@ -262,7 +258,7 @@ def weighted_size(body) -> int:
     for kind, run in groupby(body, type):
         if kind is For:
             for st in run:
-                if is_infinite(st.count):
+                if st.count is INFINITE:
                     raise InfiniteLoop("cannot size an infinite loop")
                 total += st.count * weighted_size(st.body) - 1
     return total
@@ -278,7 +274,7 @@ def flatten_items(body) -> tuple:
             out += run
             continue
         for st in run:
-            if is_infinite(st.count):
+            if st.count is INFINITE:
                 raise InfiniteLoop("cannot flatten an infinite loop")
             once = st.body
             if For in map(type, once):
@@ -303,7 +299,7 @@ def render_items(items) -> str:
         if it.count == 1:
             parts.append(body)
             continue
-        count = "inf" if is_infinite(it.count) else str(it.count)
+        count = "inf" if it.count is INFINITE else str(it.count)
         if len(it.body) == 1 and isinstance(it.body[0], Symbol):
             parts.append(f"{body}^{count}")
         else:

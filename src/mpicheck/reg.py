@@ -16,9 +16,8 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 
-from .model import COUNT_LIMIT, MAX_COUNT_DIGITS, SizeExceeded, is_infinite
+from .model import COUNT_LIMIT, INFINITE, MAX_COUNT_DIGITS, SizeExceeded
 from .record import Frozen, Record
 from .trace import RegRecord, Trace
 from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
@@ -36,19 +35,13 @@ class RatioEquation(namedtuple("RatioEquation", "i j a b origin",
         return f"p{self.i} : p{self.j} = {self.a} : {self.b}{tag}"
 
 
-_ENDS = itemgetter(0, 1)
-
-
 class RatioEquationGroup(Frozen):
+    """Unknowns and equations over them, as ``count_equations``, the one
+    builder, makes them: both variables of every equation are unknowns."""
+
     _fields = ("variables", "equations")
 
     def __init__(self, variables, equations):
-        vs = set(variables)
-        # both variables of every equation, in one pass of C code
-        if not vs.issuperset(chain.from_iterable(map(_ENDS, equations))):
-            eq = next(eq for eq in equations
-                      if eq.i not in vs or eq.j not in vs)
-            raise ValueError(f"equation {eq} uses an unknown variable")
         self.__dict__.update(variables=variables, equations=equations)
 
 
@@ -209,7 +202,9 @@ def _chain(accepted, src, dst):
 def count_equations(order, counts):
     """The group of per-node occurrence counts: one variable per node of
     `order` and one equation per symbol, in first-appearance order, from its
-    counts at both endpoints (`counts`: node -> {symbol: count}).
+    counts at both endpoints (`counts`: node -> {symbol: count}).  `order`,
+    every node or a union of related sets, holds both endpoints of each of
+    its symbols, so every equation's variables are in the group.
 
     Returns (group, unmatched), where unmatched lists (symbol, sends, recvs)
     for each symbol counted at only one endpoint; those get no equation.
@@ -271,7 +266,7 @@ def ratio_stage(order, counts, times, label, trace: Trace):
 
 def _unequal_products(solution, times):
     for comp in solution.components:
-        products = [solution.values[n] * (0 if is_infinite(times[n])
+        products = [solution.values[n] * (0 if times[n] is INFINITE
                                           else times[n]) for n in comp]
         if len(set(products)) > 1:
             check_digits(products,

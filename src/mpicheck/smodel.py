@@ -162,7 +162,8 @@ def check_smodel(queues: dict) -> Verdict:
     waits for exactly one partner, so the walk either reaches a partner
     that has terminated, whose totals of that symbol then fall short, or
     closes a cycle of blocked fronts, each waiting for the next.  The walk
-    visits each node at most once."""
+    visits each node at most once, and never leaves `queues`: an unrolled
+    model, a slice or an ``l2`` round holds both endpoints of each message."""
     at = {}
     if check_by_queues(queues, at):
         return DEADLOCK_FREE
@@ -171,10 +172,9 @@ def check_smodel(queues: dict) -> Verdict:
     while n not in path:
         s = path[n] = queues[n][at[n]]
         n = s.dst if n == s.src else s.src
-        if at.get(n, 0) == len(queues.get(n, ())):
+        if at[n] == len(queues[n]):
             return Deadlock(UnmatchedTotals(
-                s, queues.get(s.src, ()).count(s),
-                queues.get(s.dst, ()).count(s)))
+                s, queues[s.src].count(s), queues[s.dst].count(s)))
     walked = list(path)
     return Deadlock(WaitCycle(tuple(
         (m, path[m], queues[m][:at[m]].count(path[m]))

@@ -87,6 +87,6 @@ class FppStuck(Frozen):
 
 
 def witness_dict(verdict: Verdict):
-    if isinstance(verdict, Deadlock) and verdict.witness is not None:
+    if isinstance(verdict, Deadlock):
         return verdict.witness.to_dict()
     return None

@@ -12,7 +12,9 @@ union of two such programs, the second's nodes and messages renamed.
 
 The gate is one direction of the paper's claim that the static method
 finds every deadlock.  The other direction, a static deadlock on a program
-the oracle calls free, is counted by witness kind and not gated.
+the oracle calls free, is counted by witness kind and not gated.  Every
+model the checks hand ``check_smodel`` is also decided by the MDG, and a
+disagreement with the queues fails the run.
 
 Run as ``PYTHONPATH=src python tests/fuzz.py --seed 1 --count 3000``; the
 exit code is 1 when the gate fails, and each failing program is printed.
@@ -23,11 +25,14 @@ import argparse
 import random
 import sys
 from collections import Counter
+from contextlib import contextmanager
 
+from mpicheck import l0, l2, smodel
 from mpicheck.analyze import analyze
 from mpicheck.model import INFINITE, For, Symbol, make_program
 from mpicheck.oracle import DeadlockFreeOracle, Inconclusive, explore
 from mpicheck.parser import render
+from mpicheck.smodel import build_mdg, check_by_queues, find_deadlock_cycle
 from mpicheck.verdicts import Deadlock
 
 MAX_STATES = 10**5
@@ -107,15 +112,51 @@ def program(rng):
     return make_program(bodies)
 
 
+def programs(seed: int, count: int):
+    """The first ``count`` programs of ``seed``."""
+    rng = random.Random(seed)
+    return [program(rng) for _ in range(count)]
+
+
+@contextmanager
+def mdg_cross_checked(seen: Counter, wrap=lambda check: check):
+    """Within the block, each model a check hands ``check_smodel``, on its
+    ``smodel``, ``l0`` or ``l2`` route, is also decided by the MDG, and an
+    AssertionError is raised when the MDG and the queues disagree.  The
+    verdict comes from ``wrap(check_smodel)``.  ``seen`` counts the models
+    by route, and the deadlocks under "<route> deadlocks"."""
+    routes = {"smodel": smodel, "l0": l0, "l2": l2}
+    saved = {route: m.check_smodel for route, m in routes.items()}
+
+    def checked(route, check):
+        def check_both(queues):
+            mdg = build_mdg(queues)
+            assert check_by_queues(queues) == (
+                not mdg.unpaired and find_deadlock_cycle(mdg) is None), (
+                f"queues and MDG disagree on {queues}")
+            verdict = check(queues)
+            seen[route] += 1
+            if isinstance(verdict, Deadlock):
+                seen[f"{route} deadlocks"] += 1
+            return verdict
+        return check_both
+
+    try:
+        for route, m in routes.items():
+            m.check_smodel = checked(route, wrap(saved[route]))
+        yield seen
+    finally:
+        for route, m in routes.items():
+            m.check_smodel = saved[route]
+
+
 def gate(seed: int, count: int):
     """Checks and explores ``count`` programs of ``seed``.  Returns the
     programs the check calls free and the oracle deadlocked, and a Counter
     of outcomes: "decided", "inconclusive", and the witness kind of each
     static deadlock the oracle calls free."""
-    rng = random.Random(seed)
     wrong, tally = [], Counter()
-    for _ in range(count):
-        prog = program(rng)
+    for prog in programs(seed, count):
         verdict = analyze(prog).verdict
         truth = explore(prog, max_states=MAX_STATES)
         if isinstance(truth, Inconclusive):
@@ -136,15 +177,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--count", type=int, default=3000)
     args = ap.parse_args(argv)
-    wrong, tally = gate(args.seed, args.count)
+    with mdg_cross_checked(Counter()) as seen:
+        wrong, tally = gate(args.seed, args.count)
     for prog in wrong:
         print(f"static free, oracle deadlocked:\n{render(prog)}")
     kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(tally.items())
                       if kind not in ("decided", "inconclusive")) or "none"
+    models = sum(seen[route] for route in ("smodel", "l0", "l2"))
     print(f"seed {args.seed}: {args.count} programs, {tally['decided']} "
           f"decided, {tally['inconclusive']} inconclusive; "
           f"{len(wrong)} static free but oracle deadlocked; "
-          f"static deadlock but oracle free: {kinds}")
+          f"static deadlock but oracle free: {kinds}; "
+          f"{models} checked models agree with the MDG")
     return 1 if wrong else 0
 
 

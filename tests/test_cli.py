@@ -350,6 +350,35 @@ def test_simulate_independent_of_hash_seed():
     assert "deadlock reachable after 4 rendezvous" in outs[0]
 
 
+# A digest of every report, without its timings, and of every oracle
+# result, over the corpus of seed 3 and tests/fuzz.py's programs of seed 1
+_DIGEST = """\
+import hashlib
+import fuzz
+from corpus import corpus
+from mpicheck.analyze import analyze
+from mpicheck.oracle import explore
+h = hashlib.sha256()
+for prog in [*corpus(3, 1200), *fuzz.programs(1, 3000)]:
+    report = analyze(prog).to_dict()
+    del report["timings"]
+    h.update(repr(report).encode())
+    h.update(repr(explore(prog, max_states=10**5)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_reports_independent_of_hash_seed_over_a_program_set():
+    path = os.pathsep.join([os.path.join(HERE, os.pardir, "src"), HERE])
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _DIGEST], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+        for seed in ("0", "1")]
+    outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert len(outs[0]) == 65 and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("args, code", [
     (["check", "--json", "prog9.mdl"], 0), (["simulate", "prog9.mdl"], 0),
     (["check", "--json", "prog2.mdl"], 1), (["simulate", "prog2.mdl"], 1)])

@@ -161,14 +161,6 @@ def test_perturbed_cycle_detected(seed):
     assert isinstance(out, RatioInconsistency)
 
 
-def test_unknown_variable_rejected():
-    try:
-        RatioEquationGroup((0,), (RatioEquation(0, 1, 1, 1),))
-    except ValueError:
-        return
-    raise AssertionError("expected a ValueError")
-
-
 def test_count_equations_one_per_symbol_in_first_appearance_order():
     counts = {0: Counter({A: 2, B: 1}), 1: Counter({C: 1, B: 1, A: 4}),
               2: Counter({C: 3})}
