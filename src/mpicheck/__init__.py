@@ -3,7 +3,6 @@
 from .analyze import Report, analyze
 from .model import (INFINITE, For, Program, Symbol, count_occurrences,
                     make_program, unroll, validate)
-from .oracle import explore
 from .parser import parse, render
 from .verdicts import DEADLOCK_FREE, Deadlock, DeadlockFree, Verdict
 
@@ -13,3 +12,13 @@ __all__ = [
     "parse", "render", "explore", "analyze", "Report",
     "DEADLOCK_FREE", "Deadlock", "DeadlockFree", "Verdict",
 ]
+
+
+def __getattr__(name):
+    # no check runs the oracle, so it is compiled on the first `explore`
+    # and then bound here, where later lookups find it directly
+    if name != "explore":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import explore
+    globals()["explore"] = explore
+    return explore

@@ -1,6 +1,4 @@
 """The one entry point, and machine-readable reports."""
-from __future__ import annotations
-
 import time
 
 from . import l0, l2, smodel

@@ -3,16 +3,12 @@
 Exit codes: 0 deadlock-free, 1 deadlock, 2 usage/parse/validation error,
 3 inconclusive (simulate only).
 """
-from __future__ import annotations
-
 import argparse
 import contextlib
 import io
-import json
 import os
 import sys
 
-from . import oracle
 from .analyze import analyze
 from .l2 import normalize, strip_outer_infinite
 from .model import (INFINITE, MAX_EVENTS, For, ModelError, build_queues,
@@ -51,6 +47,7 @@ def _at_least_1(text):
 def cmd_check(args) -> int:
     report = analyze(_load(args.path), max_events=args.max_events)
     if args.json:
+        import json
         print(json.dumps(report.to_dict(), indent=2))
     else:
         verdict = report.verdict
@@ -155,6 +152,7 @@ def cmd_reg(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import oracle
     program = _load(args.path)
     verdict = oracle.explore(program, max_states=args.max_states)
     if isinstance(verdict, oracle.DeadlockReachable):

@@ -6,8 +6,6 @@ nested-loop engine, whose power-string form subsumes it.  The ratio method
 itself is ``reg.ratio_stage``, shared with that engine.  The slice's event
 queues are built straight from the loop bodies: nothing is unrolled.
 """
-from __future__ import annotations
-
 from collections import _count_elements
 
 from .model import MAX_EVENTS, For, Program, build_queues

@@ -17,8 +17,6 @@ main loop repeatedly takes the pool of leading powers, groups it into
 related sets, and reduces or expands each eligible set until all strings
 drain (deadlock free) or nothing can move (deadlock).
 """
-from __future__ import annotations
-
 from itertools import groupby
 
 from .model import (INFINITE, MAX_EVENTS, For, Program, SizeExceeded,

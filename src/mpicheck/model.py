@@ -1,6 +1,4 @@
 """Core program model: AST, validation, counting, unrolling."""
-from __future__ import annotations
-
 from collections import _count_elements, namedtuple
 from functools import cached_property
 from itertools import groupby

@@ -41,8 +41,6 @@ local states when first reached, and the run stores every global state it
 visits as a tuple of those numbers.  A local transition the run takes again
 is settled again.  A deadlock's state is reported as stacks.
 """
-from __future__ import annotations
-
 from .model import INFINITE, For, Program, validate
 from .record import Frozen
 

@@ -34,8 +34,6 @@ certified (model.certified), and validate returns it without a walk.  When
 one does, validate's walk runs as on any other Program and raises the
 error, so each message keeps its one wording and order.
 """
-from __future__ import annotations
-
 import re
 from itertools import islice
 from operator import length_hint

@@ -11,8 +11,6 @@ when a conflict is found.
 the group from per-node counts, solve it, apply Theorem 2 and size the
 LCM slice.
 """
-from __future__ import annotations
-
 from collections import deque, namedtuple
 from itertools import chain
 from math import gcd, lcm

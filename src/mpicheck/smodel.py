@@ -7,8 +7,6 @@ message-dependence graph and its cycle test are a second, independent
 method, off the check path: they draw `mpicheck mdg`'s graph and serve the
 tests as a reference.
 """
-from __future__ import annotations
-
 from collections import deque
 from functools import cached_property
 

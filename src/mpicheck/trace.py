@@ -1,6 +1,4 @@
 """Structured trace of an analysis run, consumed by the CLI and tests."""
-from __future__ import annotations
-
 from .record import Record
 
 

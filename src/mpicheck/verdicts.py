@@ -1,6 +1,4 @@
 """Verdicts and deadlock witnesses shared by all checking engines."""
-from __future__ import annotations
-
 from .record import Frozen
 
 

@@ -350,6 +350,24 @@ def test_simulate_independent_of_hash_seed():
     assert "deadlock reachable after 4 rendezvous" in outs[0]
 
 
+def test_check_path_loads_neither_oracle_nor_json():
+    src = os.path.join(HERE, os.pardir, "src")
+    code = ("import contextlib, io, sys\n"
+            "from mpicheck.cli import main\n"
+            "loaded = lambda: ('mpicheck.oracle' in sys.modules,"
+            " 'json' in sys.modules)\n"
+            "print(*loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['simulate', {prog('prog9.mdl')!r}])\n"
+            "print(code, *loaded())\n")
+    # -S: no site hook loads modules of its own
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.split("\n") == ["False False", "0 True False", ""]
+
+
 # A digest of every report, without its timings, and of every oracle
 # result, over the corpus of seed 3 and tests/fuzz.py's programs of seed 1
 _DIGEST = """\

@@ -20,8 +20,9 @@ from mpicheck.verdicts import (Deadlock, DeadlockFree, FppStuck,
                                RatioInconsistency, UnmatchedTotals,
                                WaitCycle)
 
-SUBMODULES = ["analyze", "l0", "l2", "model", "oracle", "parser", "record",
-              "reg", "smodel", "trace", "verdicts"]
+# the oracle is left out: it loads on the first `explore`
+SUBMODULES = ["analyze", "l0", "l2", "model", "parser", "record", "reg",
+              "smodel", "trace", "verdicts"]
 
 
 def test_import_loads_no_class_generator_or_fractions():
@@ -33,7 +34,8 @@ def test_import_loads_no_class_generator_or_fractions():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     added = set(proc.stdout.split())
-    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal",
+                        "__future__"}
     assert {m for m in added if m.startswith("mpicheck")} == \
         {"mpicheck", *(f"mpicheck.{m}" for m in SUBMODULES)}
 
@@ -47,6 +49,33 @@ def test_plain_interpreter_import_loads_no_typing():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert proc.stdout.split() == ["False"]
+
+
+def test_explore_loads_on_first_lookup_and_stays_bound():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mpicheck.__file__)))
+    code = ("import sys, mpicheck; print('explore' in vars(mpicheck)); "
+            "fn = mpicheck.explore; "
+            "print(fn is sys.modules['mpicheck.oracle'].explore, "
+            "'explore' in vars(mpicheck))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    # later lookups are dict hits, not calls of the module's __getattr__
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
+def test_star_import_binds_explore():
+    names = {}
+    exec("from mpicheck import *", names)
+    assert names["explore"] is mpicheck.oracle.explore
+    assert set(mpicheck.__all__) <= set(names)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'mpicheck' has no attribute "
+                                             "'no_such_name'"):
+        mpicheck.no_such_name
 
 
 A = Symbol("a", 0, 1)
@@ -265,6 +294,8 @@ OUTSIDE_CALLERS = {
     ("oracle", "enabled"): "bench/tracing.py counts oracle states through "
                            "it until the benchmark reads stats from the "
                            "report (ROADMAP item 5)",
+    ("__init__", "__getattr__"): "the interpreter calls it for a missing "
+                                 "module attribute (PEP 562)",
 }
 
 
