@@ -12,12 +12,12 @@ class Report(Record):
     _fields = ("verdict", "phase", "trace", "program", "timings")
 
     def __init__(self, verdict: Verdict, phase: str, trace: Trace,
-                 program: Program, timings: dict | None = None):
+                 program: Program, timings: dict):
         self.verdict = verdict
         self.phase = phase
         self.trace = trace
         self.program = program
-        self.timings = {} if timings is None else timings
+        self.timings = timings
 
     def to_dict(self) -> dict:
         reg_solutions = []

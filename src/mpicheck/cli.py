@@ -131,8 +131,8 @@ def _as_queues(program, max_events):
            for body in bodies.values() for st in body):
         # slice infinite loops down to one consistent round first
         strings = {n: normalize(b) for n, b in program.nodes}
-        bodies, verdict = strip_outer_infinite(strings, Trace())
-        if verdict is not None:
+        bodies = strip_outer_infinite(strings, Trace())
+        if isinstance(bodies, Deadlock):
             raise ModelError(
                 "program has no consistent finite slice; cannot draw its MDG")
     return build_queues([(n, b, 1) for n, b in bodies.items()], max_events)

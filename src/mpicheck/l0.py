@@ -8,11 +8,11 @@ queues are built straight from the loop bodies: nothing is unrolled.
 """
 from collections import _count_elements
 
-from .model import MAX_EVENTS, For, Program, build_queues
+from .model import For, Program, build_queues
 from .reg import ratio_stage
 from .smodel import check_smodel
 from .trace import Trace
-from .verdicts import Verdict
+from .verdicts import Deadlock, Verdict
 
 
 def is_single_loop(program: Program) -> bool:
@@ -22,8 +22,7 @@ def is_single_loop(program: Program) -> bool:
                for _, body in program.nodes)
 
 
-def check_l0(program: Program, trace: Trace,
-             max_events: int = MAX_EVENTS) -> Verdict:
+def check_l0(program: Program, trace: Trace, max_events: int) -> Verdict:
     """REG -> Theorem-2 consistency -> slice queues -> S-Model check.
 
     A loop body is counted into a plain dict in one call of the C helper
@@ -38,11 +37,11 @@ def check_l0(program: Program, trace: Trace,
         times[n] = body[0].count if body else 1
         if body:
             _count_elements(count, body[0].body)
-    solution, deadlock = ratio_stage(tuple(counts), counts, times, "l0", trace)
-    if deadlock is not None:
-        return deadlock
+    solution = ratio_stage(tuple(counts), counts, times, "l0", trace)
+    if isinstance(solution, Deadlock):
+        return solution
     trace.reg_records[-1].loop_times = {
-        n: solution.times(n) for n, body in program.nodes if body}
+        n: solution.times[n] for n, body in program.nodes if body}
     return check_smodel(build_queues(
-        [(n, body[0].body if body else body, solution.times(n))
+        [(n, body[0].body if body else body, solution.times[n])
          for n, body in program.nodes], max_events))

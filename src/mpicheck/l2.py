@@ -19,8 +19,8 @@ drain (deadlock free) or nothing can move (deadlock).
 """
 from itertools import groupby
 
-from .model import (INFINITE, MAX_EVENTS, For, Program, SizeExceeded,
-                    UnsupportedProgram, build_queues, count_occurrences)
+from .model import (INFINITE, For, Program, SizeExceeded, UnsupportedProgram,
+                    build_queues, count_occurrences)
 from .record import Record
 from .reg import check_digits, count_equations, ratio_stage, solve
 from .smodel import check_smodel
@@ -108,7 +108,7 @@ def strip_outer_infinite(strings: dict, trace: Trace):
     wrapped in an infinite loop, t = 1 for a finite one) and replicate each
     infinite body LCM/p_i times.
 
-    Returns (finite strings, None) or (None, Deadlock verdict).
+    Returns the finite strings or a Deadlock.
     """
     counts = {}
     times = {}
@@ -123,13 +123,12 @@ def strip_outer_infinite(strings: dict, trace: Trace):
         else:
             counts[n] = count_occurrences(ps)
             times[n] = 1
-    solution, deadlock = ratio_stage(tuple(strings), counts, times, "outer",
-                                     trace)
-    if deadlock is not None:
-        return None, deadlock
-    return {n: (_repeat(ps[0].body, solution.times(n))
+    solution = ratio_stage(tuple(strings), counts, times, "outer", trace)
+    if isinstance(solution, Deadlock):
+        return solution
+    return {n: (_repeat(ps[0].body, solution.times[n])
                 if times[n] is INFINITE else ps)
-            for n, ps in strings.items()}, None
+            for n, ps in strings.items()}
 
 
 def _repeat(body, t) -> tuple:
@@ -152,11 +151,11 @@ class SetMember(Record):
 
     _fields = ("body", "count", "counts", "leftover")
 
-    def __init__(self, body, count, counts, leftover=()):
+    def __init__(self, body, count, counts):
         self.body = body
         self.count = count
         self.counts = counts  # count_occurrences(body)
-        self.leftover = leftover  # tail of a trimmed literal run, stays
+        self.leftover = ()  # tail of a trimmed literal run, stays
 
 
 class RelatedSet(Record):
@@ -187,7 +186,7 @@ def _groups(held: dict) -> list:
     return out
 
 
-def related_sets(pool: dict, cap=MAX_EVENTS) -> list:
+def related_sets(pool: dict, cap: int) -> list:
     """Group the pool into related sets after trimming it to a fixpoint.
 
     Each pool power is counted once with ``count_occurrences``; the keys of
@@ -274,7 +273,7 @@ def align_and_reduce(strings: dict, sets: list, max_events,
         sets = sets[:first]
         solution = _solve(sets, counts)
 
-    per_round = {n: solution.times(n) for rs in sets for n in rs.nodes}
+    per_round = {n: solution.times[n] for rs in sets for n in rs.nodes}
     rounds = [min(rs.members[n].count // per_round[n] for n in rs.nodes)
               for rs in sets]
     live = [k for k, r in enumerate(rounds) if r > 0]
@@ -329,15 +328,14 @@ def _solve(sets, counts):
     return solve(count_equations(order, counts)[0])
 
 
-def check_l2(program: Program, trace: Trace,
-             max_events: int = MAX_EVENTS) -> Verdict:
+def check_l2(program: Program, trace: Trace, max_events: int) -> Verdict:
     """Normalize, strip outer infinity, then run the pool reduction loop."""
     strings = {n: normalize(body) for n, body in program.nodes}
     trace.strings = strings
 
-    stripped, verdict = strip_outer_infinite(strings, trace)
-    if verdict is not None:
-        return verdict
+    stripped = strip_outer_infinite(strings, trace)
+    if isinstance(stripped, Deadlock):
+        return stripped
 
     strings = stripped
     while True:

@@ -311,7 +311,7 @@ def render_items(items) -> str:
 MAX_EVENTS = 10**6
 
 
-def build_queues(parts, max_events: int = MAX_EVENTS) -> dict:
+def build_queues(parts, max_events: int) -> dict:
     """node -> event queue for (node, body, times) ``parts``: the body
     unrolled and repeated ``times`` times.  Every part is sized first, so a
     model of more than ``max_events`` events raises SizeExceeded before any

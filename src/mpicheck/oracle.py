@@ -48,7 +48,10 @@ TERMINATED = "terminated"   # a terminated node's state; compared by identity
 
 
 class OracleVerdict(Frozen):
-    pass
+    def __bool__(self):
+        raise TypeError(f"{type(self).__name__} has no truth value: an "
+                        "Inconclusive run is neither free nor deadlocked; "
+                        "test the verdict's class")
 
 
 class DeadlockReachable(OracleVerdict):
@@ -58,18 +61,12 @@ class DeadlockReachable(OracleVerdict):
     def __init__(self, trace, state):
         self.__dict__.update(trace=trace, state=state)
 
-    def __bool__(self):
-        return False
-
 
 class DeadlockFreeOracle(OracleVerdict):
     _fields = ("states",)
 
     def __init__(self, states):
         self.__dict__.update(states=states)
-
-    def __bool__(self):
-        return True
 
 
 class Inconclusive(OracleVerdict):
@@ -152,13 +149,13 @@ def enabled(program: Program, gstate: tuple) -> set:
     return out
 
 
-def _parts(program: Program, looping: set = None) -> list:
+def _parts(program: Program, looping: set) -> list:
     """Node positions grouped into parts, each in ``program.nodes`` order,
     the parts ordered by their first node.  Two nodes share a part when a
     message names both as its endpoints.  The empty nodes, which no
     message links, join the first part, so a program with no link is one
     part.  The positions of nodes that hold an infinite loop are added to
-    ``looping`` when it is given."""
+    ``looping``."""
     rank = program.rank
     syms = set()
     for k, (_, top) in enumerate(program.nodes):
@@ -169,7 +166,7 @@ def _parts(program: Program, looping: set = None) -> list:
                     syms.add(st)
                     continue
                 bodies.append(st.body)
-                if st.count is INFINITE and looping is not None:
+                if st.count is INFINITE:
                     looping.add(k)
     group = [None] * len(program.nodes)  # position -> its part, shared
     for _, a, b in syms:

@@ -44,7 +44,8 @@ class RatioEquationGroup(Frozen):
 
 
 class RatioSolution(Record):
-    """``lcm`` (component -> LCM of its values) is neither shown nor
+    """``lcm`` (component -> LCM of its values) and ``times`` (variable ->
+    its loop count in the LCM slice, LCM / value) are neither shown nor
     compared."""
 
     _fields = ("components", "values")
@@ -54,12 +55,8 @@ class RatioSolution(Record):
         self.values = values  # variable -> positive int, per-component gcd 1
         self.lcm = {c: lcm(*[values[v] for v in c]) for c in components}
         # keyed by variable: a lookup by component would hash its tuple
-        self._times = {v: m // values[v]
-                       for c, m in self.lcm.items() for v in c}
-
-    def times(self, var):
-        """Loop count of `var` in the LCM slice: LCM / p_var."""
-        return self._times[var]
+        self.times = {v: m // values[v]
+                      for c, m in self.lcm.items() for v in c}
 
 
 def _frac(n, d):
@@ -84,13 +81,12 @@ def _ratio_str(n, d) -> str:
 
 def _find(parent, ratio, v):
     """(root, value(v) / value(root)) in ``solve``'s union-find forest,
-    compressing the path."""
+    compressing the path.  ``solve`` calls it only for a ``v`` two or more
+    hops below its root."""
     path = []
     while parent[v] != v:
         path.append(v)
         v = parent[v]
-    if not path:
-        return v, (1, 1)
     root = v
     num, den = ratio[path.pop()]    # already reduced, to the root
     for u in reversed(path):
@@ -233,13 +229,13 @@ def ratio_stage(order, counts, times, label, trace: Trace):
     infinite t_n counted as 0.  Components never synchronize with each
     other, so their products are not compared.
 
-    Returns (solution, None), whose ``times(n)`` sizes the LCM slice, or
-    (None, Deadlock).  A solved group is recorded in `trace` under `label`,
+    Returns the solution, whose ``times`` sizes the LCM slice, or a
+    Deadlock.  A solved group is recorded in `trace` under `label`,
     with its LCMs when it passes.
     """
     group, unmatched = count_equations(order, counts)
     if unmatched:
-        return None, Deadlock(UnmatchedTotals(*unmatched[0]))
+        return Deadlock(UnmatchedTotals(*unmatched[0]))
     solution = solve(group)
     if isinstance(solution, RatioInconsistency):
         conflict = solution
@@ -253,13 +249,13 @@ def ratio_stage(order, counts, times, label, trace: Trace):
         label, group.equations, solution,
         solution.lcm if conflict is None else None))
     if conflict is not None:
-        return None, Deadlock(conflict)
-    t = solution._times
+        return Deadlock(conflict)
+    t = solution.times
     for eq in group.equations:
         # each symbol's sends and receives balance in the slice
         i, j, a, b, _ = eq
         assert a * t[i] == b * t[j], f"sliced model unbalanced at {eq}"
-    return solution, None
+    return solution
 
 
 def _unequal_products(solution, times):

@@ -15,10 +15,10 @@ from .verdicts import (DEADLOCK_FREE, Deadlock, UnmatchedTotals, Verdict,
                        WaitCycle)
 
 
-def check_by_queues(queues: dict, fronts: dict | None = None) -> bool:
+def check_by_queues(queues: dict, fronts: dict) -> bool:
     """Whether every queue drains when matching front pairs are removed
-    until none is left.  When they get stuck, ``fronts``, if given,
-    receives each node's final front index.
+    until none is left.  When they get stuck, ``fronts`` receives each
+    node's final front index.
 
     Each event is touched a constant number of times: a node re-enters the
     worklist only when its front advances, so total work is linear in the
@@ -47,8 +47,7 @@ def check_by_queues(queues: dict, fronts: dict | None = None) -> bool:
             pending.append(j)
     if idx == ends:
         return True
-    if fronts is not None:
-        fronts.update(zip(nodes, idx))
+    fronts.update(zip(nodes, idx))
     return False
 
 

@@ -5,13 +5,12 @@ from .record import Record
 class RegRecord(Record):
     _fields = ("label", "equations", "solution", "lcm", "loop_times")
 
-    def __init__(self, label, equations, solution, lcm=None,
-                 loop_times=None):
+    def __init__(self, label, equations, solution, lcm):
         self.label = label
         self.equations = equations
         self.solution = solution      # RatioSolution or RatioInconsistency
         self.lcm = lcm                # component tuple -> lcm, when sliced
-        self.loop_times = loop_times
+        self.loop_times = None        # node -> loop count in the l0 slice
 
 
 class SetRecord(Record):
@@ -19,11 +18,11 @@ class SetRecord(Record):
 
     _fields = ("partition", "solutions", "actions")
 
-    def __init__(self, partition, solutions=None, actions=None):
+    def __init__(self, partition):
         self.partition = partition    # ((nodes...), eligible) pairs
         # (nodes, values dict) per set, and human-readable lines
-        self.solutions = [] if solutions is None else solutions
-        self.actions = [] if actions is None else actions
+        self.solutions = []
+        self.actions = []
 
 
 class Trace(Record):
@@ -32,13 +31,12 @@ class Trace(Record):
 
     _fields = ("reg_records", "set_records", "strings", "pools")
 
-    def __init__(self, reg_records=None, set_records=None, strings=None,
-                 pools=None):
-        self.reg_records = [] if reg_records is None else reg_records
-        self.set_records = [] if set_records is None else set_records
+    def __init__(self):
+        self.reg_records = []
+        self.set_records = []
         # node -> power string, and node -> leading power per pool round
-        self.strings = {} if strings is None else strings
-        self.pools = [] if pools is None else pools
+        self.strings = {}
+        self.pools = []
 
     @property
     def string_map(self) -> dict:

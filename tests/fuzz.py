@@ -131,7 +131,7 @@ def mdg_cross_checked(seen: Counter, wrap=lambda check: check):
     def checked(route, check):
         def check_both(queues):
             mdg = build_mdg(queues)
-            assert check_by_queues(queues) == (
+            assert check_by_queues(queues, {}) == (
                 not mdg.unpaired and find_deadlock_cycle(mdg) is None), (
                 f"queues and MDG disagree on {queues}")
             verdict = check(queues)

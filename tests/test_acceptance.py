@@ -23,8 +23,8 @@ from test_l2 import loop_prefix_deadlock, random_power_string
 from test_smodel import match_in_random_order, schedule_queues
 from mpicheck.analyze import analyze
 from mpicheck.l2 import normalize, strip_outer_infinite
-from mpicheck.model import (For, Symbol, build_queues, flatten_items, unroll,
-                            validate)
+from mpicheck.model import (MAX_EVENTS, For, Symbol, build_queues,
+                            flatten_items, unroll, validate)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable, _event,
                              explore)
 from mpicheck.parser import parse, render
@@ -88,7 +88,8 @@ def test_criterion_2_golden_artifacts():
     assert rec.loop_times == {0: 2, 1: 1, 2: 2}
 
     queues = build_queues([(n, body[0].body, rec.loop_times[n])
-                           for n, body in load("prog3.mdl").nodes])
+                           for n, body in load("prog3.mdl").nodes],
+                          MAX_EVENTS)
     seq = {n: "".join(s.name for s in q) for n, q in queues.items()}
     assert seq == {0: "acbacb", 1: "abadbd", 2: "cdcd"}
 
@@ -145,10 +146,10 @@ def _finite_queue_models(programs):
             pass
         strings = {n: normalize(b) for n, b in prog.nodes}
         try:
-            finite, verdict = strip_outer_infinite(strings, Trace())
+            finite = strip_outer_infinite(strings, Trace())
         except Exception:
             continue
-        if verdict is not None:
+        if isinstance(finite, Deadlock):
             continue
         yield build_queues([(n, ps, 1) for n, ps in finite.items()], 10**5)
 
@@ -157,7 +158,7 @@ def test_criterion_4_method_agreement_and_confluence(shared_corpus):
     models = 0
     for queues in _finite_queue_models(shared_corpus):
         models += 1
-        base = not check_by_queues(queues)
+        base = not check_by_queues(queues, {})
         mdg = build_mdg(queues)
         assert (bool(mdg.unpaired)
                 or find_deadlock_cycle(mdg) is not None) == base
@@ -287,7 +288,7 @@ def _rounds_ms(times):
 
 def test_criterion_5_desk_scale_performance():
     def check(queues):
-        assert bool(check_by_queues(queues))
+        assert bool(check_by_queues(queues, {}))
 
     models = [_ping_pong_queues(n) for n in (10**5, 2 * 10**5)]
     ratio, times = _doubling_ratio(check, models)
@@ -333,10 +334,10 @@ def test_criterion_7_slicing_balance(shared_corpus):
             continue
         strings = {n: normalize(b) for n, b in prog.nodes}
         try:
-            finite, verdict = strip_outer_infinite(strings, Trace())
+            finite = strip_outer_infinite(strings, Trace())
         except Exception:
             continue
-        if verdict is not None:
+        if isinstance(finite, Deadlock):
             continue  # not ratio consistent: no slice to check
         sends = Counter()
         recvs = Counter()

@@ -62,21 +62,22 @@ def test_build_reg_reports_one_sided_symbols():
     group, unmatched = count_equations((0, 1), l0_counts(prog))
     assert group.equations == ()
     assert unmatched == [(A, 1, 0), (B, 1, 0)]
-    solution, verdict = l0_stage(prog)
-    assert solution is None
+    verdict = l0_stage(prog)
+    assert isinstance(verdict, Deadlock)
     assert verdict.witness == UnmatchedTotals(A, 1, 0)
 
 
 def test_ratio_consistent_infinite_means_zero():
     prog = loop_prog(2, [A], 1, [A, A])
     for times in ({0: INFINITE, 1: INFINITE}, {0: 2, 1: 1}):
-        solution, verdict = l0_stage(prog, times)
-        assert verdict is None and solution.values == {0: 1, 1: 2}
-    solution, verdict = l0_stage(prog, {0: 2, 1: 2})
-    assert solution is None
+        solution = l0_stage(prog, times)
+        assert not isinstance(solution, Deadlock)
+        assert solution.values == {0: 1, 1: 2}
+    verdict = l0_stage(prog, {0: 2, 1: 2})
+    assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, RatioInconsistency)
-    solution, verdict = l0_stage(prog, {0: INFINITE, 1: 2})
-    assert solution is None
+    verdict = l0_stage(prog, {0: INFINITE, 1: 2})
+    assert isinstance(verdict, Deadlock)
     assert verdict.witness.detail == (
         "unequal products within component (0, 1): p0*t0=0, p1*t1=4")
 
@@ -103,16 +104,16 @@ def l0_slice(monkeypatch):
 
 def test_slice_replaces_counts_by_lcm_over_value(l0_slice):
     prog = loop_prog(INFINITE, [A], INFINITE, [A, A])
-    solution, verdict = l0_stage(prog)
-    assert verdict is None
-    assert (solution.times(0), solution.times(1)) == (2, 1)
+    solution = l0_stage(prog)
+    assert not isinstance(solution, Deadlock)
+    assert (solution.times[0], solution.times[1]) == (2, 1)
     assert l0_slice(prog) == [(0, (A, A)), (1, (A, A))]
 
 
 def reference_slice(program, solution, max_events):
     """The slice as a program whose loop counts are LCM / p_n, unrolled:
     how the single-loop engine once built its queues."""
-    return unroll(make_program({n: [For(solution.times(n), body[0].body)]
+    return unroll(make_program({n: [For(solution.times[n], body[0].body)]
                                 if body else [] for n, body in program.nodes}),
                   max_events)
 
@@ -145,8 +146,8 @@ def _reference_outcome(program, solution, cap):
 def test_slice_queues_equal_the_unrolled_slice_program(l0_slice):
     sliced = 0
     for prog in single_loop_programs():
-        solution, verdict = l0_stage(prog)
-        if verdict is not None:
+        solution = l0_stage(prog)
+        if isinstance(solution, Deadlock):
             continue
         size = sum(map(len, reference_slice(prog, solution,
                                             float("inf")).values()))
@@ -185,7 +186,8 @@ def test_l0_route_unrolls_nothing(monkeypatch):
 
 def test_check_l0_free_and_traced():
     trace = Trace()
-    verdict = check_l0(loop_prog(INFINITE, [A, B], INFINITE, [A, B]), trace)
+    verdict = check_l0(loop_prog(INFINITE, [A, B], INFINITE, [A, B]), trace,
+                       MAX_EVENTS)
     assert bool(verdict)
     (rec,) = trace.reg_records
     assert rec.label == "l0"
@@ -198,7 +200,7 @@ def test_check_l0_slices_only_non_empty_nodes():
     prog = make_program({0: [For(INFINITE, (A, A))],
                          1: [For(INFINITE, (A, A, A))],
                          2: []})
-    assert bool(check_l0(prog, trace))
+    assert bool(check_l0(prog, trace, MAX_EVENTS))
     (rec,) = trace.reg_records
     assert rec.solution.values == {0: 2, 1: 3, 2: 1}
     assert rec.lcm == {(0, 1): 6, (2,): 1}
@@ -206,20 +208,21 @@ def test_check_l0_slices_only_non_empty_nodes():
 
 
 def test_check_l0_unmatched_symbol_deadlocks():
-    verdict = check_l0(loop_prog(2, [A], 2, [B]), Trace())
+    verdict = check_l0(loop_prog(2, [A], 2, [B]), Trace(), MAX_EVENTS)
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, UnmatchedTotals)
 
 
 def test_check_l0_ratio_conflict_deadlocks():
     # finite loop totals disagree with the per-iteration ratio
-    verdict = check_l0(loop_prog(2, [A], 3, [A]), Trace())
+    verdict = check_l0(loop_prog(2, [A], 3, [A]), Trace(), MAX_EVENTS)
     assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, RatioInconsistency)
 
 
 def test_check_l0_mixed_infinite_and_finite_deadlocks():
-    verdict = check_l0(loop_prog(INFINITE, [A], 2, [A]), Trace())
+    verdict = check_l0(loop_prog(INFINITE, [A], 2, [A]), Trace(),
+                       MAX_EVENTS)
     assert isinstance(verdict, Deadlock)
 
 

@@ -270,8 +270,8 @@ def test_strip_outer_infinite_replicates_to_lcm():
         0: normalize((For(INFINITE, (A,)),)),
         1: normalize((For(INFINITE, (A, A)),)),
     }
-    finite, verdict = strip_outer_infinite(strings, Trace())
-    assert verdict is None
+    finite = strip_outer_infinite(strings, Trace())
+    assert not isinstance(finite, Deadlock)
     assert finite[0] == (For(2, (A,)),)
     assert finite[1] == (For(1, (A, A)),)
 
@@ -291,12 +291,12 @@ def test_strip_outer_infinite_folds_as_normalize_does():
         if not infinite or any(len(strings[n]) > 1 for n in infinite):
             continue
         trace = Trace()
-        finite, verdict = strip_outer_infinite(strings, trace)
-        if verdict is not None:
+        finite = strip_outer_infinite(strings, trace)
+        if isinstance(finite, Deadlock):
             continue
         solution = trace.reg_records[-1].solution
         for n in infinite:
-            t = solution.times(n)
+            t = solution.times[n]
             want = normalize((For(t, strings[n][0].body),))
             assert finite[n] == want
             assert render_items(finite[n]) == render_items(want)
@@ -310,7 +310,7 @@ def test_strip_outer_infinite_flags_mixed_components():
         0: normalize((For(INFINITE, (A,)),)),
         1: (For(1, (A,)),),
     }
-    _, verdict = strip_outer_infinite(strings, Trace())
+    verdict = strip_outer_infinite(strings, Trace())
     assert isinstance(verdict, Deadlock)
 
 
@@ -318,7 +318,7 @@ def test_strip_outer_infinite_names_unequal_finite_products():
     # every node finite: the conflict is unequal totals, not a mix of
     # infinite and finite nodes
     strings = {0: (For(1, (A,)),), 1: (For(2, (A,)),)}
-    _, verdict = strip_outer_infinite(strings, Trace())
+    verdict = strip_outer_infinite(strings, Trace())
     assert verdict.witness == RatioInconsistency(
         "unequal products within component (0, 1): p0*t0=1, p1*t1=2")
 
@@ -333,10 +333,10 @@ def test_outer_stage_matches_l0_on_single_infinite_loops():
         3: [],
     })
     l0_trace, outer_trace = Trace(), Trace()
-    assert bool(check_l0(prog, l0_trace))
+    assert bool(check_l0(prog, l0_trace, MAX_EVENTS))
     strings = {n: normalize(b) for n, b in prog.nodes}
-    _, verdict = strip_outer_infinite(strings, outer_trace)
-    assert verdict is None
+    finite = strip_outer_infinite(strings, outer_trace)
+    assert not isinstance(finite, Deadlock)
     (l0_rec,), (outer_rec,) = l0_trace.reg_records, outer_trace.reg_records
     assert (l0_rec.label, outer_rec.label) == ("l0", "outer")
     assert l0_rec.equations == outer_rec.equations
@@ -351,21 +351,21 @@ def test_infinite_with_siblings_is_unsupported():
         1: [For(INFINITE, (A,))],
     })
     with pytest.raises(UnsupportedProgram):
-        check_l2(prog, Trace())
+        check_l2(prog, Trace(), MAX_EVENTS)
 
 
 def test_related_sets_split_by_shared_symbols():
     pool = fpp({0: (For(2, (A,)),), 1: (For(2, (A,)),),
                 2: (For(1, (Symbol("e", 2, 3),)),),
                 3: (For(1, (Symbol("e", 2, 3),)),)})
-    sets = {rs.nodes: bool(rs.members) for rs in related_sets(pool)}
+    sets = {rs.nodes: bool(rs.members) for rs in related_sets(pool, MAX_EVENTS)}
     assert sets == {(0, 1): True, (2, 3): True}
 
 
 def test_related_sets_trim_misaligned_run():
     # node 0 leads with "a b" but b's partner still sits behind a power
     pool = {0: For(1, (A, C)), 1: For(1, (A,))}
-    (rs,) = related_sets(pool)
+    (rs,) = related_sets(pool, MAX_EVENTS)
     assert rs.members and rs.nodes == (0, 1)
     assert rs.members[0].body == (A,)
     assert rs.members[0].leftover == (C,)
@@ -373,7 +373,7 @@ def test_related_sets_trim_misaligned_run():
 
 def test_related_sets_drop_blocked_power():
     pool = {0: For(3, (A, C)), 1: For(1, (A,))}
-    sets = related_sets(pool)
+    sets = related_sets(pool, MAX_EVENTS)
     assert all(not rs.members for rs in sets)
 
 
@@ -403,7 +403,7 @@ def test_related_sets_meet_their_spec_on_random_pools():
     seen = Counter()
     for seed in range(600):
         pool = random_pool(random.Random(seed))
-        sets = related_sets(pool)
+        sets = related_sets(pool, MAX_EVENTS)
         firsts = [rs.nodes[0] for rs in sets]
         assert firsts == sorted(firsts)
         placed = [n for rs in sets for n in rs.nodes]
@@ -470,7 +470,7 @@ def test_related_sets_flatten_within_cap():
 
 def test_align_and_reduce_progress():
     strings = {0: (For(4, (A,)),), 1: (For(2, (A, A)),)}
-    sets = related_sets(fpp(strings))
+    sets = related_sets(fpp(strings), MAX_EVENTS)
     kind, new = align_and_reduce(strings, sets, 10**5, SetRecord(()))
     assert kind == "progress"
     assert new == {0: (), 1: ()}
@@ -480,7 +480,7 @@ def test_align_and_reduce_noprogress_on_short_exponent():
     # per-round needs two iterations of node 0 but only one is available
     strings = {0: (For(1, (A,)), For(1, (B,))),
                1: (For(1, (A, A)),)}
-    sets = related_sets(fpp(strings))
+    sets = related_sets(fpp(strings), MAX_EVENTS)
     kind, _ = align_and_reduce(strings, sets, 10**5, SetRecord(()))
     assert kind == "noprogress"
 
@@ -490,7 +490,7 @@ def test_check_l2_deadlock_on_crossed_loops():
         0: [For(INFINITE, (A, B))],
         1: [For(INFINITE, (B, A))],
     })
-    assert isinstance(check_l2(prog, Trace()), Deadlock)
+    assert isinstance(check_l2(prog, Trace(), MAX_EVENTS), Deadlock)
 
 
 def test_check_l2_free_on_staggered_nesting():
@@ -498,7 +498,7 @@ def test_check_l2_free_on_staggered_nesting():
         0: [For(INFINITE, (For(2, (A,)), B))],
         1: [For(INFINITE, (A, A, B))],
     })
-    assert bool(check_l2(prog, Trace()))
+    assert bool(check_l2(prog, Trace(), MAX_EVENTS))
 
 
 def loop_prefix_deadlock(count):
@@ -621,7 +621,7 @@ def test_first_deadlocked_set_of_a_round_is_named_by_its_witness(
     rep = _report(text)
     assert calls["check_smodel"] == 1
     strings = {n: normalize(b) for n, b in validate(parse(text)).nodes}
-    sets = related_sets(fpp(strings))
+    sets = related_sets(fpp(strings), MAX_EVENTS)
     assert align_and_reduce(strings, sets[1:2], MAX_EVENTS,
                             SetRecord(())) == ("deadlock", rep.verdict)
     assert rep.verdict.witness == WaitCycle(

@@ -6,12 +6,13 @@ import pytest
 
 from mpicheck import model
 from mpicheck.analyze import analyze
-from mpicheck.model import (INFINITE, DanglingEndpoint, DuplicateNode, For,
-                            InfiniteInside, InfiniteLoop, InvalidLoopCount,
-                            MisplacedOperation, ModelError, NestedInfinite,
-                            Program, SelfMessage, SizeExceeded, Symbol,
-                            build_queues, count_occurrences, flatten_items,
-                            make_program, unroll, validate, weighted_size)
+from mpicheck.model import (INFINITE, MAX_EVENTS, DanglingEndpoint,
+                            DuplicateNode, For, InfiniteInside, InfiniteLoop,
+                            InvalidLoopCount, MisplacedOperation, ModelError,
+                            NestedInfinite, Program, SelfMessage,
+                            SizeExceeded, Symbol, build_queues,
+                            count_occurrences, flatten_items, make_program,
+                            unroll, validate, weighted_size)
 from mpicheck.parser import parse
 
 A01 = Symbol("a", 0, 1)
@@ -312,9 +313,10 @@ def test_build_queues_matches_reference_at_the_cap():
 
 def test_build_queues_sizes_before_it_builds():
     body = (A01, B10)
-    assert build_queues([(0, body, 1)])[0] is body   # not copied
+    assert build_queues([(0, body, 1)], MAX_EVENTS)[0] is body   # not copied
     # 10^12 events would not fit in memory: the size alone refuses them
     with pytest.raises(SizeExceeded):
-        build_queues([(0, (For(10**6, (A01,)),), 10**6), (1, body, 1)])
+        build_queues([(0, (For(10**6, (A01,)),), 10**6), (1, body, 1)],
+                     MAX_EVENTS)
     with pytest.raises(InfiniteLoop):
-        build_queues([(0, (For(INFINITE, (A01,)),), 1)])
+        build_queues([(0, (For(INFINITE, (A01,)),), 1)], MAX_EVENTS)

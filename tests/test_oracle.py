@@ -141,6 +141,19 @@ def test_state_bound_gives_inconclusive():
     assert isinstance(explore(prog), DeadlockFreeOracle)
 
 
+@pytest.mark.parametrize("bodies, max_states, kind", [
+    ({0: [A, B], 1: [B, A]}, 10**6, DeadlockReachable),
+    ({0: [A, B], 1: [A, B]}, 10**6, DeadlockFreeOracle),
+    ({0: [For(4, (A,))], 1: [For(4, (A,))]}, 2, Inconclusive),
+], ids=["deadlock", "free", "inconclusive"])
+def test_oracle_verdict_has_no_truth_value(bodies, max_states, kind):
+    # `if explore(p):` would take a run stopped at its bound for freedom
+    verdict = explore(make_program(bodies), max_states=max_states)
+    assert type(verdict) is kind
+    with pytest.raises(TypeError, match="test the verdict's class"):
+        bool(verdict)
+
+
 def test_enabled_and_step_agree_with_semantics():
     prog = make_program({0: [A], 1: [A, A]})
     state = initial_state(prog)
@@ -200,7 +213,7 @@ def advance_calls(monkeypatch):
 def _part_programs(prog):
     """``(positions, program of those nodes)`` per part of ``prog``."""
     return [(part, Program(tuple(prog.nodes[k] for k in part)))
-            for part in oracle._parts(prog)]
+            for part in oracle._parts(prog, set())]
 
 
 def _reference_run(prog):
@@ -280,7 +293,7 @@ def test_each_state_expanded_once_and_each_local_step_settled_once(
     g = Symbol("g", 1, 2)    # joins the two pairs into one part
     prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
                          2: [For(2, (C, D)), g], 3: [For(2, (C, D))]})
-    assert oracle._parts(prog) == [[0, 1, 2, 3]]
+    assert oracle._parts(prog, set()) == [[0, 1, 2, 3]]
     # the pairs interleave freely (7 * 5 states), then g fires
     ref, seen = product_search(prog, 10**6)
     assert ref == DeadlockFreeOracle(7 * 5 + 1) and len(seen) == 36
@@ -340,7 +353,7 @@ def test_per_part_search_matches_product_search(advance_calls):
         if isinstance(ref, Inconclusive):
             continue
         decided += 1
-        multi += len(oracle._parts(prog)) > 1
+        multi += len(oracle._parts(prog, set())) > 1
     assert decided >= 450 and multi >= 200
 
 
@@ -453,7 +466,7 @@ def test_numbered_search_equals_single_state_reference(advance_calls):
     global_states = local_states = run_states = 0
     for _ in range(80):
         prog = _concurrent_pairs(rng)
-        assert oracle._parts(prog) == [list(range(len(prog.nodes)))]
+        assert oracle._parts(prog, set()) == [list(range(len(prog.nodes)))]
         ref, seen = product_search(prog, 10**6)
         kinds[type(ref)] += 1
         got, visited = _check_run(prog, ref, len(seen), advance_calls)
@@ -491,7 +504,7 @@ def test_concurrent_pair_exchanges_decide_in_one_run():
     # default bound of an exhaustive search; the run fires 6 * 100
     # exchanges and the 5 chain messages
     prog = validate(parse(_six_pair_exchanges()))
-    assert len(oracle._parts(prog)) == 1
+    assert len(oracle._parts(prog, set())) == 1
     assert explore(prog) == DeadlockFreeOracle(606)
     assert explore(prog, max_states=605) == Inconclusive(605)
 
@@ -529,7 +542,7 @@ def test_deadlock_trace_joins_the_parts_in_node_order():
 
 def test_unlinked_nodes_join_the_first_part():
     prog = make_program({0: [A, B], 1: [A, B], 2: []})
-    assert oracle._parts(prog) == [[0, 1, 2]]
+    assert oracle._parts(prog, set()) == [[0, 1, 2]]
     assert explore(prog) == DeadlockFreeOracle(3)
     dangling = make_program({0: [Symbol("a", 0, 9)], 1: []})
     with pytest.raises(DanglingEndpoint):
@@ -548,7 +561,7 @@ def test_one_explore_call_and_each_part_state_expanded_once(monkeypatch):
     bodies = {0: [For(3, (A, B))], 1: [For(3, (A, B))],
               2: [For(2, (C, D))], 3: [For(2, (C, D))], 4: [E], 5: [E]}
     prog = make_program(bodies)
-    parts = oracle._parts(prog)
+    parts = oracle._parts(prog, set())
     assert parts == [[0, 1], [2, 3], [4, 5]]
     verdict = oracle.explore(prog)
     assert len(explores) == 1

@@ -88,6 +88,14 @@ SOL = RatioSolution(((0, 1),), {0: 3, 1: 2})
 SSOL = "RatioSolution(components=((0, 1),), values={0: 3, 1: 2})"
 PROG = Program(((0, (A,)), (1, (A,))), ((0, "P0"), (1, "P1")))
 
+
+def _set(record, **fields):
+    """``record`` with ``fields`` assigned, as the engines fill them in."""
+    for name, value in fields.items():
+        setattr(record, name, value)
+    return record
+
+
 # (record, its repr, whether it is frozen), as the classes printed them
 # when they were generated as data classes
 RECORDS = [
@@ -118,10 +126,10 @@ RECORDS = [
     (RatioEquationGroup((0, 1), (EQ,)),
      f"RatioEquationGroup(variables=(0, 1), equations=({SEQ},))", True),
     (SOL, SSOL, False),
-    (RegRecord("l0", (EQ,), SOL),
+    (RegRecord("l0", (EQ,), SOL, None),
      f"RegRecord(label='l0', equations=({SEQ},), solution={SSOL}, "
      "lcm=None, loop_times=None)", False),
-    (RegRecord("outer", (EQ,), SOL, {(0, 1): 6}, {0: 2}),
+    (_set(RegRecord("outer", (EQ,), SOL, {(0, 1): 6}), loop_times={0: 2}),
      f"RegRecord(label='outer', equations=({SEQ},), solution={SSOL}, "
      "lcm={(0, 1): 6}, loop_times={0: 2})", False),
     (SetRecord(((0, 1), True)),
@@ -131,7 +139,7 @@ RECORDS = [
     (SetMember((A,), 2, {A: 1}),
      f"SetMember(body=({SA},), count=2, counts={{{SA}: 1}}, leftover=())",
      False),
-    (SetMember((A,), 1, {A: 1}, (B,)),
+    (_set(SetMember((A,), 1, {A: 1}), leftover=(B,)),
      f"SetMember(body=({SA},), count=1, counts={{{SA}: 1}}, "
      f"leftover=({SB},))", False),
     (RelatedSet((0, 1), {0: SetMember((A,), 2, {A: 1})}),
@@ -140,7 +148,7 @@ RECORDS = [
     (build_mdg({0: (A, B), 1: (A, B)}),
      f"Mdg(pairs=(({SA}, 0), ({SB}, 0)), succ=((1,), ()), unpaired=())",
      True),
-    (Report(DeadlockFree(), "smodel", Trace(), Program(((0, ()),))),
+    (Report(DeadlockFree(), "smodel", Trace(), Program(((0, ()),)), {}),
      "Report(verdict=DeadlockFree(), phase='smodel', trace=Trace("
      "reg_records=[], set_records=[], strings={}, pools=[]), "
      "program=Program(nodes=((0, ()),), names=()), timings={})", False),
@@ -240,7 +248,7 @@ def test_cached_properties_leave_repr_equality_and_hash_alone():
 
 def test_ratio_solution_compares_and_shows_components_and_values_only():
     sol = RatioSolution(((0, 1),), {0: 3, 1: 2})
-    assert sol.lcm == {(0, 1): 6} and sol.times(0) == 2
+    assert sol.lcm == {(0, 1): 6} and sol.times[0] == 2
     assert sol == RatioSolution(((0, 1),), {0: 3, 1: 2})
     assert sol != RatioSolution(((0, 1),), {0: 1, 1: 1})
 
@@ -255,13 +263,13 @@ def test_record_keywords_and_defaults():
     assert DeadlockReachable(state=(), trace=(A,)) == \
         DeadlockReachable((A,), ())
     assert UnmatchedTotals(A, recvs=1, sends=2) == UnmatchedTotals(A, 2, 1)
-    rec = RegRecord("l0", (), SOL)
+    rec = RegRecord("l0", (), SOL, None)
     assert rec.lcm is None and rec.loop_times is None
     assert SetMember(body=(A,), count=2, counts={A: 1}).leftover == ()
-    report = Report(DeadlockFree(), "smodel", Trace(), PROG)
+    report = Report(DeadlockFree(), "smodel", Trace(), PROG, {})
     assert report.timings == {}
     assert report.timings is not Report(DeadlockFree(), "smodel", Trace(),
-                                        PROG).timings
+                                        PROG, {}).timings
     a, b = Trace(), Trace()
     for name in FIELDS["Trace"]:
         assert getattr(a, name) == getattr(b, name)
@@ -285,7 +293,7 @@ def test_record_rejects_wrong_arguments(make):
 def test_mutable_records_take_assignment():
     member = SetMember((A,), 2, {A: 1})
     member.body, member.counts, member.leftover = (B,), {B: 1}, (A,)
-    assert member == SetMember((B,), 2, {B: 1}, (A,))
+    assert member == _set(SetMember((B,), 2, {B: 1}), leftover=(A,))
 
 
 # module-level functions in src/ that only callers outside it name, each
@@ -299,19 +307,24 @@ OUTSIDE_CALLERS = {
 }
 
 
-def test_every_src_function_has_a_src_caller():
-    # a helper that only tests call belongs in the test that uses it
+def _src_trees():
+    """(module name, parsed module) for each module of src/mpicheck."""
     pkg = os.path.dirname(os.path.abspath(mpicheck.__file__))
-    tops = []       # (module, top-level statement, names used in it)
     for fname in sorted(os.listdir(pkg)):
         if fname.endswith(".py"):
             with open(os.path.join(pkg, fname)) as f:
-                tree = ast.parse(f.read())
-            for node in tree.body:
-                used = {n.id for n in ast.walk(node) if type(n) is ast.Name}
-                used |= {n.attr for n in ast.walk(node)
-                         if type(n) is ast.Attribute}
-                tops.append((fname[:-3], node, used))
+                yield fname[:-3], ast.parse(f.read())
+
+
+def test_every_src_function_has_a_src_caller():
+    # a helper that only tests call belongs in the test that uses it
+    tops = []       # (module, top-level statement, names used in it)
+    for mod, tree in _src_trees():
+        for node in tree.body:
+            used = {n.id for n in ast.walk(node) if type(n) is ast.Name}
+            used |= {n.attr for n in ast.walk(node)
+                     if type(n) is ast.Attribute}
+            tops.append((mod, node, used))
     orphans = set()
     for mod, node, _ in tops:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
@@ -320,3 +333,56 @@ def test_every_src_function_has_a_src_caller():
                     if other is not node):
             orphans.add((mod, node.name))
     assert orphans == set(OUTSIDE_CALLERS)
+
+
+# defaulted parameters that no src/ call varies, each with the reason it
+# keeps its default: callers outside src/ omit it
+FIXED_DEFAULTS = {
+    ("model", "unroll", "max_events"): "public: a library caller unrolls "
+                                       "under the default cap",
+    ("model", "make_program", "names"): "public: a library caller gets the "
+                                        "default names P<id>",
+    ("model", "Program", "names"): "public: a library caller builds "
+                                   "Program(nodes); the parser and "
+                                   "make_program always name the nodes",
+    ("oracle", "explore", "max_states"): "public: a library caller explores "
+                                         "under the default state bound",
+    ("cli", "main", "argv"): "the console script calls main(), which reads "
+                             "sys.argv",
+}
+
+
+def test_every_src_default_is_varied_by_src_calls():
+    # a default that every src/ call passes is a parameter only tests
+    # leave out, and one that no src/ call passes is a constant only tests
+    # set.  A record's __init__ is called by its class name; a Report is
+    # not exempt like the other names in __all__, as only analyze builds
+    # one.
+    defs = []       # (module, name called, positional params, defaulted)
+    calls = []
+    for mod, tree in _src_trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((mod, node.name, node.args, 0))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(mod, node.name, item.args, 1) for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and item.name == "__init__"]
+        calls += [n for n in ast.walk(tree) if type(n) is ast.Call]
+    fixed = set()
+    for mod, name, args, skip in defs:
+        params = [a.arg for a in args.posonlyargs + args.args][skip:]
+        defaulted = params[len(params) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        sites = [c for c in calls
+                 if getattr(c.func, "id", getattr(c.func, "attr", None))
+                 == name]
+        for p in defaulted:
+            passed = {any(type(a) is ast.Starred for a in c.args)
+                      or (p in params and params.index(p) < len(c.args))
+                      or any(k.arg in (p, None) for k in c.keywords)
+                      for c in sites}
+            if passed != {True, False}:
+                fixed.add((mod, name, p))
+    assert fixed == set(FIXED_DEFAULTS)

@@ -14,7 +14,7 @@ from mpicheck.model import INFINITE, MAX_COUNT_DIGITS, SizeExceeded, Symbol
 from mpicheck.reg import (RatioEquation, RatioEquationGroup, RatioSolution,
                           count_equations, ratio_stage, solve)
 from mpicheck.trace import Trace
-from mpicheck.verdicts import RatioInconsistency, UnmatchedTotals
+from mpicheck.verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
 A = Symbol("a", 0, 1)
 B = Symbol("b", 1, 0)
@@ -215,16 +215,16 @@ def test_ratio_stage_slices_to_lcm_over_value():
               3: Counter({D: 1}), 4: Counter({D: 1})}
     times = dict.fromkeys(counts, INFINITE)
     trace = Trace()
-    solution, verdict = ratio_stage(tuple(counts), counts, times, "x", trace)
-    assert verdict is None
+    solution = ratio_stage(tuple(counts), counts, times, "x", trace)
+    assert not isinstance(solution, Deadlock)
     assert solution.values == {0: 4, 1: 6, 2: 3, 3: 1, 4: 1}
     assert solution.lcm == {(0, 1, 2): 12, (3, 4): 1}
-    assert {n: solution.times(n) for n in counts} == {
+    assert {n: solution.times[n] for n in counts} == {
         0: 3, 1: 2, 2: 4, 3: 1, 4: 1}
     # every symbol balances in the slice
     for sym in (A, C, D):
-        assert (counts[sym.src][sym] * solution.times(sym.src)
-                == counts[sym.dst][sym] * solution.times(sym.dst))
+        assert (counts[sym.src][sym] * solution.times[sym.src]
+                == counts[sym.dst][sym] * solution.times[sym.dst])
     (rec,) = trace.reg_records
     assert rec.label == "x" and rec.solution is solution
     assert rec.lcm == solution.lcm and rec.loop_times is None
@@ -233,8 +233,8 @@ def test_ratio_stage_slices_to_lcm_over_value():
 def test_ratio_stage_unmatched_totals_record_nothing():
     counts = {0: Counter({A: 1}), 1: Counter()}
     trace = Trace()
-    solution, verdict = ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", trace)
-    assert solution is None
+    verdict = ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", trace)
+    assert isinstance(verdict, Deadlock)
     assert verdict.witness == UnmatchedTotals(A, 1, 0)
     assert trace.reg_records == []
 
@@ -242,8 +242,8 @@ def test_ratio_stage_unmatched_totals_record_nothing():
 def test_ratio_stage_solver_conflict():
     counts = {0: Counter({A: 1, B: 2}), 1: Counter({A: 1, B: 1})}
     trace = Trace()
-    solution, verdict = ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", trace)
-    assert solution is None
+    verdict = ratio_stage((0, 1), counts, {0: 1, 1: 1}, "x", trace)
+    assert isinstance(verdict, Deadlock)
     assert isinstance(verdict.witness, RatioInconsistency)
     assert len(verdict.witness.equations) == 2
     (rec,) = trace.reg_records
@@ -255,9 +255,8 @@ def test_ratio_stage_theorem_2_conflict():
     # without LCMs (infinite counts are covered in test_l0)
     counts = {0: Counter({A: 1}), 1: Counter({A: 2}), 2: Counter()}
     trace = Trace()
-    solution, verdict = ratio_stage((0, 1, 2), counts, {0: 1, 1: 1, 2: 5},
-                                    "x", trace)
-    assert solution is None
+    verdict = ratio_stage((0, 1, 2), counts, {0: 1, 1: 1, 2: 5}, "x", trace)
+    assert isinstance(verdict, Deadlock)
     assert verdict.witness == RatioInconsistency(
         "unequal products within component (0, 1): p0*t0=1, p1*t1=2")
     (rec,) = trace.reg_records

@@ -44,19 +44,19 @@ def match_in_random_order(queues, rng):
 
 
 def test_empty_is_free():
-    assert bool(check_by_queues({0: (), 1: ()}))
+    assert bool(check_by_queues({0: (), 1: ()}, {}))
 
 
 def test_simple_exchange_is_free():
     queues = {0: (A, B), 1: (A, B)}
-    assert bool(check_by_queues(queues))
+    assert bool(check_by_queues(queues, {}))
     assert bool(check_smodel(queues))
 
 
 def test_crossed_sends_deadlock():
     # both nodes lead with their own send; neither front matches
     queues = {0: (A, B), 1: (B, A)}
-    assert check_by_queues(queues) is False
+    assert check_by_queues(queues, {}) is False
     assert match_in_random_order(queues, random.Random(0)) == (
         (0, (A, B)), (1, (B, A)))
 
@@ -65,7 +65,7 @@ def test_stuck_queues_witness_keeps_queue_order():
     x = Symbol("x", 2, 0)
     queues = {1: (B, A), 0: (x, A, B), 2: (x,)}
     want = ((1, (B, A)), (0, (A, B)))
-    assert check_by_queues(queues) is False
+    assert check_by_queues(queues, {}) is False
     for k in range(5):
         assert match_in_random_order(queues, random.Random(k)) == want
 
@@ -135,7 +135,7 @@ def test_queue_verdict_independent_of_order():
                 else gen_smodel_balanced)(rng)
         queues = unroll(prog)
         stuck = match_in_random_order(queues, random.Random(0))
-        assert check_by_queues(queues) == (stuck == ())
+        assert check_by_queues(queues, {}) == (stuck == ())
         for k in range(1, 10):
             assert match_in_random_order(queues, random.Random(k)) == stuck
 
@@ -146,7 +146,7 @@ def test_queue_and_mdg_match_oracle(seed, balanced):
     rng = random.Random(seed)
     prog = gen_smodel_balanced(rng) if balanced else gen_smodel_random(rng)
     queues = unroll(prog)
-    queue_dead = not check_by_queues(queues)
+    queue_dead = not check_by_queues(queues, {})
     mdg = build_mdg(queues)
     assert (bool(mdg.unpaired)
             or find_deadlock_cycle(mdg) is not None) == queue_dead
@@ -298,7 +298,7 @@ def test_one_cycle_search_per_check(monkeypatch):
 
     calls = []
 
-    def counted(queues, fronts=None):
+    def counted(queues, fronts):
         calls.append(queues)
         return check_by_queues(queues, fronts)
 
@@ -314,7 +314,7 @@ def test_one_cycle_search_per_check(monkeypatch):
         del calls[:]
         verdict = check_smodel(queues)
         assert len(calls) == 1
-        assert bool(verdict) == check_by_queues(queues)
+        assert bool(verdict) == check_by_queues(queues, {})
         if isinstance(verdict, Deadlock):
             deadlocks += 1
             assert isinstance(verdict.witness, (WaitCycle, UnmatchedTotals))
