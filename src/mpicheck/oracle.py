@@ -33,14 +33,20 @@ and at least one stops with an unterminated node.  ``states`` counts the
 states visited summed over the parts, and ``max_states`` bounds them.
 
 A node's local state is its stack of loop frames, or TERMINATED.  The run
-steps each node's frames in place and keeps the event at each front.  A
-part with no infinite loop never repeats a state, as each step moves two
-nodes past an event of their unrolled bodies, each passed once, so its run
-stores nothing.  In a part with an infinite loop each node numbers its
-local states when first reached, and the run stores every global state it
-visits as a tuple of those numbers.  A local transition the run takes again
-is settled again.  A deadlock's state is reported as stacks.
+steps each node's frames in place and keeps the event at each front.  It
+keeps the enabled rendezvous in a heap ordered by symbol, as none is
+disabled before it fires: each step pops the least, and pushes a
+rendezvous when one of the two nodes it moved reaches it second.  A step
+therefore costs O(log n) in a part of n nodes.  A part with no infinite
+loop never repeats a state, as each step moves two nodes past an event of
+their unrolled bodies, each passed once, so its run stores nothing.  In a
+part with an infinite loop each node numbers its local states when first
+reached, and the run stores every global state it visits as a tuple of
+those numbers.  A local transition the run takes again is settled again.
+A deadlock's state is reported as stacks.
 """
+from heapq import heapify, heappop, heappush
+
 from .model import INFINITE, For, Program, validate
 from .record import Frozen
 
@@ -114,15 +120,6 @@ def _step(stack: list, seqs: list):
     return _settle(stack, seqs)
 
 
-def _front(nid, rank: dict, event):
-    """The receiver's position in ``rank`` (node id -> position) when
-    ``event``, at node ``nid``'s front, is a send; None for a receive or a
-    terminated node (``event`` None)."""
-    if event is None or event.src != nid:
-        return None
-    return rank[event.dst]
-
-
 def _event(body, stack):
     """The event at the front of the settled local state ``stack``, None
     for a terminated node."""
@@ -141,12 +138,8 @@ def enabled(program: Program, gstate: tuple) -> set:
     nodes = program.nodes
     rank = program.rank
     events = [_event(body, st) for (_, body), st in zip(nodes, gstate)]
-    out = set()
-    for (nid, _), sym in zip(nodes, events):
-        j = _front(nid, rank, sym)
-        if j is not None and events[j] == sym:
-            out.add(sym)
-    return out
+    return {sym for (nid, _), sym in zip(nodes, events) if sym is not None
+            and sym.src == nid and events[rank[sym.dst]] == sym}
 
 
 def _parts(program: Program, looping: set) -> list:
@@ -203,11 +196,14 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
     """One run over the states of the nodes of ``program`` at
     ``positions``, firing at each state the least enabled rendezvous in
     ``Symbol`` order.  Each node's frames are stepped in place, with the
-    event at its front and, when that is a send, the receiver's index
-    (``_front``).  In a ``looping`` part each node also numbers its local
-    states when first reached, and the run stores every global state, as
-    the tuple of its nodes' numbers, to stop at the first repeat; any other
-    part repeats no state and stores none.
+    event at its front.  A heap holds the symbol of every enabled
+    rendezvous, which names its two nodes.  An enabled rendezvous stays
+    enabled until it fires, so no entry goes stale, and only the new fronts
+    of the two nodes a step moves can enable another: each step pops one
+    entry and pushes at most two.  In a ``looping`` part each node also
+    numbers its local states when first reached, and the run stores every
+    global state, as the tuple of its nodes' numbers, to stop at the first
+    repeat; any other part repeats no state and stores none.
 
     Returns ``(visited, trace, local)``: the states visited; the symbols
     fired, None when more than ``max_states`` states would be stored; and
@@ -217,7 +213,9 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
     rank = {nid: i for i, (nid, _) in enumerate(nodes)}
     frames = [([(0, 1)], [body]) for _, body in nodes]
     events = [_settle(*f) for f in frames]
-    partner = [_front(nid, rank, e) for (nid, _), e in zip(nodes, events)]
+    ready = [e for i, e in enumerate(events) if e is not None
+             and rank[e.src] == i and events[rank[e.dst]] == e]
+    heapify(ready)
 
     def local(i):
         return TERMINATED if events[i] is None else tuple(frames[i][0])
@@ -227,27 +225,29 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
         state = [0] * len(nodes)
         seen = {tuple(state)}
     trace = []
-    while True:
-        move = None
-        for i, j in enumerate(partner):
-            if j is not None and events[j] == events[i] and (
-                    move is None or events[i] < move):
-                move, m = events[i], i
-        if move is None:
-            return len(trace) + 1, trace, [local(i) for i in range(len(nodes))]
+    while ready:
+        move = heappop(ready)
         trace.append(move)
-        for i in (m, partner[m]):
-            events[i] = e = _step(*frames[i])
-            partner[i] = _front(nodes[i][0], rank, e)
-            if looping:
-                state[i] = numbers[i].setdefault(local(i), len(numbers[i]))
+        m, n = rank[move.src], rank[move.dst]
+        events[m] = e = _step(*frames[m])
+        events[n] = f = _step(*frames[n])
+        # a new front is enabled when its other node's front is the same
+        # symbol; when the two moved nodes meet again, it is pushed once
+        if e is not None and events[rank[e.src]] == events[rank[e.dst]]:
+            heappush(ready, e)
+        if f is not None and f != e and \
+                events[rank[f.src]] == events[rank[f.dst]]:
+            heappush(ready, f)
         if looping:
+            for i in (m, n):
+                state[i] = numbers[i].setdefault(local(i), len(numbers[i]))
             key = tuple(state)
             if key in seen:
                 return len(trace), trace, None
             seen.add(key)
         if len(trace) >= max_states:
             return len(trace), None, None
+    return len(trace) + 1, trace, [local(i) for i in range(len(nodes))]
 
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:

@@ -362,12 +362,51 @@ def _holds_infinite_loop(body):
         st.count is INFINITE or _holds_infinite_loop(st.body)) for st in body)
 
 
+def _wide_pairs(rng, pairs, looping=False, stuck=False):
+    """One part of ``pairs`` pairs, each exchanging two messages 1-3 times
+    in a loop and chained after their loops by a third, as in
+    ``_pair_exchanges``, so up to ``pairs`` rendezvous are enabled at once.
+    The message names, the node ids and the node order are shuffled, so
+    the least enabled symbol hops from pair to pair and a pair's two
+    positions lie apart.  With ``looping`` every node's body is wrapped in
+    for inf; with ``stuck`` one pair crosses its exchange and deadlocks."""
+    names = [f"m{j}" for j in range(3 * pairs)]
+    ids = list(range(2 * pairs))
+    rng.shuffle(names)
+    rng.shuffle(ids)
+    crossed = rng.randrange(pairs) if stuck else None
+    bodies = {}
+    for k in range(pairs):
+        u, v = ids[2 * k], ids[2 * k + 1]
+        a, b = Symbol(names[3 * k], u, v), Symbol(names[3 * k + 1], v, u)
+        rounds = rng.randint(1, 3)
+        bodies[u] = [For(rounds, (a, b))]
+        bodies[v] = [For(rounds, (b, a) if k == crossed else (a, b))]
+        if k:
+            z = Symbol(names[3 * k - 1], ids[2 * k - 1], u)
+            bodies[ids[2 * k - 1]].append(z)
+            bodies[u].append(z)
+    if looping:
+        bodies = {n: [For(INFINITE, tuple(body))]
+                  for n, body in bodies.items()}
+    order = list(bodies)
+    rng.shuffle(order)
+    return make_program({n: bodies[n] for n in order})
+
+
 def test_run_equals_reference_run_at_and_below_its_bound(advance_calls):
     # explore's one run on every part, with or without an infinite loop,
     # gives the reference run's verdict and steps, at the default bound
-    # and at the bounds that just fit the run and just miss it
+    # and at the bounds that just fit the run and just miss it.  The wide
+    # parts hold many enabled rendezvous at once, the least in a
+    # different pair from step to step
+    rng = random.Random(29)
+    wide = [_wide_pairs(rng, 32), _wide_pairs(rng, 64),
+            _wide_pairs(rng, 128), _wide_pairs(rng, 64, looping=True),
+            _wide_pairs(rng, 48, stuck=True)]
     progs = corpus(CORPUS_SEED, CORPUS_SIZE) + _unions(500) + [
-        load(f) for f in sorted(os.listdir(PROGRAMS)) if f.endswith(".mdl")]
+        load(f) for f in sorted(os.listdir(PROGRAMS))
+        if f.endswith(".mdl")] + wide
     acyclic = cyclic = 0
     for prog in progs:
         looping = set()
@@ -484,17 +523,18 @@ def test_numbered_search_equals_single_state_reference(advance_calls):
     assert global_states >= 4 * run_states
 
 
-def _six_pair_exchanges():
-    """Six pairs P2k/P2k+1, each exchanging ak and bk 50 times; after its
-    loop P2k+1 sends zk to P2k+2, which takes it after its own loop."""
+def _pair_exchanges(pairs, rounds):
+    """``pairs`` pairs P2k/P2k+1, each exchanging ak and bk ``rounds``
+    times; after its loop P2k+1 sends zk to P2k+2, which takes it after its
+    own loop."""
     out = []
-    for k in range(6):
+    for k in range(pairs):
         u, v = f"P{2 * k}", f"P{2 * k + 1}"
         head = f"  recv z{k - 1} from P{2 * k - 1}\n" if k else ""
-        tail = f"  send z{k} to P{2 * k + 2}\n" if k < 5 else ""
-        out.append(f"node {u} {{\n  for 50 {{ send a{k} to {v}, "
+        tail = f"  send z{k} to P{2 * k + 2}\n" if k < pairs - 1 else ""
+        out.append(f"node {u} {{\n  for {rounds} {{ send a{k} to {v}, "
                    f"recv b{k} from {v} }}\n{head}}}\n")
-        out.append(f"node {v} {{\n  for 50 {{ recv a{k} from {u}, "
+        out.append(f"node {v} {{\n  for {rounds} {{ recv a{k} from {u}, "
                    f"send b{k} to {u} }}\n{tail}}}\n")
     return "".join(out)
 
@@ -503,10 +543,36 @@ def test_concurrent_pair_exchanges_decide_in_one_run():
     # the pairs interleave in about 101^6 global states, far past the
     # default bound of an exhaustive search; the run fires 6 * 100
     # exchanges and the 5 chain messages
-    prog = validate(parse(_six_pair_exchanges()))
+    prog = validate(parse(_pair_exchanges(6, 50)))
     assert len(oracle._parts(prog, set())) == 1
     assert explore(prog) == DeadlockFreeOracle(606)
     assert explore(prog, max_states=605) == Inconclusive(605)
+
+
+def test_wide_part_pushes_and_pops_one_heap_entry_per_fired_rendezvous(
+        monkeypatch, advance_calls):
+    # 1,024 pairs in one part of 2,048 nodes, up to 1,024 rendezvous
+    # enabled at once: each step pops the rendezvous it fires and pushes
+    # only what its two moved nodes enable, whatever the part's width
+    prog = validate(parse(_pair_exchanges(1024, 3)))
+    assert len(oracle._parts(prog, set())) == 1
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
+
+    for name in ("heappush", "heappop"):
+        monkeypatch.setattr(oracle, name, counting(name))
+    fired = 1024 * 2 * 3 + 1023
+    assert explore(prog) == DeadlockFreeOracle(fired + 1)
+    assert counts["heappop"] == fired
+    assert counts["heappush"] <= counts["heappop"]
+    assert len(advance_calls) == 2 * fired
 
 
 def test_parts_cost_their_sum_not_their_product():
