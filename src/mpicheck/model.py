@@ -51,10 +51,6 @@ class InvalidLoopCount(ModelError):
     pass
 
 
-class InfiniteInside(ModelError):
-    pass
-
-
 class InfiniteLoop(ModelError):
     pass
 
@@ -237,7 +233,7 @@ def count_occurrences(body, times=1, out=None) -> dict:
         if kind is For:
             for st in run:
                 if st.count is INFINITE:
-                    raise InfiniteInside(
+                    raise InfiniteLoop(
                         "infinite loop inside a counted scope")
                 count_occurrences(st.body, times * st.count, out)
         elif times == 1:

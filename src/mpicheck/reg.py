@@ -21,16 +21,14 @@ from .trace import RegRecord, Trace
 from .verdicts import Deadlock, RatioInconsistency, UnmatchedTotals
 
 
-class RatioEquation(namedtuple("RatioEquation", "i j a b origin",
-                                defaults=(None,))):
+class RatioEquation(namedtuple("RatioEquation", "i j a b origin")):
     """p_i : p_j = a : b; ``origin`` is the symbol that produced the
-    equation, if any."""
+    equation."""
 
     __slots__ = ()
 
     def __str__(self):
-        tag = f"  [{self.origin}]" if self.origin is not None else ""
-        return f"p{self.i} : p{self.j} = {self.a} : {self.b}{tag}"
+        return f"p{self.i} : p{self.j} = {self.a} : {self.b}  [{self.origin}]"
 
 
 class RatioEquationGroup(Frozen):

@@ -15,10 +15,10 @@ from .verdicts import (DEADLOCK_FREE, Deadlock, UnmatchedTotals, Verdict,
                        WaitCycle)
 
 
-def check_by_queues(queues: dict, fronts: dict) -> bool:
-    """Whether every queue drains when matching front pairs are removed
-    until none is left.  When they get stuck, ``fronts`` receives each
-    node's final front index.
+def check_by_queues(queues: dict) -> dict | None:
+    """Remove matching front pairs until none is left.  Returns None when
+    every queue drains, else each node's final front index, in queue
+    order.
 
     Each event is touched a constant number of times: a node re-enters the
     worklist only when its front advances, so total work is linear in the
@@ -46,9 +46,8 @@ def check_by_queues(queues: dict, fronts: dict) -> bool:
             pending.append(i)
             pending.append(j)
     if idx == ends:
-        return True
-    fronts.update(zip(nodes, idx))
-    return False
+        return None
+    return dict(zip(nodes, idx))
 
 
 class Mdg(Frozen):
@@ -59,12 +58,11 @@ class Mdg(Frozen):
     ``u``, in (symbol name, k) order.
     """
 
-    # ((symbol, k), ...), ((position in pairs, ...), ...) and
-    # ((node, symbol, role, k), ...)
-    _fields = ("pairs", "succ", "unpaired")
+    # ((symbol, k), ...) and ((position in pairs, ...), ...)
+    _fields = ("pairs", "succ")
 
-    def __init__(self, pairs, succ, unpaired):
-        self.__dict__.update(pairs=pairs, succ=succ, unpaired=unpaired)
+    def __init__(self, pairs, succ):
+        self.__dict__.update(pairs=pairs, succ=succ)
 
     @cached_property
     def edges(self) -> tuple:
@@ -94,8 +92,7 @@ def build_mdg(queues: dict) -> Mdg:
         first[s] = (len(pairs), len(pairs) + k)
         pairs.extend((s, j) for j in range(k))
     succ = [()] * len(pairs)
-    unpaired = []
-    for n, q in queues.items():
+    for q in queues.values():
         seen = {}            # within one node a symbol has a single role
         prev = None
         for s in q:
@@ -103,15 +100,13 @@ def build_mdg(queues: dict) -> Mdg:
             cur = seen.get(s, base)
             seen[s] = cur + 1
             if cur >= end:
-                unpaired.append((n, s, "send" if n == s.src else "recv",
-                                 cur - base))
                 continue
             if prev is not None and cur not in succ[prev]:
                 succ[prev] += (cur,)
             prev = cur
     succ = [sorted(out, key=lambda u: (str(pairs[u][0]), pairs[u][1]))
             for out in succ]
-    return Mdg(tuple(pairs), tuple(map(tuple, succ)), tuple(unpaired))
+    return Mdg(tuple(pairs), tuple(map(tuple, succ)))
 
 
 _WHITE, _GREY, _BLACK = 0, 1, 2
@@ -161,8 +156,8 @@ def check_smodel(queues: dict) -> Verdict:
     closes a cycle of blocked fronts, each waiting for the next.  The walk
     visits each node at most once, and never leaves `queues`: an unrolled
     model, a slice or an ``l2`` round holds both endpoints of each message."""
-    at = {}
-    if check_by_queues(queues, at):
+    at = check_by_queues(queues)
+    if at is None:
         return DEADLOCK_FREE
     n = next(n for n, q in queues.items() if at[n] < len(q))
     path = {}               # node -> its blocked front, in walk order

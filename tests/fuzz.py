@@ -27,12 +27,13 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 
+from reference import mdg_stuck
 from mpicheck import l0, l2, smodel
 from mpicheck.analyze import analyze
 from mpicheck.model import INFINITE, For, Symbol, make_program
 from mpicheck.oracle import DeadlockFreeOracle, Inconclusive, explore
 from mpicheck.parser import render
-from mpicheck.smodel import build_mdg, check_by_queues, find_deadlock_cycle
+from mpicheck.smodel import check_by_queues
 from mpicheck.verdicts import Deadlock
 
 MAX_STATES = 10**5
@@ -130,10 +131,8 @@ def mdg_cross_checked(seen: Counter, wrap=lambda check: check):
 
     def checked(route, check):
         def check_both(queues):
-            mdg = build_mdg(queues)
-            assert check_by_queues(queues, {}) == (
-                not mdg.unpaired and find_deadlock_cycle(mdg) is None), (
-                f"queues and MDG disagree on {queues}")
+            assert (check_by_queues(queues) is not None) == \
+                mdg_stuck(queues), f"queues and MDG disagree on {queues}"
             verdict = check(queues)
             seen[route] += 1
             if isinstance(verdict, Deadlock):

@@ -5,13 +5,16 @@ One node's state is its stack of loop frames (statement index, remaining
 iterations, None for an infinite loop), the outermost a count-1 frame over
 the node's body, or TERMINATED.  ``product_search`` searches every
 interleaving of the whole program breadth-first; ``greedy_run`` takes the
-one run ``explore`` takes through a one-part program.
+one run ``explore`` takes through a one-part program.  ``mdg_stuck`` is the
+contracted message-dependence graph's verdict on an event-queue model, the
+method the queue matcher is held to.
 """
-from collections import deque
+from collections import Counter, deque
 
 from mpicheck.model import INFINITE, For, Program
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED)
+from mpicheck.smodel import build_mdg, find_deadlock_cycle
 
 
 def _seq_at(body, stack):
@@ -134,3 +137,13 @@ def greedy_run(prog):
             return trace, visited, True
         visited.append(state)
         seen.add(state)
+
+
+def mdg_stuck(queues) -> bool:
+    """Whether the graph calls the model stuck: some symbol's send and
+    receive totals differ, or the contracted graph has a cycle."""
+    sends, recvs = Counter(), Counter()
+    for n, q in queues.items():
+        for s in q:
+            (sends if n == s.src else recvs)[s] += 1
+    return sends != recvs or find_deadlock_cycle(build_mdg(queues)) is not None

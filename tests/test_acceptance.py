@@ -18,8 +18,9 @@ import pytest
 import conftest
 import fuzz
 from corpus import corpus
-from reference import product_search
+from reference import mdg_stuck, product_search
 from test_l2 import loop_prefix_deadlock, random_power_string
+from test_reg import equation
 from test_smodel import match_in_random_order, schedule_queues
 from mpicheck.analyze import analyze
 from mpicheck.l2 import normalize, strip_outer_infinite
@@ -28,9 +29,8 @@ from mpicheck.model import (MAX_EVENTS, For, Symbol, build_queues,
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable, _event,
                              explore)
 from mpicheck.parser import parse, render
-from mpicheck.reg import RatioEquation, RatioEquationGroup, RatioSolution, solve
-from mpicheck.smodel import (build_mdg, check_by_queues, check_smodel,
-                             find_deadlock_cycle)
+from mpicheck.reg import RatioEquationGroup, RatioSolution, solve
+from mpicheck.smodel import check_by_queues, check_smodel
 from mpicheck.trace import Trace
 from mpicheck.verdicts import Deadlock, UnmatchedTotals, WaitCycle
 
@@ -158,10 +158,8 @@ def test_criterion_4_method_agreement_and_confluence(shared_corpus):
     models = 0
     for queues in _finite_queue_models(shared_corpus):
         models += 1
-        base = not check_by_queues(queues, {})
-        mdg = build_mdg(queues)
-        assert (bool(mdg.unpaired)
-                or find_deadlock_cycle(mdg) is not None) == base
+        base = check_by_queues(queues) is not None
+        assert mdg_stuck(queues) == base
         stuck = {match_in_random_order(queues,
                                        random.Random(k * 7919 + models))
                  for k in range(10)}
@@ -288,7 +286,7 @@ def _rounds_ms(times):
 
 def test_criterion_5_desk_scale_performance():
     def check(queues):
-        assert bool(check_by_queues(queues, {}))
+        assert check_by_queues(queues) is None
 
     models = [_ping_pong_queues(n) for n in (10**5, 2 * 10**5)]
     ratio, times = _doubling_ratio(check, models)
@@ -303,7 +301,7 @@ def test_criterion_5_desk_scale_performance():
     for _ in range(n):
         i, j = rng.sample(range(len(values)), 2)
         k = rng.randint(1, 3)
-        eqs.append(RatioEquation(i, j, values[i] * k, values[j] * k))
+        eqs.append(equation(i, j, values[i] * k, values[j] * k))
     group = RatioEquationGroup(tuple(range(len(values))), tuple(eqs))
     t0 = time.perf_counter()
     sol = solve(group)

@@ -5,8 +5,6 @@ from collections import Counter
 
 import pytest
 from corpus import corpus
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mpicheck import l2, model
 from mpicheck.analyze import analyze
@@ -109,8 +107,7 @@ def random_power_string(rng):
     return tuple(items)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9))
+@pytest.mark.parametrize("seed", range(300))
 def test_normalize_preserves_sequence_and_is_idempotent(seed):
     rng = random.Random(seed)
     ps = random_power_string(rng)

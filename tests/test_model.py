@@ -7,7 +7,7 @@ import pytest
 from mpicheck import model
 from mpicheck.analyze import analyze
 from mpicheck.model import (INFINITE, MAX_EVENTS, DanglingEndpoint,
-                            DuplicateNode, For, InfiniteInside, InfiniteLoop,
+                            DuplicateNode, For, InfiniteLoop,
                             InvalidLoopCount, MisplacedOperation, ModelError,
                             NestedInfinite, Program, SelfMessage,
                             SizeExceeded, Symbol, build_queues,
@@ -128,7 +128,7 @@ def test_count_occurrences_weights_nested_loops():
 
 
 def test_count_occurrences_rejects_infinite():
-    with pytest.raises(InfiniteInside):
+    with pytest.raises(InfiniteLoop, match="inside a counted scope"):
         count_occurrences((For(INFINITE, (A01,)),))
 
 
@@ -199,7 +199,7 @@ def reference_count_occurrences(body, times=1, out=None):
     for st in body:
         if isinstance(st, For):
             if st.count is INFINITE:
-                raise InfiniteInside("infinite loop inside a counted scope")
+                raise InfiniteLoop("infinite loop inside a counted scope")
             reference_count_occurrences(st.body, times * st.count, out)
         else:
             out[st] += times

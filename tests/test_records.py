@@ -146,7 +146,7 @@ RECORDS = [
      f"RelatedSet(nodes=(0, 1), members={{0: SetMember(body=({SA},), "
      f"count=2, counts={{{SA}: 1}}, leftover=())}})", False),
     (build_mdg({0: (A, B), 1: (A, B)}),
-     f"Mdg(pairs=(({SA}, 0), ({SB}, 0)), succ=((1,), ()), unpaired=())",
+     f"Mdg(pairs=(({SA}, 0), ({SB}, 0)), succ=((1,), ()))",
      True),
     (Report(DeadlockFree(), "smodel", Trace(), Program(((0, ()),)), {}),
      "Report(verdict=DeadlockFree(), phase='smodel', trace=Trace("
@@ -169,7 +169,7 @@ FIELDS = {
     "Trace": ("reg_records", "set_records", "strings", "pools"),
     "SetMember": ("body", "count", "counts", "leftover"),
     "RelatedSet": ("nodes", "members"),
-    "Mdg": ("pairs", "succ", "unpaired"),
+    "Mdg": ("pairs", "succ"),
     "Report": ("verdict", "phase", "trace", "program", "timings"),
 }
 
@@ -230,9 +230,6 @@ def test_tuple_classes_are_plain_tuples_with_their_own_text():
         assert not hasattr(value, "__dict__")
     assert str(A) == "a:0->1" and str(loop) == "a^3"
     assert str(EQ) == "p0 : p1 = 2 : 3  [a:0->1]"
-    bare = RatioEquation(0, 1, 2, 3)
-    assert bare.origin is None and str(bare) == "p0 : p1 = 2 : 3"
-    assert repr(bare) == "RatioEquation(i=0, j=1, a=2, b=3, origin=None)"
 
 
 def test_cached_properties_leave_repr_equality_and_hash_alone():
@@ -335,6 +332,59 @@ def test_every_src_function_has_a_src_caller():
     assert orphans == set(OUTSIDE_CALLERS)
 
 
+# what a test may import besides the standard library and the modules of
+# tests/ and bench/: the package and the dev extra's two dependencies
+IMPORTABLE = {"mpicheck", "pytest", "networkx"}
+
+
+def _unfixed_inputs(tree, local):
+    """(line, what) for each import in ``tree`` of a module outside the
+    standard library, ``local`` and IMPORTABLE, each unseeded
+    ``random.Random()`` and each draw from the random module's global
+    generator."""
+    known = set(sys.stdlib_module_names) | local | IMPORTABLE
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            mods = [node.module] if type(node) is ast.ImportFrom else names
+            if any(m.split(".")[0] not in known for m in mods):
+                yield node.lineno, f"imports {', '.join(mods)}"
+            elif type(node) is ast.ImportFrom and mods == ["random"] and \
+                    set(names) - {"Random"}:
+                yield node.lineno, "imports a global generator's function"
+        elif type(node) is ast.Call:
+            func = node.func
+            if getattr(func, "id", None) == "Random" or (
+                    getattr(func, "attr", None) == "Random"
+                    and getattr(func.value, "id", None) == "random"):
+                if not node.args and not node.keywords:
+                    yield node.lineno, "Random() without a seed"
+            elif getattr(getattr(func, "value", None), "id", None) == "random":
+                yield node.lineno, f"random.{func.attr}() is not seeded here"
+
+
+def test_tests_import_listed_modules_and_seed_every_generator():
+    # every run of the suite checks the same cases, and a failing case's
+    # id names its seed
+    here = os.path.dirname(os.path.abspath(__file__))
+    bench = os.path.join(here, os.pardir, "bench")
+    files = [os.path.join(here, f) for f in sorted(os.listdir(here))
+             if f.endswith(".py")]
+    local = {os.path.basename(f)[:-3]
+             for f in files + os.listdir(bench) if f.endswith(".py")}
+    found = []
+    for path in files:
+        with open(path) as f:
+            found += [(os.path.basename(path), *hit)
+                      for hit in _unfixed_inputs(ast.parse(f.read()), local)]
+    assert found == []
+    control = ("import propertylib.strategies\nfrom random import choice\n"
+               "random.Random()\nrandom.shuffle(x)\nrandom.Random(7)\n"
+               "rng.random()\nimport pytest, corpus\n")
+    hits = _unfixed_inputs(ast.parse(control), {"corpus"})
+    assert [line for line, _ in hits] == [1, 2, 3, 4]
+
+
 # defaulted parameters that no src/ call varies, each with the reason it
 # keeps its default: callers outside src/ omit it
 FIXED_DEFAULTS = {
@@ -352,12 +402,34 @@ FIXED_DEFAULTS = {
 }
 
 
+def _namedtuple_args(base):
+    """The fields of a ``namedtuple("Name", "f g", defaults=(...))`` base
+    as the parameters of a def, or None for any other base."""
+    if getattr(base, "func", None) is None or \
+            getattr(base.func, "id", None) != "namedtuple":
+        return None
+    fields = [ast.arg(f) for f in base.args[1].value.split()]
+    defaults = next((k.value.elts for k in base.keywords
+                     if k.arg == "defaults"), [])
+    return ast.arguments(posonlyargs=[], args=fields, kwonlyargs=[],
+                         kw_defaults=[], defaults=defaults)
+
+
+def _called_name(call):
+    """The name a call calls.  ``tuple.__new__(Class, fields)`` builds a
+    named tuple from all its fields, read here as ``Class(*fields)``."""
+    func = call.func
+    if getattr(func, "attr", None) == "__new__" and call.args:
+        return getattr(call.args[0], "id", None)
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def test_every_src_default_is_varied_by_src_calls():
     # a default that every src/ call passes is a parameter only tests
     # leave out, and one that no src/ call passes is a constant only tests
-    # set.  A record's __init__ is called by its class name; a Report is
-    # not exempt like the other names in __all__, as only analyze builds
-    # one.
+    # set.  A record's __init__ is called by its class name, and so is a
+    # named tuple whose base gives field defaults; a Report is not exempt
+    # like the other names in __all__, as only analyze builds one.
     defs = []       # (module, name called, positional params, defaulted)
     calls = []
     for mod, tree in _src_trees():
@@ -368,6 +440,8 @@ def test_every_src_default_is_varied_by_src_calls():
                 defs += [(mod, node.name, item.args, 1) for item in node.body
                          if isinstance(item, ast.FunctionDef)
                          and item.name == "__init__"]
+                defs += [(mod, node.name, args, 0) for args in
+                         map(_namedtuple_args, node.bases) if args]
         calls += [n for n in ast.walk(tree) if type(n) is ast.Call]
     fixed = set()
     for mod, name, args, skip in defs:
@@ -375,11 +449,10 @@ def test_every_src_default_is_varied_by_src_calls():
         defaulted = params[len(params) - len(args.defaults):]
         defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                       if d is not None]
-        sites = [c for c in calls
-                 if getattr(c.func, "id", getattr(c.func, "attr", None))
-                 == name]
+        sites = [c for c in calls if _called_name(c) == name]
         for p in defaulted:
             passed = {any(type(a) is ast.Starred for a in c.args)
+                      or getattr(c.func, "attr", None) == "__new__"
                       or (p in params and params.index(p) < len(c.args))
                       or any(k.arg in (p, None) for k in c.keywords)
                       for c in sites}

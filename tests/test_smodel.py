@@ -5,11 +5,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import mpicheck
 from corpus import corpus, gen_smodel_balanced, gen_smodel_random
+from reference import mdg_stuck
 from mpicheck import smodel
 from mpicheck.model import InfiniteLoop, Symbol, unroll
 from mpicheck.oracle import DeadlockFreeOracle, explore
@@ -44,19 +43,19 @@ def match_in_random_order(queues, rng):
 
 
 def test_empty_is_free():
-    assert bool(check_by_queues({0: (), 1: ()}, {}))
+    assert check_by_queues({0: (), 1: ()}) is None
 
 
 def test_simple_exchange_is_free():
     queues = {0: (A, B), 1: (A, B)}
-    assert bool(check_by_queues(queues, {}))
+    assert check_by_queues(queues) is None
     assert bool(check_smodel(queues))
 
 
 def test_crossed_sends_deadlock():
     # both nodes lead with their own send; neither front matches
     queues = {0: (A, B), 1: (B, A)}
-    assert check_by_queues(queues, {}) is False
+    assert check_by_queues(queues) == {0: 0, 1: 0}
     assert match_in_random_order(queues, random.Random(0)) == (
         (0, (A, B)), (1, (B, A)))
 
@@ -65,7 +64,7 @@ def test_stuck_queues_witness_keeps_queue_order():
     x = Symbol("x", 2, 0)
     queues = {1: (B, A), 0: (x, A, B), 2: (x,)}
     want = ((1, (B, A)), (0, (A, B)))
-    assert check_by_queues(queues, {}) is False
+    assert list(check_by_queues(queues).items()) == [(1, 0), (0, 1), (2, 1)]
     for k in range(5):
         assert match_in_random_order(queues, random.Random(k)) == want
 
@@ -89,16 +88,18 @@ def test_mdg_fifo_pairing():
     queues = {0: (A, A), 1: (A, A)}
     mdg = build_mdg(queues)
     assert set(mdg.pairs) == {(A, 0), (A, 1)}
-    assert mdg.unpaired == ()
     assert ((A, 0), (A, 1)) in mdg.edges
     assert find_deadlock_cycle(mdg) is None
+    assert not mdg_stuck(queues)
 
 
-def test_mdg_unpaired_listed():
-    mdg = build_mdg({0: (A,), 1: ()})
-    assert mdg.pairs == ()
-    assert mdg.unpaired == ((0, A, "send", 0),)
-    assert bool(mdg.unpaired) or find_deadlock_cycle(mdg) is not None
+def test_mdg_unpaired_event_gets_no_pair():
+    # node 0's second send of a has no receive; its pairs still chain
+    queues = {0: (A, A, B), 1: (A, B)}
+    mdg = build_mdg(queues)
+    assert mdg.pairs == ((A, 0), (B, 0)) and mdg.succ == ((1,), ())
+    assert find_deadlock_cycle(mdg) is None
+    assert mdg_stuck(queues)
 
 
 def test_successors_follow_symbol_names_not_tuples():
@@ -135,21 +136,19 @@ def test_queue_verdict_independent_of_order():
                 else gen_smodel_balanced)(rng)
         queues = unroll(prog)
         stuck = match_in_random_order(queues, random.Random(0))
-        assert check_by_queues(queues, {}) == (stuck == ())
+        assert (check_by_queues(queues) is None) == (stuck == ())
         for k in range(1, 10):
             assert match_in_random_order(queues, random.Random(k)) == stuck
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+@pytest.mark.parametrize("balanced", [False, True])
+@pytest.mark.parametrize("seed", range(100))
 def test_queue_and_mdg_match_oracle(seed, balanced):
     rng = random.Random(seed)
     prog = gen_smodel_balanced(rng) if balanced else gen_smodel_random(rng)
     queues = unroll(prog)
-    queue_dead = not check_by_queues(queues, {})
-    mdg = build_mdg(queues)
-    assert (bool(mdg.unpaired)
-            or find_deadlock_cycle(mdg) is not None) == queue_dead
+    queue_dead = check_by_queues(queues) is not None
+    assert mdg_stuck(queues) == queue_dead
     assert isinstance(explore(prog), DeadlockFreeOracle) != queue_dead
 
 
@@ -196,7 +195,7 @@ def _random_graph(rng):
     succ = [[] for _ in pairs]
     for u, v in edges:
         succ[u].append(v)
-    return Mdg(pairs, tuple(map(tuple, succ)), ())
+    return Mdg(pairs, tuple(map(tuple, succ)))
 
 
 @pytest.fixture(scope="module")
@@ -264,10 +263,10 @@ def test_deep_chain_needs_no_recursion():
     half = 10**5 // 2
     chain = tuple((s, k) for k in range(half) for s in (A, B))
     succ = tuple((u + 1,) for u in range(len(chain) - 1))
-    assert find_deadlock_cycle(Mdg(chain, succ + ((),), ())) is None
+    assert find_deadlock_cycle(Mdg(chain, succ + ((),))) is None
     # a back edge at the far end of the chain closes the only cycle
     back = (len(chain) - 2,)
-    assert find_deadlock_cycle(Mdg(chain, succ + (back,), ())) == (
+    assert find_deadlock_cycle(Mdg(chain, succ + (back,))) == (
         (A, half - 1), (B, half - 1))
 
 
@@ -298,9 +297,9 @@ def test_one_cycle_search_per_check(monkeypatch):
 
     calls = []
 
-    def counted(queues, fronts):
+    def counted(queues):
         calls.append(queues)
-        return check_by_queues(queues, fronts)
+        return check_by_queues(queues)
 
     monkeypatch.setattr(smodel, "build_mdg", refuse)
     monkeypatch.setattr(smodel, "find_deadlock_cycle", refuse)
@@ -314,7 +313,7 @@ def test_one_cycle_search_per_check(monkeypatch):
         del calls[:]
         verdict = check_smodel(queues)
         assert len(calls) == 1
-        assert bool(verdict) == check_by_queues(queues, {})
+        assert bool(verdict) == (check_by_queues(queues) is None)
         if isinstance(verdict, Deadlock):
             deadlocks += 1
             assert isinstance(verdict.witness, (WaitCycle, UnmatchedTotals))
