@@ -39,11 +39,28 @@ disabled before it fires: each step pops the least, and pushes a
 rendezvous when one of the two nodes it moved reaches it second.  A step
 therefore costs O(log n) in a part of n nodes.  A part with no infinite
 loop never repeats a state, as each step moves two nodes past an event of
-their unrolled bodies, each passed once, so its run stores nothing.  In a
-part with an infinite loop each node numbers its local states when first
-reached, and the run stores every global state it visits as a tuple of
-those numbers.  A local transition the run takes again is settled again.
-A deadlock's state is reported as stacks.
+their unrolled bodies, each passed once, so its run stores nothing.
+
+In a part with an infinite loop the run names a node's local state by the
+number of events the node has fired.  A node is one deterministic
+sequence of events, so its stack after k events is a function of k
+(Keller, 1975).  Only a top-level loop can be infinite, and the node never
+leaves the first one: with p events before it and L in one iteration, the
+stacks after k and k + L events coincide from k = p on, while the counts
+below p + L name distinct stacks.  A count that wraps from p + L back to p
+therefore names each local state exactly once, and a finite node's count
+runs from 0 to its total, its terminated state.  The part's state is the
+nodes' counts as one integer in mixed radix, each node's place value the
+product of the earlier nodes' ranges.  A range is capped just above the
+most steps the run may take, which no count passes, so the integer has
+O(n log max_states) bits in a part of n nodes.  Moving a node adds its
+place value, or on a wrap subtracts L - 1 times it, and the run stores
+these integers to stop at the first repeat, which falls on the step where
+the stacks first repeat.  A step in such a part therefore adds two
+additions and a set lookup to the work of any other step, whatever the
+part's width; only the integer's addition and hash, done in C, grow with
+its bits.  A local transition the run takes again is settled again.  A
+deadlock's state is reported as stacks.
 """
 from heapq import heapify, heappop, heappush
 
@@ -192,6 +209,34 @@ def _parts(program: Program, looping: set) -> list:
     return parts
 
 
+def _events(body, cap: int) -> int:
+    """The events a finite ``body`` unrolls to, at most ``cap``."""
+    total = len(body)
+    for st in body:
+        if type(st) is For:
+            total += st.count * _events(st.body, cap) - 1
+    return min(total, cap)
+
+
+def _span(body, cap: int):
+    """``(start, end)`` of a node's count of fired events: the count stays
+    below ``end``, and on reaching it wraps back to ``start``.  In a node
+    with a top-level infinite loop, ``start`` is the events before the
+    first one and ``end - start`` the events of one iteration; a finite
+    node's count ends at its total, below ``end``.  ``end`` is capped at
+    ``cap``, which no count reaches within the bound."""
+    start = 0
+    for st in body:
+        if type(st) is not For:
+            start += 1
+        elif st.count is INFINITE:
+            start = min(start, cap)
+            return start, min(start + _events(st.body, cap), cap)
+        else:
+            start += st.count * _events(st.body, cap)
+    return 0, min(start + 1, cap)
+
+
 def _run(program: Program, positions: list, max_states: int, looping: bool):
     """One run over the states of the nodes of ``program`` at
     ``positions``, firing at each state the least enabled rendezvous in
@@ -200,10 +245,12 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
     rendezvous, which names its two nodes.  An enabled rendezvous stays
     enabled until it fires, so no entry goes stale, and only the new fronts
     of the two nodes a step moves can enable another: each step pops one
-    entry and pushes at most two.  In a ``looping`` part each node also
-    numbers its local states when first reached, and the run stores every
-    global state, as the tuple of its nodes' numbers, to stop at the first
-    repeat; any other part repeats no state and stores none.
+    entry and pushes at most two.  In a ``looping`` part the run also keeps
+    each node's count of fired events, which names its stack exactly
+    (wrapped at the end of an infinite loop's iteration, see the module
+    docstring), and stores every global state as the counts in mixed radix,
+    one integer it updates by one addition per moved node, to stop at the
+    first repeat; any other part repeats no state and stores none.
 
     Returns ``(visited, trace, local)``: the states visited; the symbols
     fired, None when more than ``max_states`` states would be stored; and
@@ -217,13 +264,21 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
              and rank[e.src] == i and events[rank[e.dst]] == e]
     heapify(ready)
 
-    def local(i):
-        return TERMINATED if events[i] is None else tuple(frames[i][0])
-
     if looping:
-        numbers = [{local(i): 0} for i in range(len(nodes))]
-        state = [0] * len(nodes)
-        seen = {tuple(state)}
+        # no count passes the steps taken, at most max(max_states, 1)
+        cap = max(max_states, 1) + 1
+        counts = [0] * len(nodes)
+        starts, ends, places, backs = [], [], [], []
+        place = 1
+        for _, body in nodes:
+            start, end = _span(body, cap)
+            starts.append(start)
+            ends.append(end)
+            places.append(place)
+            backs.append((end - start - 1) * place)
+            place *= end
+        key = 0
+        seen = {key}
     trace = []
     while ready:
         move = heappop(ready)
@@ -240,14 +295,21 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
             heappush(ready, f)
         if looping:
             for i in (m, n):
-                state[i] = numbers[i].setdefault(local(i), len(numbers[i]))
-            key = tuple(state)
+                c = counts[i] + 1
+                if c == ends[i]:
+                    counts[i] = starts[i]
+                    key -= backs[i]
+                else:
+                    counts[i] = c
+                    key += places[i]
             if key in seen:
                 return len(trace), trace, None
             seen.add(key)
         if len(trace) >= max_states:
             return len(trace), None, None
-    return len(trace) + 1, trace, [local(i) for i in range(len(nodes))]
+    return len(trace) + 1, trace, [
+        TERMINATED if e is None else tuple(stack)
+        for e, (stack, _) in zip(events, frames)]
 
 
 def explore(program: Program, max_states: int = 10**6) -> OracleVerdict:

@@ -1,4 +1,4 @@
-"""The oracle's reference semantics, written apart from its numbered run so
+"""The oracle's reference semantics, written apart from its run so
 that a step bug in the run cannot cancel out against the reference.
 
 One node's state is its stack of loop frames (statement index, remaining

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import fuzz
 from corpus import corpus, generate
 from mpicheck import oracle
 from mpicheck.model import (INFINITE, DanglingEndpoint, DuplicateNode, For,
@@ -434,6 +435,43 @@ def test_finite_exchange_runs_without_a_state_store():
     assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def _looping_pairs(pairs):
+    """``_pair_exchanges`` with each pair's loop of 10^6 rounds under for
+    inf, so the run never repeats a state, and the nodes in reverse
+    order.  Pair 0's exchange is the least enabled rendezvous at every
+    state, so it fires throughout, and its nodes come last: their counts
+    take the highest place values of the part's state."""
+    out = []
+    for k in reversed(range(pairs)):
+        u, v = f"P{2 * k}", f"P{2 * k + 1}"
+        head = f"  recv z{k - 1} from P{2 * k - 1}\n" if k else ""
+        tail = f"  send z{k} to P{2 * k + 2}\n" if k < pairs - 1 else ""
+        out.append(f"node {v} {{\n  for inf {{ for 1000000 {{ recv a{k} "
+                   f"from {u}, send b{k} to {u} }} }}\n{tail}}}\n")
+        out.append(f"node {u} {{\n  for inf {{ for 1000000 {{ send a{k} "
+                   f"to {v}, recv b{k} from {v} }} }}\n{head}}}\n")
+    return "".join(out)
+
+
+def test_looping_part_stores_a_state_in_a_few_bytes_per_node():
+    # a stored state is the nodes' counts packed into one integer: on 64
+    # nodes at a bound of 20,000 it takes about 3.2 bytes per node, the
+    # integer and its set entry.  The bound of 6 is half of what a tuple
+    # of per-node numbers per state takes, about 12
+    prog = validate(parse(_looping_pairs(32)))
+    assert len(oracle._parts(prog, set())) == 1
+    bound = 20000
+    tracemalloc.start()
+    try:
+        verdict = explore(prog, max_states=bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Inconclusive(bound)
+    per = peak / bound / len(prog.nodes)
+    assert per < 6, f"{per:.2f} bytes per stored state per node"
+
+
 def test_enabled_rendezvous_are_node_disjoint_and_stay_enabled():
     # the premise of the one run: each node has one front event, so two
     # enabled rendezvous share no node, and firing one leaves the others
@@ -514,7 +552,7 @@ def test_numbered_search_equals_single_state_reference(advance_calls):
                             for k in range(len(prog.nodes)))
         run_states += visited
         if isinstance(got, DeadlockReachable):
-            # stacks of (index, remaining) frames, not the run's numbers
+            # stacks of (index, remaining) frames, not the run's counts
             assert all(s is TERMINATED or all(
                 type(f) is tuple and len(f) == 2 for f in s)
                 for s in got.state)
@@ -674,3 +712,179 @@ def test_lasso_longer_than_the_bound_is_inconclusive():
     # steps; the bound stops the run first
     prog = validate(parse(LASSO % (1003, 1033)))
     assert explore(prog, max_states=10**5) == Inconclusive(10**5)
+
+
+def _local_stacks(body, events):
+    """The local states of a node with ``body`` stepped alone by the
+    reference stepper, as far as its first ``events`` events go: entry k
+    is the state after k events."""
+    prog = Program(((0, body),))
+    move = Symbol("x", 0, 1)    # names node 0; any event of it would do
+    states = [initial_state(prog)]
+    while len(states) <= events and states[-1][0] is not TERMINATED:
+        states.append(step(prog, states[-1], move))
+    return [s for (s,) in states]
+
+
+def test_count_of_fired_events_names_each_local_state_once():
+    # a looping part names a node's stack by its count of fired events,
+    # which wraps from end back to start: the counts below end name
+    # distinct stacks, a looping node's stack after end events is its
+    # stack after start events, and a finite node's count ends at its
+    # total, its terminated state, just below end
+    bodies = {body for prog in corpus(CORPUS_SEED, CORPUS_SIZE) +
+              fuzz.programs(1, 1000) +
+              [parse(text) for text, _ in COUNTED.values()]
+              for _, body in prog.nodes}
+    # each looping body also behind a finite one and before another, which
+    # it never reaches
+    rng = random.Random(31)
+    finite, cyclic = [], []
+    for body in sorted(bodies, key=repr):
+        (cyclic if _holds_infinite_loop(body) else finite).append(body)
+    bodies |= {rng.choice(finite) + b + rng.choice(finite) for b in cyclic}
+    looping = prefixed = 0
+    for body in bodies:
+        start, end = oracle._span(body, 10**5)
+        if end == 10**5:
+            continue
+        stacks = _local_stacks(body, end)
+        assert len(set(stacks[:end])) == end, body
+        if _holds_infinite_loop(body):
+            assert stacks[end] == stacks[start], body
+            looping += 1
+            prefixed += start > 0
+        else:
+            assert len(stacks) == end and stacks[-1] is TERMINATED, body
+        # a capped count leaves every count within the cap as it was
+        for cap in range(1, end + 2):
+            assert oracle._span(body, cap) == (min(start, cap),
+                                               min(end, cap)), (body, cap)
+    assert looping >= 1000 and prefixed >= 500
+
+
+# looping parts and their verdicts, each also held to the reference run
+# and the exhaustive search
+COUNTED = {
+    # counts start after a prefix, which differs between the nodes, and
+    # the nodes' iterations differ in length
+    "prefix": ("""node P0 {
+  send x to P1
+  send y to P2
+  for inf { send a to P1, send b to P1, send c to P2 }
+}
+node P1 {
+  recv x from P0
+  for inf { recv a from P0, recv b from P0, recv a from P0, recv b from P0 }
+}
+node P2 {
+  recv y from P0
+  for inf { recv c from P0 }
+}
+""", DeadlockFreeOracle(8)),
+    # statements after the infinite loop are never reached
+    "after": ("""node P0 {
+  send x to P1
+  for inf { send a to P1, send a to P1 }
+  send z to P1
+  for 3 { send a to P1 }
+}
+node P1 {
+  recv x from P0
+  for inf { for 3 { recv a from P0 } }
+  recv z from P0
+}
+""", DeadlockFreeOracle(7)),
+    # nested finite loops inside the infinite one
+    "nested": ("""node P0 {
+  for inf {
+    for 2 {
+      send a to P1
+      for 3 { send b to P1 }
+    }
+    send c to P2
+  }
+}
+node P1 {
+  for inf { recv a from P0, for 3 { recv b from P0 } }
+}
+node P2 {
+  recv c from P0
+  for inf { for 2 { recv c from P0 } }
+}
+""", DeadlockFreeOracle(27)),
+    # a finite node and an empty one in a looping part: P3 terminates
+    "finite": ("""node P0 {
+  send x to P3
+  for 2 { send x to P3 }
+  for inf { send a to P1 }
+}
+node P1 {
+  for inf { recv a from P0 }
+}
+node P2 {
+}
+node P3 {
+  for 3 { recv x from P0 }
+}
+""", DeadlockFreeOracle(4)),
+    # the same with P3 blocked forever beside a live pair: free
+    "blocked": ("""node P0 {
+  send x to P3
+  for inf { send a to P1 }
+}
+node P1 {
+  for inf { recv a from P0 }
+}
+node P2 {
+}
+node P3 {
+  for 2 { recv x from P0 }
+}
+""", DeadlockFreeOracle(2)),
+    # loop counts far above the bound: P0 deadlocks after three events of
+    # its first iteration, P2 never moves
+    "above-bound": ("""node P0 {
+  for inf { for 1000000000 { for 3000000 { send a to P1 } } }
+}
+node P1 {
+  for 3 { recv a from P0 }
+}
+node P2 {
+  for inf { for 1000000000 { recv c from P1 } }
+}
+""", DeadlockReachable(
+        (Symbol("a", 0, 1),) * 3,
+        (((0, 1), (0, None), (0, 1000000000), (0, 2999997)), TERMINATED,
+         ((0, 1), (0, None), (0, 1000000000))))),
+    # a live pair beside a node whose iteration is longer than the bound
+    "above-bound-live": ("""node P0 {
+  for inf { send a to P1, send b to P1 }
+}
+node P1 {
+  for inf { recv a from P0, recv b from P0 }
+}
+node P2 {
+  for inf { for 1000000000 { for 1000000000 { send c to P1 } } }
+}
+""", DeadlockFreeOracle(2)),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_count_named_states_match_reference_runs(name, advance_calls):
+    text, want = COUNTED[name]
+    prog = validate(parse(text))
+    looping = set()
+    parts = oracle._parts(prog, looping)
+    assert len(parts) == 1 and looping
+    ref, seen = product_search(prog, 10**6)
+    got, visited = _check_run(prog, ref, len(seen), advance_calls)
+    assert got == want
+    # every bound from 0 to just past the run's length gives the reference
+    # run's verdict at that bound, each capping the counts differently
+    for bound in range(1, visited + 2):
+        at = got if bound >= visited else Inconclusive(bound)
+        assert explore(prog, max_states=bound) == at, (name, bound)
+    assert explore(prog, max_states=0) == (
+        got if visited == 1 else Inconclusive(1))
