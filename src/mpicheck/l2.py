@@ -13,16 +13,23 @@ two rewrites to a fixpoint:
 * left prefix reduction: x^p1 (xy)^p2    -> x^(p1+1) y (xy)^(p2-1)
 
 After stripping outer infinite loops via the ratio-equation machinery, the
-main loop repeatedly takes the pool of leading powers, groups it into
-related sets, and reduces or expands each eligible set until all strings
-drain (deadlock free) or nothing can move (deadlock).
+main loop repeatedly takes the pool of leading powers and reduces it by one
+round, until all strings drain (deadlock free) or nothing can move
+(deadlock).  A round counts each power once and walks the held symbols
+twice: ``_groups`` links the pool into related sets and notes a symbol that
+one endpoint does not hold, the only case in which the pool is trimmed and
+grouped again; ``reg.solve_counts`` then feeds each symbol's two counts
+into the ratio union-find, which gives every set its values and slice
+times.  The equations are built, in set order, only for a ratio conflict,
+whose witness they name.  One kernel call decides the round.
 """
 from itertools import groupby
 
 from .model import (INFINITE, For, Program, SizeExceeded, UnsupportedProgram,
                     build_queues, count_occurrences)
 from .record import Record
-from .reg import check_digits, count_equations, ratio_stage, solve
+from .reg import (check_digits, count_equations, ratio_stage, solve,
+                  solve_counts)
 from .smodel import check_smodel
 from .trace import SetRecord, Trace
 from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
@@ -40,12 +47,17 @@ def _wrap_runs(items) -> list:
     return out
 
 
-def _norm_power(p: For) -> list:
+def _norm_power(p: For):
     """The items loop ``p`` adds, normalized, to the body around it: none
     when it is empty, its body when its count is 1, else itself.  Its body
     is its bare literals and the items of its sub-loops; a body that is one
     loop is folded into the count (power reduction), and as that loop's own
-    body is never one loop, one fold suffices."""
+    body is never one loop, one fold suffices.  A loop over literals alone
+    is normal as it is, and is returned, or its body, without a copy."""
+    if For not in map(type, p.body):
+        if not p.body or p.count == 0:
+            return ()
+        return p.body if p.count == 1 else (p,)
     body = []
     for it in p.body:
         if type(it) is For:
@@ -166,11 +178,13 @@ class RelatedSet(Record):
         self.members = members  # node -> SetMember (trimmed); {}: waiting
 
 
-def _groups(held: dict) -> list:
+def _groups(held: dict):
     """Nodes of ``held`` (node -> symbols) linked by every symbol both of
-    whose endpoints hold it, in ascending order of their smallest node."""
+    whose endpoints hold it, in ascending order of their smallest node, and
+    whether some symbol is held by one endpoint only."""
     seen = set()
     out = []
+    lone = False
     for n in sorted(held):
         if n in seen:
             continue
@@ -179,11 +193,13 @@ def _groups(held: dict) -> list:
         for v in comp:  # comp grows as the walk reaches new nodes
             for s in held[v]:
                 u = s[2] if s[1] == v else s[1]  # v's partner
-                if u not in seen and s in held.get(u, ()):
+                if s not in held.get(u, ()):
+                    lone = True
+                elif u not in seen:
                     seen.add(u)
                     comp.append(u)
         out.append(tuple(sorted(comp)))
-    return out
+    return out, lone
 
 
 def related_sets(pool: dict, cap: int) -> list:
@@ -199,14 +215,17 @@ def related_sets(pool: dict, cap: int) -> list:
     the partner arrives.  Members only shrink, so the fixpoint does not
     depend on the order of the cuts, and a symbol's two endpoints always
     share a component, so trimming the whole pool at once is exact.  A pool
-    component left with no member is one waiting set; when nothing is
-    trimmed, the pool components are the related sets.
+    component left with no member is one waiting set; when no symbol is
+    offending, nothing is trimmed and the pool components are the related
+    sets.
     """
     members = {n: SetMember(p.body, p.count, count_occurrences(p.body))
                for n, p in pool.items()}
     held = {n: m.counts for n, m in members.items()}
-    pool_groups = _groups(held)
-    trimmed = False
+    pool_groups, trimmed = _groups(held)
+    if not trimmed:
+        return [RelatedSet(g, {n: members[n] for n in g})
+                for g in pool_groups]
     todo = list(members)
     while todo:
         n = todo.pop()
@@ -216,7 +235,6 @@ def related_sets(pool: dict, cap: int) -> list:
                if s not in held.get(s[2] if s[1] == n else s[1], ())}
         if not bad:
             continue
-        trimmed = True
         m = members[n]
         pos = 0
         if m.count == 1:
@@ -230,12 +248,10 @@ def related_sets(pool: dict, cap: int) -> list:
             m.counts = count_occurrences(m.body)
             lost, held[n] = held[n].keys() - m.counts.keys(), m.counts
         todo.extend(s[2] if s[1] == n else s[1] for s in lost)
-    # untrimmed, the sets are the pool components
     out = [RelatedSet(g, {n: members[n] for n in g})
-           for g in (_groups(held) if trimmed else pool_groups)]
-    if trimmed:
-        out.extend(RelatedSet(g, {}) for g in pool_groups
-                   if not any(n in members for n in g))
+           for g in _groups(held)[0]]
+    out.extend(RelatedSet(g, {}) for g in pool_groups
+               if not any(n in members for n in g))
     out.sort(key=lambda rs: rs.nodes[0])
     return out
 
@@ -273,7 +289,7 @@ def align_and_reduce(strings: dict, sets: list, max_events,
         sets = sets[:first]
         solution = _solve(sets, counts)
 
-    per_round = {n: solution.times[n] for rs in sets for n in rs.nodes}
+    per_round = solution.times
     rounds = [min(rs.members[n].count // per_round[n] for n in rs.nodes)
               for rs in sets]
     live = [k for k, r in enumerate(rounds) if r > 0]
@@ -324,8 +340,14 @@ def align_and_reduce(strings: dict, sets: list, max_events,
 
 
 def _solve(sets, counts):
-    order = [n for rs in sets for n in rs.nodes]
-    return solve(count_equations(order, counts)[0])
+    """The ratio solution of the sets' counts, the sets' nodes in set
+    order, or its conflict: straight from the counts, and only when they do
+    not give it, from the equations, whose order names the conflict."""
+    solution = solve_counts(tuple(rs.nodes for rs in sets), counts)
+    if solution is None:
+        order = [n for rs in sets for n in rs.nodes]
+        solution = solve(count_equations(order, counts)[0])
+    return solution
 
 
 def check_l2(program: Program, trace: Trace, max_events: int) -> Verdict:

@@ -56,9 +56,11 @@ class MdlLexError(MdlSyntaxError):
 _NAME = r"[^\W\d]\w*"
 # Blanks, separators and comments, then one token: a whole send or recv
 # statement, a node or loop header with its "{" if only blanks come before
-# it, or else one word token (below).
+# it, or else one word token (below).  The comments are matched as "no
+# comment" or as a "#" with a repeat for further comments after it, so that
+# a token with no comment before it enters no repeat.
 _SCAN = re.compile(
-    r"[ \t\r\n,]*(?:#[^\n]*[ \t\r\n,]*)*("
+    r"[ \t\r\n,]*(?:#(?:[^\n]*[ \t\r\n,]*#)*[^\n]*[ \t\r\n,]*|)("
     rf"send[ \t\r]+{_NAME}[ \t\r]+to[ \t\r]+{_NAME}"
     rf"|recv[ \t\r]+{_NAME}[ \t\r]+from[ \t\r]+{_NAME}"
     rf"|(?:node[ \t\r]+{_NAME}|for[ \t\r]+(?:[0-9]+|inf)(?!\w))"

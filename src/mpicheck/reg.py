@@ -9,7 +9,10 @@ name a conflict's chain are kept as a list and joined into a graph only
 when a conflict is found.
 ``ratio_stage`` is the whole ratio method both loop engines share: build
 the group from per-node counts, solve it, apply Theorem 2 and size the
-LCM slice.
+LCM slice.  ``solve_counts`` feeds the same union-find from the counts
+themselves, with no ``RatioEquation`` or group built, for the nested-loop
+engine's pool rounds; it gives up where only the equations name the
+result: a conflict.
 """
 from collections import deque, namedtuple
 from itertools import chain
@@ -95,18 +98,20 @@ def _find(parent, ratio, v):
     return root, (num, den)
 
 
-def solve(group: RatioEquationGroup):
-    """Solution or a RatioInconsistency witness: the chain of accepted
-    equations joining the two variables of the equation whose ratio
-    disagrees around the cycle, then that equation.  A conflicting group
-    is a first class result, not an error."""
-    parent = {v: v for v in group.variables}
-    # value(v) / value(parent(v)), a reduced positive (numerator,
-    # denominator) pair; a root's is (1, 1)
-    ratio = dict.fromkeys(group.variables, (1, 1))
-    size = dict.fromkeys(group.variables, 1)
-    accepted = []   # spanning equations, in the order they were accepted
-    for eq in group.equations:
+def _unite(variables, equations):
+    """The union-find forest of ``variables`` joined by ``equations``, each
+    an (i, j, a, b, origin) tuple demanding value(i) : value(j) = a : b, in
+    order: ``parent``, and ``ratio``, the reduced positive (numerator,
+    denominator) pair value(v) / value(parent(v)), (1, 1) at a root.  Also
+    returns the spanning equations in the order they were accepted, and
+    None or, for the first equation whose ratio disagrees with the forest,
+    that equation and the ratio value(i) / value(j) the forest has, as a
+    (numerator, denominator) pair (not reduced)."""
+    parent = {v: v for v in variables}
+    ratio = dict.fromkeys(variables, (1, 1))
+    size = dict.fromkeys(variables, 1)
+    accepted = []
+    for eq in equations:
         i, j, a, b, _ = eq
         # a root, or one hop below one, is read without a call
         ri = parent[i]
@@ -122,12 +127,7 @@ def solve(group: RatioEquationGroup):
         # demanded: value(i) / value(j) = a / b
         if ri == rj:
             if fin * fjd * b != fid * fjn * a:
-                path = _chain(accepted, i, j)
-                have = _ratio_str(fin * fjd, fid * fjn)
-                return RatioInconsistency(
-                    f"ratio around the cycle through p{i} and p{j} "
-                    f"is {have}, equation demands {_ratio_str(a, b)}",
-                    tuple(path) + (eq,))
+                return parent, ratio, accepted, (eq, fin * fjd, fid * fjn)
             continue
         # attach the smaller tree below the larger
         if size[ri] < size[rj]:
@@ -140,6 +140,35 @@ def solve(group: RatioEquationGroup):
             ratio[rj] = _frac(b * fin * fjd, a * fid * fjn)
             size[ri] += size[rj]
         accepted.append(eq)
+    return parent, ratio, accepted, None
+
+
+def _integers(ratios):
+    """The positive integers of gcd 1 proportional to ``ratios``, a list of
+    (numerator, denominator) pairs."""
+    nums, dens = zip(*ratios)
+    m = lcm(*dens)
+    if m > 1:
+        nums = [n * (m // d) for n, d in zip(nums, dens)]
+    g = gcd(*nums)
+    return nums if g == 1 else [n // g for n in nums]
+
+
+def solve(group: RatioEquationGroup):
+    """Solution or a RatioInconsistency witness: the chain of accepted
+    equations joining the two variables of the equation whose ratio
+    disagrees around the cycle, then that equation.  A conflicting group
+    is a first class result, not an error."""
+    parent, ratio, accepted, conflict = _unite(group.variables,
+                                               group.equations)
+    if conflict is not None:
+        eq, have_num, have_den = conflict
+        i, j, a, b, _ = eq
+        return RatioInconsistency(
+            f"ratio around the cycle through p{i} and p{j} "
+            f"is {_ratio_str(have_num, have_den)}, "
+            f"equation demands {_ratio_str(a, b)}",
+            tuple(_chain(accepted, i, j)) + (eq,))
 
     name = dict(zip(group.variables, map(str, group.variables)))
     groups = {}     # root -> {member: its ratio to the root}
@@ -153,16 +182,60 @@ def solve(group: RatioEquationGroup):
     comps = []
     values = {}
     for ratios in groups.values():
-        nums, dens = zip(*ratios.values())
-        m = lcm(*dens)
-        if m > 1:
-            nums = [n * (m // d) for n, d in zip(nums, dens)]
-        g = gcd(*nums)
-        values.update(zip(ratios, nums if g == 1 else [n // g for n in nums]))
+        values.update(zip(ratios, _integers(ratios.values())))
         comps.append(tuple(sorted(ratios, key=name.__getitem__)))
     # a component's first variable is its least by string
     comps.sort(key=lambda c: name[c[0]])
     return RatioSolution(tuple(comps), values)
+
+
+def solve_counts(components, counts):
+    """The solution ``solve(count_equations(order, counts)[0])`` gives,
+    ``order`` being the nodes of ``components`` in turn, when its
+    components are ``components``: tuples of nodes linked by the symbols
+    they hold (``counts``: node -> {symbol: count}).  Each symbol's two
+    counts go straight into the union-find as a plain tuple; no
+    ``RatioEquation``, group or sorted component is built, and the values
+    come in the order of ``components``.  None when the counts conflict, a
+    symbol is counted at one endpoint only, or a component is not one of
+    the solution's: the caller then solves the group for its witness.
+    """
+    equations = []
+    held = 0
+    try:
+        for comp in components:
+            for n in comp:
+                mine = counts[n]
+                held += len(mine)
+                for sym, c in mine.items():
+                    if sym[1] == n:     # each symbol once, at its sender
+                        equations.append(
+                            (n, sym[2], c, counts[sym[2]][sym], sym))
+    except KeyError:                    # a sender counts a lone symbol
+        return None
+    variables = [n for comp in components for n in comp]
+    parent, ratio, accepted, conflict = _unite(variables, equations)
+    # a receiver counts a lone symbol, or the trees are fewer or more than
+    # the components (each component is checked to be in one tree below)
+    if conflict is not None or 2 * len(equations) != held or \
+            len(accepted) != len(variables) - len(components):
+        return None
+    values = {}
+    for comp in components:
+        ratios = []
+        root = None
+        for v in comp:
+            r = parent[v]
+            if parent[r] == r:
+                ratios.append(ratio[v])
+            else:
+                r, f = _find(parent, ratio, v)
+                ratios.append(f)
+            if r != root and root is not None:
+                return None
+            root = r
+        values.update(zip(comp, _integers(ratios)))
+    return RatioSolution(components, values)
 
 
 def _chain(accepted, src, dst):

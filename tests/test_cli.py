@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import reports
 from test_parser import _nested_for
 from mpicheck.cli import main
 from mpicheck.model import MAX_NESTING
@@ -395,6 +396,22 @@ def test_reports_independent_of_hash_seed_over_a_program_set():
     outs = [proc.communicate(timeout=120)[0] for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert len(outs[0]) == 65 and outs[0] == outs[1]
+
+
+def test_report_dump_prints_one_line_per_corpus_program_under_any_hash_seed():
+    # tests/reports.py, the dump that two checkouts are compared by
+    path = os.pathsep.join([os.path.join(HERE, os.pardir, "src"), HERE])
+    procs = [subprocess.Popen(
+        [sys.executable, os.path.join(HERE, "reports.py"), "corpus"],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+        for seed in ("0", "1")]
+    outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    names = [line.split("\t")[0] for line in outs[0].splitlines()]
+    assert names == [f"corpus:{reports.CORPUS_SEED}:{i}"
+                     for i in range(reports.CORPUS_SIZE)]
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("args, code", [

@@ -455,6 +455,64 @@ def test_related_sets_meet_their_spec_on_random_pools():
     assert min(seen.values()) >= 20, seen
 
 
+def conflicting_pool(rng):
+    """A random pool in which one member sends or receives one of its
+    messages once more, so that its ratio to its partner's count disagrees
+    with the member's other messages when they link the same nodes."""
+    pool = random_pool(rng)
+    if not pool:
+        return pool
+    n = rng.choice(sorted(pool))
+    extra = rng.choice(sorted(set(flatten_items(pool[n].body))))
+    pool[n] = For(pool[n].count, pool[n].body + (extra,))
+    return pool
+
+
+def _shifted(items, k):
+    return tuple(For(it.count, _shifted(it.body, k)) if type(it) is For
+                 else Symbol(it.name, it.src + k, it.dst + k) for it in items)
+
+
+def three_part_pool(rng):
+    """A pair of nodes 0 and 1 that solves, a random pool on nodes 2-6 and
+    a conflicting one on nodes 7-11."""
+    pool = {0: For(rng.randint(1, 3), (A,) * rng.randint(1, 2)),
+            1: For(rng.randint(1, 3), (A,) * rng.randint(1, 2))}
+    for k, part in ((2, random_pool), (7, conflicting_pool)):
+        pool.update((n + k, For(p.count, _shifted(p.body, k)))
+                    for n, p in part(rng).items())
+    return pool
+
+
+def test_round_solve_equals_the_set_ordered_equations(monkeypatch):
+    # the round's ratio solve, taken straight from the members' counts,
+    # against a reference that solves the equations of count_equations in
+    # set order: the same result, solutions and actions, and on a conflict
+    # the same witness and the same sets solved before it
+    def round_of(pool):
+        strings = {n: (p,) for n, p in pool.items()}
+        record = SetRecord(())
+        result = align_and_reduce(strings, related_sets(pool, MAX_EVENTS),
+                                  MAX_EVENTS, record)
+        return result, record.solutions, record.actions
+
+    seen = Counter()
+    for seed in range(600):
+        for make in (random_pool, conflicting_pool, three_part_pool):
+            pool = make(random.Random(seed))
+            got = round_of(pool)
+            with monkeypatch.context() as m:
+                m.setattr(l2, "solve_counts", lambda components, counts: None)
+                want = round_of(pool)
+            assert got == want, pool
+            kind, payload = got[0]
+            if kind == "deadlock" and \
+                    isinstance(payload.witness, RatioInconsistency):
+                kind = "conflict after a solved set" if got[1] else "conflict"
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_related_sets_flatten_within_cap():
     # the run is cut before c, so its five events are flattened first
     pool = {0: For(1, (For(2, (A, A)), C)), 1: For(4, (A,))}
@@ -567,7 +625,7 @@ def _counting(monkeypatch, name, calls, module=l2):
 
 def test_pool_round_makes_one_solve_and_one_kernel_call(monkeypatch):
     calls = Counter()
-    for name in ("fpp", "solve", "check_smodel"):
+    for name in ("fpp", "solve", "solve_counts", "check_smodel"):
         _counting(monkeypatch, name, calls)
     rep = _report(ROUND_FREE)
     assert bool(rep.verdict) and rep.phase == "l2"
@@ -575,8 +633,9 @@ def test_pool_round_makes_one_solve_and_one_kernel_call(monkeypatch):
     assert len(records) == 2
     assert all(len(rec.partition) == 3 and all(e for _, e in rec.partition)
                for rec in records)
-    # two reducing rounds, then the empty pool
-    assert calls == {"fpp": 3, "solve": 2, "check_smodel": 2}
+    # two reducing rounds, then the empty pool; the round's ratio solve
+    # needs no equations
+    assert calls == {"fpp": 3, "solve_counts": 2, "check_smodel": 2}
 
 
 def test_kernel_deadlock_in_earlier_set_beats_later_ratio_conflict():
@@ -767,3 +826,49 @@ def test_stuck_pool_with_matching_fronts_is_right_by_luck():
     assert isinstance(analyze(prog).verdict, Deadlock)
     truth = explore(prog)
     assert isinstance(truth, DeadlockReachable) and len(truth.trace) == 4
+
+
+# ROADMAP item 16's l2 row: a pool round's work is counted, not timed.  An
+# aligned nested exchange, then one message
+ALIGNED_NESTED = """\
+node P0 {{ for {c} {{ for 7 {{ send a to P1, recv b from P1 }} }}
+    send e to P1 }}
+node P1 {{ for 7 {{ for {c} {{ recv a from P0, send b to P0 }} }}
+    recv e from P0 }}
+"""
+# two exchange phases whose sides factor their counts the other way round
+FACTORED_PHASES = """\
+node P0 {{ for {c} {{ for 2 {{ send a to P1, recv b from P1 }} }}
+    for 2 {{ for {c} {{ send c to P1, recv d from P1 }} }} }}
+node P1 {{ for 2 {{ for {c} {{ recv a from P0, send b to P0 }} }}
+    for {c} {{ for 2 {{ recv c from P0, send d to P0 }} }} }}
+"""
+# item 2's reproducer, the shifted exchange: the pool stops at once
+SHIFTED_EXCHANGE = """\
+node P0 {{ for {c} {{ send a to P1, recv b from P1 }} }}
+node P1 {{ recv a from P0 for {c1} {{ send b to P0, recv a from P0 }}
+    send b to P0 }}
+"""
+
+
+@pytest.mark.parametrize("text, counts, rounds, kernel_events", [
+    (ALIGNED_NESTED, (10**3, 10**18), 2, [4, 2]),
+    (FACTORED_PHASES, (10**3, 10**18), 2, [4, 4]),
+    (SHIFTED_EXCHANGE, (3, 10**3, 10**9), 1, []),
+], ids=["aligned-nested", "factored-phases", "shifted-exchange"])
+def test_pool_work_is_independent_of_loop_counts(
+        monkeypatch, text, counts, rounds, kernel_events):
+    # the pool rounds, and the events of each kernel call, at every count
+    events = []
+    check_smodel = l2.check_smodel
+
+    def counted(queues):
+        events.append(sum(map(len, queues.values())))
+        return check_smodel(queues)
+
+    monkeypatch.setattr(l2, "check_smodel", counted)
+    for c in counts:
+        events.clear()
+        rep = _report(text.format(c=c, c1=c - 1))
+        assert rep.phase == "l2"
+        assert (len(rep.trace.set_records), events) == (rounds, kernel_events)

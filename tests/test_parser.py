@@ -12,7 +12,7 @@ from corpus import corpus, generate
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 from test_model import _counting_check
 from test_smodel import schedule_queues
-from mpicheck import model
+from mpicheck import model, parser
 from mpicheck.model import (INFINITE, MAX_NESTING, DanglingEndpoint,
                             DuplicateNode, For, InvalidLoopCount,
                             NestedInfinite, SelfMessage, SizeExceeded,
@@ -63,6 +63,67 @@ node P1 { for inf { for 3 { recv a from P0 } } }
 def test_comments_and_commas():
     prog = parse("node P0 { }  # trailing comment\n# full line\nnode P1 {}")
     assert prog.nodes[0][1] == () and prog.nodes[1][1] == ()
+
+
+# (source, scanned tokens, None or the error's message, line and column):
+# comments the scanner skips before a token
+COMMENTS = [
+    pytest.param("node P0 { send a to P1 }\nnode P1 { recv a from P0 } # end",
+                 ["node P0 {", "send a to P1", "}", "node P1 {",
+                  "recv a from P0", "}", "", ""], None,
+                 id="at the end, no newline"),
+    pytest.param("node P0 { send a to P1 # end",
+                 ["node P0 {", "send a to P1", "", ""],
+                 ("unexpected end of input, missing '}'", 1, 24),
+                 id="at the end, brace missing"),
+    pytest.param("node P0 {\n  send a to P1  # one\n  send b to P1 # two\n}\n"
+                 "node P1 { recv a from P0, recv b from P0 }\n",
+                 ["node P0 {", "send a to P1", "send b to P1", "}",
+                  "node P1 {", "recv a from P0", "recv b from P0", "}", "",
+                  ""], None, id="after a statement"),
+    pytest.param("node P0 { send a to P1 # one\n  recv  # two\n}\n"
+                 "node P1 { recv a from P0 }\n",
+                 ["node P0 {", "send a to P1", "recv", "}", "node P1 {",
+                  "recv a from P0", "}", "", ""],
+                 ("expected message name, got '\\n'", 2, 9),
+                 id="after a lone keyword"),
+    pytest.param("# one\n# two\n\n   # three\nnode P0 { send a to P1 }\n"
+                 "# four\n#\nnode P1 { recv a from P0 }\n",
+                 ["node P0 {", "send a to P1", "}", "node P1 {",
+                  "recv a from P0", "}", "", ""], None,
+                 id="lines in a row"),
+    pytest.param("# one\n# two\nnode P0 { bogus }\n",
+                 ["node P0 {", "bogus", "}", "", ""],
+                 ("unknown statement keyword 'bogus'", 3, 11),
+                 id="lines in a row, then an error"),
+    pytest.param("node P0 {# open\n  send a to P1 }\nnode P1 {#\n"
+                 "recv a from P0 }\n",
+                 ["node P0 {", "send a to P1", "}", "node P1 {",
+                  "recv a from P0", "}", "", ""], None,
+                 id="right after a brace"),
+    pytest.param("node P0 { send a to P1 ,# c\n, send b to P1 ,,# d\n}\n"
+                 "node P1 { recv a from P0 , # e\n ,recv b from P0 }\n",
+                 ["node P0 {", "send a to P1", "send b to P1", "}",
+                  "node P1 {", "recv a from P0", "recv b from P0", "}", "",
+                  ""], None, id="between commas"),
+    pytest.param("node P0 { send a to P1 ,# c\n, send b to # d\n P1 }\n",
+                 ["node P0 {", "send a to P1", "send", "b", "to", "P1", "}",
+                  "", ""], ("expected node name, got '\\n'", 2, 13),
+                 id="inside a statement"),
+]
+
+
+@pytest.mark.parametrize("text, tokens, error", COMMENTS)
+def test_comment_tokens_and_error_positions(text, tokens, error):
+    assert parser._SCAN.findall(text) == tokens
+    if error is None:
+        parse(text)
+        return
+    msg, line, col = error
+    with pytest.raises(MdlSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{msg} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_syntax_error_carries_position():

@@ -211,6 +211,58 @@ def test_count_equations_orient_as_oriented_across_digit_lengths():
     assert solve(group).components == ((10, 11), (100, 9), (8, 90))
 
 
+def test_solve_counts_equals_solve_of_the_equations_or_gives_up():
+    # from per-node counts over hidden values, solve_counts gives what
+    # solve(count_equations(...)) gives, with the components as passed; it
+    # gives None on a conflict, on a symbol one endpoint does not count and
+    # on components that are not the solution's
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        hidden = [rng.randint(1, 6) for _ in range(n)]
+        counts = {v: {} for v in range(n)}
+        for k in range(rng.randint(1, 2 * n)):
+            src, dst = rng.sample(range(n), 2)
+            sym = Symbol(f"m{k}", src, dst)
+            m = rng.randint(1, 3)
+            counts[src][sym] = m * hidden[src]
+            counts[dst][sym] = m * hidden[dst]
+        comps = [tuple(sorted(c)) for c in
+                 solve(count_equations(range(n), counts)[0]).components]
+        rng.shuffle(comps)
+        order = [v for c in comps for v in c]
+        want = solve(count_equations(order, counts)[0])
+        got = reg.solve_counts(tuple(comps), counts)
+        assert got.components == tuple(comps)
+        assert (got.values, got.times) == (want.values, want.times)
+        assert list(got.values) == order
+        seen["solved"] += 1
+
+        sym = rng.choice([s for c in counts.values() for s in c])
+        lone = {v: dict(c) for v, c in counts.items()}
+        del lone[rng.choice((sym.src, sym.dst))][sym]
+        assert reg.solve_counts(tuple(comps), lone) is None
+        bumped = {v: dict(c) for v, c in counts.items()}
+        bumped[sym.src][sym] += 1
+        if isinstance(solve(count_equations(order, bumped)[0]),
+                      RatioInconsistency):
+            assert reg.solve_counts(tuple(comps), bumped) is None
+            seen["conflict"] += 1
+        big = max(comps, key=len)
+        rest = tuple(c for c in comps if c is not big)
+        split = (big[:1], big[1:]) + rest
+        assert reg.solve_counts(split, counts) is None
+        if rest:
+            merged = (big + rest[0],) + rest[1:]
+            assert reg.solve_counts(merged, counts) is None
+            # as many components as the solution has, one node moved
+            moved = (big[1:], big[:1] + rest[0]) + rest[1:]
+            assert reg.solve_counts(moved, counts) is None
+            seen["merged and moved"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_ratio_stage_slices_to_lcm_over_value():
     counts = {0: Counter({A: 2}), 1: Counter({A: 3, C: 2}), 2: Counter({C: 1}),
               3: Counter({D: 1}), 4: Counter({D: 1})}
