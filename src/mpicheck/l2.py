@@ -16,24 +16,23 @@ After stripping outer infinite loops via the ratio-equation machinery, the
 main loop repeatedly takes the pool of leading powers and reduces it by one
 round, until all strings drain (deadlock free) or nothing can move
 (deadlock).  A round counts each power once and walks the held symbols
-twice: ``_groups`` links the pool into related sets and notes a symbol that
-one endpoint does not hold, the only case in which the pool is trimmed and
-grouped again; ``reg.solve_counts`` then feeds each symbol's two counts
-into the ratio union-find, which gives every set its values and slice
-times.  The equations are built, in set order, only for a ratio conflict,
-whose witness they name.  One kernel call decides the round.
+once: ``reg.solve_counts`` feeds each symbol's two counts into the ratio
+union-find, whose trees are the related sets and give each its values, and
+notes a symbol that one endpoint does not hold, the only case in which the
+pool is trimmed and grouped again.  Equations are built only for the first
+set whose counts conflict, and from its nodes alone: they name its
+witness.  One kernel call decides the round.
 """
 from itertools import groupby
 
 from .model import (INFINITE, For, Program, SizeExceeded, UnsupportedProgram,
                     build_queues, count_occurrences)
 from .record import Record
-from .reg import (check_digits, count_equations, ratio_stage, solve,
-                  solve_counts)
+from .reg import (RatioSolution, check_digits, count_equations, ratio_stage,
+                  solve, solve_counts)
 from .smodel import check_smodel
 from .trace import SetRecord, Trace
-from .verdicts import (DEADLOCK_FREE, Deadlock, FppStuck, RatioInconsistency,
-                       Verdict, WaitCycle)
+from .verdicts import DEADLOCK_FREE, Deadlock, FppStuck, Verdict, WaitCycle
 
 
 def _wrap_runs(items) -> list:
@@ -171,35 +170,12 @@ class SetMember(Record):
 
 
 class RelatedSet(Record):
-    _fields = ("nodes", "members")
+    _fields = ("nodes", "members", "values")
 
-    def __init__(self, nodes, members):
+    def __init__(self, nodes, members, values):
         self.nodes = nodes  # sorted; a waiting set names its pool component
         self.members = members  # node -> SetMember (trimmed); {}: waiting
-
-
-def _groups(held: dict):
-    """Nodes of ``held`` (node -> symbols) linked by every symbol both of
-    whose endpoints hold it, in ascending order of their smallest node, and
-    whether some symbol is held by one endpoint only."""
-    seen = set()
-    out = []
-    lone = False
-    for n in sorted(held):
-        if n in seen:
-            continue
-        seen.add(n)
-        comp = [n]
-        for v in comp:  # comp grows as the walk reaches new nodes
-            for s in held[v]:
-                u = s[2] if s[1] == v else s[1]  # v's partner
-                if s not in held.get(u, ()):
-                    lone = True
-                elif u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-        out.append(tuple(sorted(comp)))
-    return out, lone
+        self.values = values  # node -> ratio value; None: conflict, waiting
 
 
 def related_sets(pool: dict, cap: int) -> list:
@@ -217,15 +193,16 @@ def related_sets(pool: dict, cap: int) -> list:
     share a component, so trimming the whole pool at once is exact.  A pool
     component left with no member is one waiting set; when no symbol is
     offending, nothing is trimmed and the pool components are the related
-    sets.
+    sets.  ``solve_counts`` finds the components and their ratio values in
+    one pass, before and after a trim.
     """
     members = {n: SetMember(p.body, p.count, count_occurrences(p.body))
                for n, p in pool.items()}
     held = {n: m.counts for n, m in members.items()}
-    pool_groups, trimmed = _groups(held)
+    pool_groups, trimmed, values = solve_counts(held)
     if not trimmed:
-        return [RelatedSet(g, {n: members[n] for n in g})
-                for g in pool_groups]
+        return [RelatedSet(g, {n: members[n] for n in g}, v)
+                for g, v in zip(pool_groups, values)]
     todo = list(members)
     while todo:
         n = todo.pop()
@@ -248,9 +225,10 @@ def related_sets(pool: dict, cap: int) -> list:
             m.counts = count_occurrences(m.body)
             lost, held[n] = held[n].keys() - m.counts.keys(), m.counts
         todo.extend(s[2] if s[1] == n else s[1] for s in lost)
-    out = [RelatedSet(g, {n: members[n] for n in g})
-           for g in _groups(held)[0]]
-    out.extend(RelatedSet(g, {}) for g in pool_groups
+    groups, _, values = solve_counts(held)
+    out = [RelatedSet(g, {n: members[n] for n in g}, v)
+           for g, v in zip(groups, values)]
+    out.extend(RelatedSet(g, {}, None) for g in pool_groups
                if not any(n in members for n in g))
     out.sort(key=lambda rs: rs.nodes[0])
     return out
@@ -260,36 +238,36 @@ def align_and_reduce(strings: dict, sets: list, max_events,
                      record: SetRecord):
     """One pool round: reduce every eligible set of `sets` at once.
 
-    The sets are disjoint in nodes and symbols, so one ratio solve over all
-    their members' counts and one kernel call on the union of their round
-    queues decide each set as a solve and a kernel call per set would.
-    Nodes are ordered set by set, so each set's equations, values and
-    conflict witness are the ones it would get alone, and the first set in
-    set order that deadlocks wins: the sets before a ratio conflict are
-    solved and checked again without it.  Round queues balance for every
-    message, so a deadlock's witness is a cycle of blocked fronts.  The
-    queues are ordered set by set and a set that does not deadlock drains,
-    so the walk for the witness starts in the first deadlocked set and
-    stays there: the cycle is that set's own witness, and its first node
-    names the set.  A round of more than ``max_events`` events is checked
-    set by set instead, and a set that alone is over the cap raises
-    SizeExceeded.
+    The sets are disjoint in nodes and symbols and carry their ratio
+    values, so one kernel call on the union of their round queues decides
+    each set as a kernel call per set would.  The first set in set order
+    that deadlocks wins.  Only the first set whose counts conflict has its
+    equations built and solved, from its own nodes, for its witness: the
+    sets share no symbol, so that is the witness of the equations of all
+    sets in set order, and the sets after it are not reduced.  Round
+    queues balance for every message, so a deadlock's witness is a cycle
+    of blocked fronts.  The queues are ordered set by set and a set that
+    does not deadlock drains, so the walk for the witness starts in the
+    first deadlocked set and stays there: the cycle is that set's own
+    witness, and its first node names the set.  A round of more than
+    ``max_events`` events is checked set by set instead, and a set that
+    alone is over the cap raises SizeExceeded.
 
     Returns ("deadlock", verdict), ("progress", new strings) or
     ("noprogress", None).
     """
     sets = [rs for rs in sets if rs.members]
-    counts = {n: m.counts for rs in sets for n, m in rs.members.items()}
-    solution = _solve(sets, counts)
     conflict = None
-    if isinstance(solution, RatioInconsistency):
-        bad = solution.equations[-1].i
-        first = next(k for k, rs in enumerate(sets) if bad in rs.members)
-        conflict = Deadlock(solution)
-        sets = sets[:first]
-        solution = _solve(sets, counts)
+    for k, rs in enumerate(sets):
+        if rs.values is None:
+            counts = {n: m.counts for n, m in rs.members.items()}
+            conflict = Deadlock(solve(count_equations(rs.nodes, counts)[0]))
+            sets = sets[:k]
+            break
 
-    per_round = solution.times
+    per_round = RatioSolution(tuple(rs.nodes for rs in sets),
+                              {n: v for rs in sets
+                               for n, v in rs.values.items()}).times
     rounds = [min(rs.members[n].count // per_round[n] for n in rs.nodes)
               for rs in sets]
     live = [k for k, r in enumerate(rounds) if r > 0]
@@ -310,9 +288,7 @@ def align_and_reduce(strings: dict, sets: list, max_events,
             if isinstance(verdict, Deadlock):
                 stop = k
                 break
-    # a set is one ratio component, so its values come in node order
-    solved = [(rs.nodes, {n: solution.values[n] for n in rs.nodes})
-              for rs in sets[:stop + 1]]
+    solved = [(rs.nodes, rs.values) for rs in sets[:stop + 1]]
     check_digits([max(values.values()) for _, values in solved],
                  "a ratio value has")
     record.solutions.extend(solved)
@@ -337,17 +313,6 @@ def align_and_reduce(strings: dict, sets: list, max_events,
                 rest.append(tuple.__new__(For, (1, m.leftover)))
             new_strings[n] = tuple(rest) + strings[n][1:]
     return "progress", new_strings
-
-
-def _solve(sets, counts):
-    """The ratio solution of the sets' counts, the sets' nodes in set
-    order, or its conflict: straight from the counts, and only when they do
-    not give it, from the equations, whose order names the conflict."""
-    solution = solve_counts(tuple(rs.nodes for rs in sets), counts)
-    if solution is None:
-        order = [n for rs in sets for n in rs.nodes]
-        solution = solve(count_equations(order, counts)[0])
-    return solution
 
 
 def check_l2(program: Program, trace: Trace, max_events: int) -> Verdict:

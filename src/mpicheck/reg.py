@@ -9,10 +9,11 @@ name a conflict's chain are kept as a list and joined into a graph only
 when a conflict is found.
 ``ratio_stage`` is the whole ratio method both loop engines share: build
 the group from per-node counts, solve it, apply Theorem 2 and size the
-LCM slice.  ``solve_counts`` feeds the same union-find from the counts
-themselves, with no ``RatioEquation`` or group built, for the nested-loop
-engine's pool rounds; it gives up where only the equations name the
-result: a conflict.
+LCM slice.  ``solve_counts`` is the nested-loop engine's pool round: it
+feeds the same union-find from the counts themselves, with no
+``RatioEquation`` or group built, and one read of the forest gives both
+the round's related sets and their values; a set whose counts conflict
+gets None, and only the equations of that set name its witness.
 """
 from collections import deque, namedtuple
 from itertools import chain
@@ -81,9 +82,9 @@ def _ratio_str(n, d) -> str:
 
 
 def _find(parent, ratio, v):
-    """(root, value(v) / value(root)) in ``solve``'s union-find forest,
-    compressing the path.  ``solve`` calls it only for a ``v`` two or more
-    hops below its root."""
+    """(root, value(v) / value(root)) in ``_unite``'s union-find forest,
+    compressing the path.  Its callers read a root, or a ``v`` one hop
+    below one, without it."""
     path = []
     while parent[v] != v:
         path.append(v)
@@ -104,13 +105,16 @@ def _unite(variables, equations):
     order: ``parent``, and ``ratio``, the reduced positive (numerator,
     denominator) pair value(v) / value(parent(v)), (1, 1) at a root.  Also
     returns the spanning equations in the order they were accepted, and
-    None or, for the first equation whose ratio disagrees with the forest,
-    that equation and the ratio value(i) / value(j) the forest has, as a
-    (numerator, denominator) pair (not reduced)."""
+    the conflicts in the order they were met: each equation whose ratio
+    disagrees with the forest, with the ratio value(i) / value(j) the
+    forest has, as a (numerator, denominator) pair (not reduced).  A
+    conflicting equation joins nothing, so the forest and its spanning
+    equations up to a conflict are those of the equations before it."""
     parent = {v: v for v in variables}
     ratio = dict.fromkeys(variables, (1, 1))
     size = dict.fromkeys(variables, 1)
     accepted = []
+    conflicts = []
     for eq in equations:
         i, j, a, b, _ = eq
         # a root, or one hop below one, is read without a call
@@ -127,7 +131,7 @@ def _unite(variables, equations):
         # demanded: value(i) / value(j) = a / b
         if ri == rj:
             if fin * fjd * b != fid * fjn * a:
-                return parent, ratio, accepted, (eq, fin * fjd, fid * fjn)
+                conflicts.append((eq, fin * fjd, fid * fjn))
             continue
         # attach the smaller tree below the larger
         if size[ri] < size[rj]:
@@ -140,7 +144,22 @@ def _unite(variables, equations):
             ratio[rj] = _frac(b * fin * fjd, a * fid * fjn)
             size[ri] += size[rj]
         accepted.append(eq)
-    return parent, ratio, accepted, None
+    return parent, ratio, accepted, conflicts
+
+
+def _trees(parent, ratio, variables):
+    """The trees of the forest, read once: root -> {variable: its ratio to
+    the root}, the trees and their variables in the order of
+    ``variables``."""
+    trees = {}
+    for v in variables:
+        root = parent[v]
+        if parent[root] == root:
+            trees.setdefault(root, {})[v] = ratio[v]
+        else:
+            root, r = _find(parent, ratio, v)
+            trees.setdefault(root, {})[v] = r
+    return trees
 
 
 def _integers(ratios):
@@ -156,13 +175,13 @@ def _integers(ratios):
 
 def solve(group: RatioEquationGroup):
     """Solution or a RatioInconsistency witness: the chain of accepted
-    equations joining the two variables of the equation whose ratio
+    equations joining the two variables of the first equation whose ratio
     disagrees around the cycle, then that equation.  A conflicting group
     is a first class result, not an error."""
-    parent, ratio, accepted, conflict = _unite(group.variables,
-                                               group.equations)
-    if conflict is not None:
-        eq, have_num, have_den = conflict
+    parent, ratio, accepted, conflicts = _unite(group.variables,
+                                                group.equations)
+    if conflicts:
+        eq, have_num, have_den = conflicts[0]
         i, j, a, b, _ = eq
         return RatioInconsistency(
             f"ratio around the cycle through p{i} and p{j} "
@@ -171,17 +190,9 @@ def solve(group: RatioEquationGroup):
             tuple(_chain(accepted, i, j)) + (eq,))
 
     name = dict(zip(group.variables, map(str, group.variables)))
-    groups = {}     # root -> {member: its ratio to the root}
-    for v in group.variables:
-        root = parent[v]
-        if parent[root] == root:
-            groups.setdefault(root, {})[v] = ratio[v]
-        else:
-            root, r = _find(parent, ratio, v)
-            groups.setdefault(root, {})[v] = r
     comps = []
     values = {}
-    for ratios in groups.values():
+    for ratios in _trees(parent, ratio, group.variables).values():
         values.update(zip(ratios, _integers(ratios.values())))
         comps.append(tuple(sorted(ratios, key=name.__getitem__)))
     # a component's first variable is its least by string
@@ -189,53 +200,39 @@ def solve(group: RatioEquationGroup):
     return RatioSolution(tuple(comps), values)
 
 
-def solve_counts(components, counts):
-    """The solution ``solve(count_equations(order, counts)[0])`` gives,
-    ``order`` being the nodes of ``components`` in turn, when its
-    components are ``components``: tuples of nodes linked by the symbols
-    they hold (``counts``: node -> {symbol: count}).  Each symbol's two
-    counts go straight into the union-find as a plain tuple; no
-    ``RatioEquation``, group or sorted component is built, and the values
-    come in the order of ``components``.  None when the counts conflict, a
-    symbol is counted at one endpoint only, or a component is not one of
-    the solution's: the caller then solves the group for its witness.
+def solve_counts(counts):
+    """The components and values of per-node counts (node -> {symbol:
+    count}), straight from the counts: each symbol counted at both
+    endpoints goes into the union-find once, from its sender, as a plain
+    tuple; no ``RatioEquation`` or group is built.
+
+    Returns (components, lone, values): the components as sorted node
+    tuples in ascending order of their smallest node, linked by the
+    symbols both endpoints count; whether some symbol is counted at one
+    endpoint only; and per component, {node: value} in node order as
+    ``solve`` gives it, or None when the component's counts conflict,
+    whose witness only ``solve`` of its equations names.
     """
     equations = []
     held = 0
-    try:
-        for comp in components:
-            for n in comp:
-                mine = counts[n]
-                held += len(mine)
-                for sym, c in mine.items():
-                    if sym[1] == n:     # each symbol once, at its sender
-                        equations.append(
-                            (n, sym[2], c, counts[sym[2]][sym], sym))
-    except KeyError:                    # a sender counts a lone symbol
-        return None
-    variables = [n for comp in components for n in comp]
-    parent, ratio, accepted, conflict = _unite(variables, equations)
-    # a receiver counts a lone symbol, or the trees are fewer or more than
-    # the components (each component is checked to be in one tree below)
-    if conflict is not None or 2 * len(equations) != held or \
-            len(accepted) != len(variables) - len(components):
-        return None
-    values = {}
-    for comp in components:
-        ratios = []
-        root = None
-        for v in comp:
-            r = parent[v]
-            if parent[r] == r:
-                ratios.append(ratio[v])
-            else:
-                r, f = _find(parent, ratio, v)
-                ratios.append(f)
-            if r != root and root is not None:
-                return None
-            root = r
-        values.update(zip(comp, _integers(ratios)))
-    return RatioSolution(components, values)
+    for n, mine in counts.items():
+        held += len(mine)
+        for sym, c in mine.items():
+            if sym[1] == n:     # each symbol once, at its sender
+                try:
+                    equations.append((n, sym[2], c, counts[sym[2]][sym], sym))
+                except KeyError:    # the receiver does not count it
+                    pass
+    parent, ratio, _, conflicts = _unite(counts, equations)
+    clash = {eq[0] for eq, _, _ in conflicts}
+    components = []
+    values = []
+    for ratios in _trees(parent, ratio, sorted(counts)).values():
+        components.append(tuple(ratios))
+        values.append(None if clash and not clash.isdisjoint(ratios) else
+                      dict(zip(ratios, _integers(ratios.values()))))
+    # each equation holds two counts: fewer than held leaves a lone one
+    return components, 2 * len(equations) != held, values
 
 
 def _chain(accepted, src, dst):

@@ -17,6 +17,8 @@ from mpicheck.l2 import (align_and_reduce, check_l2, fpp, normalize,
                          related_sets, strip_outer_infinite)
 from mpicheck.l0 import check_l0
 from mpicheck.oracle import DeadlockFreeOracle, DeadlockReachable, explore
+from mpicheck.reg import count_equations, solve
+from mpicheck.smodel import check_smodel
 from mpicheck.trace import SetRecord, Trace
 from mpicheck.verdicts import Deadlock, RatioInconsistency, WaitCycle
 
@@ -484,32 +486,118 @@ def three_part_pool(rng):
     return pool
 
 
-def test_round_solve_equals_the_set_ordered_equations(monkeypatch):
-    # the round's ratio solve, taken straight from the members' counts,
-    # against a reference that solves the equations of count_equations in
-    # set order: the same result, solutions and actions, and on a conflict
-    # the same witness and the same sets solved before it
-    def round_of(pool):
-        strings = {n: (p,) for n, p in pool.items()}
-        record = SetRecord(())
-        result = align_and_reduce(strings, related_sets(pool, MAX_EVENTS),
-                                  MAX_EVENTS, record)
-        return result, record.solutions, record.actions
+def _set_by_set(strings, sets):
+    """The reference round: in set order, each eligible set's equations
+    solved alone, the first conflict winning, then one kernel call per set
+    that repeats at least once, the first deadlock winning.  Returns the
+    result, solutions and actions ``align_and_reduce`` gives."""
+    solutions, actions = [], []
+    new = dict(strings)
+    for rs in sets:
+        if not rs.members:
+            continue
+        counts = {n: rs.members[n].counts for n in rs.nodes}
+        solution = solve(count_equations(rs.nodes, counts)[0])
+        if isinstance(solution, RatioInconsistency):
+            return ("deadlock", Deadlock(solution)), solutions, actions
+        t = solution.times
+        solutions.append((rs.nodes, {n: solution.values[n] for n in rs.nodes}))
+        r = min(rs.members[n].count // t[n] for n in rs.nodes)
+        if r == 0:
+            continue
+        verdict = check_smodel(model.build_queues(
+            [(n, m.body, t[n]) for n, m in rs.members.items()], MAX_EVENTS))
+        if isinstance(verdict, Deadlock):
+            return ("deadlock", verdict), solutions, actions
+        actions.append(f"reduced {rs.nodes} by {r} round(s)")
+        for n, m in rs.members.items():
+            rest = ((For(m.count - r * t[n], m.body),)
+                    if m.count > r * t[n] else ())
+            if m.leftover:
+                rest += (For(1, m.leftover),)
+            new[n] = rest + strings[n][1:]
+    if not actions:
+        return ("noprogress", None), solutions, actions
+    return ("progress", new), solutions, actions
 
+
+def test_round_solve_equals_the_set_ordered_equations():
+    # the round, which solves only the first conflicting set's equations,
+    # against a reference that solves every set's own equations in set
+    # order: the same result, solutions (values in node order) and
+    # actions.  A conflict's witness is also that of the equations of all
+    # eligible sets in set order, and the same sets are solved before it
     seen = Counter()
     for seed in range(600):
         for make in (random_pool, conflicting_pool, three_part_pool):
             pool = make(random.Random(seed))
-            got = round_of(pool)
-            with monkeypatch.context() as m:
-                m.setattr(l2, "solve_counts", lambda components, counts: None)
-                want = round_of(pool)
-            assert got == want, pool
-            kind, payload = got[0]
+            strings = {n: (p,) for n, p in pool.items()}
+            sets = related_sets(pool, MAX_EVENTS)
+            record = SetRecord(())
+            got = align_and_reduce(strings, sets, MAX_EVENTS, record)
+            want = _set_by_set(strings, sets)
+            assert (got, record.solutions, record.actions) == want, pool
+            assert ([list(v.items()) for _, v in record.solutions]
+                    == [list(v.items()) for _, v in want[1]])
+            kind, payload = got
             if kind == "deadlock" and \
                     isinstance(payload.witness, RatioInconsistency):
-                kind = "conflict after a solved set" if got[1] else "conflict"
+                eligible = [rs for rs in sets if rs.members]
+                counts = {n: m.counts for rs in eligible
+                          for n, m in rs.members.items()}
+                order = [n for rs in eligible for n in rs.nodes]
+                assert payload == Deadlock(solve(count_equations(
+                    order, counts)[0]))
+                kind = "conflict after a solved set" if want[1] else "conflict"
             seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_conflicting_round_solves_one_sets_equations(monkeypatch):
+    # a solvable pair, then a random pool that conflicts, then another
+    # pair, half the time with a message its partner does not hold yet,
+    # which trims the pool: the round groups and solves with solve_counts
+    # once per grouping (twice when the pool is trimmed) and builds and
+    # solves the equations of the first conflicting set alone
+    calls = {}
+
+    def counting(name, args_of=lambda args: None):
+        original = getattr(l2, name)
+
+        def wrapper(*args):
+            calls.setdefault(name, []).append(args_of(args))
+            return original(*args)
+
+        monkeypatch.setattr(l2, name, wrapper)
+
+    counting("solve_counts")
+    counting("solve")
+    counting("count_equations", lambda args: tuple(args[0]))
+    seen = Counter()
+    for seed in range(1000):
+        rng = random.Random(seed)
+        pool = {n: For(rng.randint(1, 3), (A,) * rng.randint(1, 2))
+                for n in (0, 1)}
+        pool.update((n + 2, For(p.count, _shifted(p.body, 2)))
+                    for n, p in conflicting_pool(rng).items())
+        early = (Symbol("c", 7, 8),) * rng.randint(0, 1)
+        pool[7] = For(1, (Symbol("a", 7, 8),) * rng.randint(1, 2) + early)
+        pool[8] = For(rng.randint(1, 3), (Symbol("a", 7, 8),))
+        held = {n: count_occurrences(p.body) for n, p in pool.items()}
+        trimmed = any(s not in held.get(_partner(s, n), ())
+                      for n, c in held.items() for s in c)
+        calls.clear()
+        sets = related_sets(pool, MAX_EVENTS)
+        eligible = [rs for rs in sets if rs.members]
+        clash = [rs.nodes for rs in eligible if rs.values is None]
+        if not clash:
+            continue
+        align_and_reduce({n: (p,) for n, p in pool.items()}, sets,
+                         MAX_EVENTS, SetRecord(()))
+        assert calls == {"solve_counts": [None] * (1 + trimmed),
+                         "count_equations": [clash[0]], "solve": [None]}
+        assert (eligible[0].nodes, eligible[-1].nodes) == ((0, 1), (7, 8))
+        seen["trimmed" if trimmed else "untrimmed"] += 1
     assert min(seen.values()) >= 20, seen
 
 
@@ -851,15 +939,19 @@ node P1 {{ recv a from P0 for {c1} {{ send b to P0, recv a from P0 }}
 """
 
 
-@pytest.mark.parametrize("text, counts, rounds, kernel_events", [
-    (ALIGNED_NESTED, (10**3, 10**18), 2, [4, 2]),
-    (FACTORED_PHASES, (10**3, 10**18), 2, [4, 4]),
-    (SHIFTED_EXCHANGE, (3, 10**3, 10**9), 1, []),
-], ids=["aligned-nested", "factored-phases", "shifted-exchange"])
+@pytest.mark.parametrize(
+    "text, counts, rounds, kernel_events, solves, equations", [
+        (ALIGNED_NESTED, (10**3, 10**18), 2, [4, 2], 2, 3),
+        (FACTORED_PHASES, (10**3, 10**18), 2, [4, 4], 2, 4),
+        # one round, trimmed: grouped and solved twice
+        (SHIFTED_EXCHANGE, (3, 10**3, 10**9), 1, [], 2, 2),
+    ], ids=["aligned-nested", "factored-phases", "shifted-exchange"])
 def test_pool_work_is_independent_of_loop_counts(
-        monkeypatch, text, counts, rounds, kernel_events):
-    # the pool rounds, and the events of each kernel call, at every count
+        monkeypatch, text, counts, rounds, kernel_events, solves, equations):
+    # the pool rounds, the events of each kernel call, the rounds' ratio
+    # solves and the outer ratio stage's equations, at every count
     events = []
+    calls = Counter()
     check_smodel = l2.check_smodel
 
     def counted(queues):
@@ -867,8 +959,14 @@ def test_pool_work_is_independent_of_loop_counts(
         return check_smodel(queues)
 
     monkeypatch.setattr(l2, "check_smodel", counted)
+    _counting(monkeypatch, "solve_counts", calls)
     for c in counts:
         events.clear()
+        calls.clear()
         rep = _report(text.format(c=c, c1=c - 1))
         assert rep.phase == "l2"
-        assert (len(rep.trace.set_records), events) == (rounds, kernel_events)
+        (outer,) = rep.trace.reg_records
+        assert outer.label == "outer"
+        assert (len(rep.trace.set_records), events, calls["solve_counts"],
+                len(outer.equations)) == (rounds, kernel_events, solves,
+                                          equations)

@@ -142,9 +142,10 @@ RECORDS = [
     (_set(SetMember((A,), 1, {A: 1}), leftover=(B,)),
      f"SetMember(body=({SA},), count=1, counts={{{SA}: 1}}, "
      f"leftover=({SB},))", False),
-    (RelatedSet((0, 1), {0: SetMember((A,), 2, {A: 1})}),
+    (RelatedSet((0, 1), {0: SetMember((A,), 2, {A: 1})}, {0: 1, 1: 2}),
      f"RelatedSet(nodes=(0, 1), members={{0: SetMember(body=({SA},), "
-     f"count=2, counts={{{SA}: 1}}, leftover=())}})", False),
+     f"count=2, counts={{{SA}: 1}}, leftover=())}}, values={{0: 1, 1: 2}})",
+     False),
     (build_mdg({0: (A, B), 1: (A, B)}),
      f"Mdg(pairs=(({SA}, 0), ({SB}, 0)), succ=((1,), ()))",
      True),
@@ -168,7 +169,7 @@ FIELDS = {
     "SetRecord": ("partition", "solutions", "actions"),
     "Trace": ("reg_records", "set_records", "strings", "pools"),
     "SetMember": ("body", "count", "counts", "leftover"),
-    "RelatedSet": ("nodes", "members"),
+    "RelatedSet": ("nodes", "members", "values"),
     "Mdg": ("pairs", "succ"),
     "Report": ("verdict", "phase", "trace", "program", "timings"),
 }

@@ -211,55 +211,71 @@ def test_count_equations_orient_as_oriented_across_digit_lengths():
     assert solve(group).components == ((10, 11), (100, 9), (8, 90))
 
 
+def _linked(counts):
+    """The nodes of ``counts`` linked by every symbol both endpoints count,
+    found breadth-first: sorted tuples in ascending order of their
+    smallest node."""
+    seen = set()
+    out = []
+    for n in sorted(counts):
+        if n in seen:
+            continue
+        seen.add(n)
+        comp = [n]
+        for v in comp:
+            for s in counts[v]:
+                u = s.dst if s.src == v else s.src
+                if u not in seen and s in counts.get(u, ()):
+                    seen.add(u)
+                    comp.append(u)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
 def test_solve_counts_equals_solve_of_the_equations_or_gives_up():
-    # from per-node counts over hidden values, solve_counts gives what
-    # solve(count_equations(...)) gives, with the components as passed; it
-    # gives None on a conflict, on a symbol one endpoint does not count and
-    # on components that are not the solution's
+    # from per-node counts over hidden values, some bumped to conflict and
+    # some symbols counted at one endpoint only, solve_counts gives the
+    # components a breadth-first walk over the symbols both endpoints count
+    # gives, each with the values solve gives its equations, or None
+    # exactly when they conflict, and says whether a symbol is lone
     seen = Counter()
     for seed in range(300):
         rng = random.Random(seed)
-        n = rng.randint(2, 7)
-        hidden = [rng.randint(1, 6) for _ in range(n)]
-        counts = {v: {} for v in range(n)}
-        for k in range(rng.randint(1, 2 * n)):
-            src, dst = rng.sample(range(n), 2)
+        nodes = rng.sample(range(12), rng.randint(2, 7))
+        hidden = {v: rng.randint(1, 6) for v in nodes}
+        counts = {v: {} for v in nodes}
+        for k in range(rng.randint(1, 2 * len(nodes))):
+            src, dst = rng.sample(nodes, 2)
             sym = Symbol(f"m{k}", src, dst)
             m = rng.randint(1, 3)
             counts[src][sym] = m * hidden[src]
             counts[dst][sym] = m * hidden[dst]
-        comps = [tuple(sorted(c)) for c in
-                 solve(count_equations(range(n), counts)[0]).components]
-        rng.shuffle(comps)
-        order = [v for c in comps for v in c]
-        want = solve(count_equations(order, counts)[0])
-        got = reg.solve_counts(tuple(comps), counts)
-        assert got.components == tuple(comps)
-        assert (got.values, got.times) == (want.values, want.times)
-        assert list(got.values) == order
-        seen["solved"] += 1
+        syms = [s for v, c in counts.items() for s in c if s.src == v]
+        for sym in rng.sample(syms, min(len(syms), rng.choice((0, 0, 1, 2)))):
+            counts[sym.src][sym] += 1
+        if rng.random() < 0.3:
+            sym = rng.choice(syms)
+            del counts[rng.choice((sym.src, sym.dst))][sym]
+        if rng.random() < 0.1:      # a partner outside the counts
+            counts[nodes[0]][Symbol("z", nodes[0], 12)] = 1
+        padded = {v: counts.get(v, {}) for v in range(13)}
+        lone = any(s not in counts.get(s.dst if s.src == v else s.src, ())
+                   for v, c in counts.items() for s in c)
 
-        sym = rng.choice([s for c in counts.values() for s in c])
-        lone = {v: dict(c) for v, c in counts.items()}
-        del lone[rng.choice((sym.src, sym.dst))][sym]
-        assert reg.solve_counts(tuple(comps), lone) is None
-        bumped = {v: dict(c) for v, c in counts.items()}
-        bumped[sym.src][sym] += 1
-        if isinstance(solve(count_equations(order, bumped)[0]),
-                      RatioInconsistency):
-            assert reg.solve_counts(tuple(comps), bumped) is None
-            seen["conflict"] += 1
-        big = max(comps, key=len)
-        rest = tuple(c for c in comps if c is not big)
-        split = (big[:1], big[1:]) + rest
-        assert reg.solve_counts(split, counts) is None
-        if rest:
-            merged = (big + rest[0],) + rest[1:]
-            assert reg.solve_counts(merged, counts) is None
-            # as many components as the solution has, one node moved
-            moved = (big[1:], big[:1] + rest[0]) + rest[1:]
-            assert reg.solve_counts(moved, counts) is None
-            seen["merged and moved"] += 1
+        comps, got_lone, values = reg.solve_counts(counts)
+        assert comps == _linked(counts)
+        assert got_lone == lone
+        assert len(values) == len(comps)
+        for comp, got in zip(comps, values):
+            want = solve(count_equations(comp, padded)[0])
+            if isinstance(want, RatioInconsistency):
+                assert got is None
+                seen["conflict"] += 1
+            else:
+                assert list(got.items()) == [(v, want.values[v])
+                                             for v in comp]
+                seen["solved"] += 1
+        seen["lone" if lone else "paired"] += 1
     assert min(seen.values()) >= 50, seen
 
 
