@@ -119,6 +119,25 @@ class Program(Frozen):
         _check(self)
         return True
 
+    @cached_property
+    def symbols(self) -> dict:
+        """Each distinct Symbol, keyed by its fields, in order of first
+        appearance: node by node, each body in text order.  One walk per
+        Program, and none for one the parser has certified, as the parser
+        hands over the table it built."""
+        table = {}
+
+        def walk(body):
+            for st in body:
+                if type(st) is For:
+                    walk(st.body)
+                else:
+                    table.setdefault(st, st)
+
+        for _, body in self.nodes:
+            walk(body)
+        return table
+
 
 def make_program(bodies: dict, names: dict | None = None) -> Program:
     """Build a Program from {node id: [statements]}.
@@ -157,13 +176,15 @@ def validate(program: Program) -> Program:
     return program
 
 
-def certified(nodes, names) -> Program:
+def certified(nodes, names, symbols) -> Program:
     """A Program its builder has already found valid, as the parser does
     when none of validate's conditions fired while it built each part:
     validate returns it without a walk.  The walk, run on every other
-    program, stays the only source of a ModelError."""
+    program, stays the only source of a ModelError.  ``symbols`` is the
+    builder's table of the program's distinct Symbols, taken as the
+    Program's ``symbols`` without a copy."""
     program = Program(nodes, names)
-    program.__dict__["_valid"] = True
+    program.__dict__.update(_valid=True, symbols=symbols)
     return program
 
 

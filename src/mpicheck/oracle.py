@@ -27,19 +27,24 @@ first, so an invalid one raises the ModelError ``analyze`` raises before a
 run starts, and a run meets no dangling or self partner, no duplicate node
 and no empty loop body.  The run goes part by part.  A part is a group of
 nodes linked by the two endpoints of a message; the empty nodes, exactly
-the ones no message links to another node, join the first part.  Parts
-share no rendezvous, so the program is deadlocked when every part stops
-and at least one stops with an unterminated node.  ``states`` counts the
-states visited summed over the parts, and ``max_states`` bounds them.
+the ones no message links to another node, join the first part.  The parts
+come from the program's table of distinct symbols (``Program.symbols``,
+which the parser hands over as it builds it), and a node holds an infinite
+loop only at its top level, so grouping the nodes walks no loop tree.
+Parts share no rendezvous, so the program is deadlocked when every part
+stops and at least one stops with an unterminated node.  ``states`` counts
+the states visited summed over the parts, and ``max_states`` bounds them.
 
 A node's local state is its stack of loop frames, or TERMINATED.  The run
-steps each node's frames in place and keeps the event at each front.  It
-keeps the enabled rendezvous in a heap ordered by symbol, as none is
-disabled before it fires: each step pops the least, and pushes a
-rendezvous when one of the two nodes it moved reaches it second.  A step
-therefore costs O(log n) in a part of n nodes.  A part with no infinite
-loop never repeats a state, as each step moves two nodes past an event of
-their unrolled bodies, each passed once, so its run stores nothing.
+steps each node's frames in place, one ``_step`` call per node move, and
+keeps the event at each front.  A node starts at index -1 of its body, so
+its first step settles it on its first event.  The run keeps the enabled
+rendezvous in a heap ordered by symbol, as none is disabled before it
+fires: each step pops the least, and pushes a rendezvous when one of the
+two nodes it moved reaches it second.  A step therefore costs O(log n) in
+a part of n nodes.  A part with no infinite loop never repeats a state, as
+each step moves two nodes past an event of their unrolled bodies, each
+passed once, so its run stores nothing.
 
 In a part with an infinite loop the run names a node's local state by the
 number of events the node has fired.  A node is one deterministic
@@ -99,42 +104,39 @@ class Inconclusive(OracleVerdict):
         self.__dict__.update(states=states)
 
 
-def _settle(stack: list, seqs: list):
-    """Advance the frames of ``stack`` until the innermost index points at
-    an event, or the node is terminated; ``seqs`` holds the statement
-    sequence each frame indexes.  Both lists are changed in place.  Loop
-    frames carry remaining iterations (None for infinite loops).  Returns
-    the event at the front, None for a terminated node."""
+def _step(stack: list, seqs: list):
+    """Move the innermost frame of ``stack`` past its index, then advance
+    the frames until the innermost index points at an event, or the node is
+    terminated; ``seqs`` holds the statement sequence each frame indexes.
+    Both lists are changed in place.  Loop frames carry remaining
+    iterations (None for infinite loops).  A node starts at index -1 of its
+    body, so its first step settles it; each later one follows the firing
+    of its front event.  Returns the new front event, None for a terminated
+    node."""
     seq = seqs[-1]
+    idx, rem = stack.pop()
+    idx += 1
     while True:
-        idx, rem = stack[-1]
         if idx < len(seq):
             st = seq[idx]
+            stack.append((idx, rem))
             if type(st) is not For:
                 return st
-            stack.append((0, None if st.count is INFINITE else st.count))
+            idx, rem = 0, None if st.count is INFINITE else st.count
             seq = st.body
             seqs.append(seq)
-        elif len(stack) == 1:
+        elif not stack:          # the end of the node's body
+            stack.append((idx, rem))
             return None
         elif rem is None:        # infinite loop: next iteration
-            stack[-1] = (0, None)
+            idx = 0
         elif rem > 1:
-            stack[-1] = (0, rem - 1)
+            idx, rem = 0, rem - 1
         else:
-            stack.pop()
             seqs.pop()
             seq = seqs[-1]
-            pidx, prem = stack[-1]
-            stack[-1] = (pidx + 1, prem)
-
-
-def _step(stack: list, seqs: list):
-    """``_settle`` after the event at the front of the settled ``stack``
-    fires: the innermost frame moves past it, in place."""
-    idx, rem = stack[-1]
-    stack[-1] = (idx + 1, rem)
-    return _settle(stack, seqs)
+            idx, rem = stack.pop()
+            idx += 1
 
 
 def _event(body, stack):
@@ -162,24 +164,15 @@ def enabled(program: Program, gstate: tuple) -> set:
 def _parts(program: Program, looping: set) -> list:
     """Node positions grouped into parts, each in ``program.nodes`` order,
     the parts ordered by their first node.  Two nodes share a part when a
-    message names both as its endpoints.  The empty nodes, which no
-    message links, join the first part, so a program with no link is one
-    part.  The positions of nodes that hold an infinite loop are added to
+    message names both as its endpoints, so the endpoints of the program's
+    distinct symbols are united.  The empty nodes, which no message links,
+    join the first part, so a program with no link is one part.  The
+    positions of nodes that hold an infinite loop, found at the top level
+    of the valid ``program`` as no other level holds one, are added to
     ``looping``."""
     rank = program.rank
-    syms = set()
-    for k, (_, top) in enumerate(program.nodes):
-        bodies = [top]
-        for body in bodies:
-            for st in body:
-                if type(st) is not For:
-                    syms.add(st)
-                    continue
-                bodies.append(st.body)
-                if st.count is INFINITE:
-                    looping.add(k)
     group = [None] * len(program.nodes)  # position -> its part, shared
-    for _, a, b in syms:
+    for _, a, b in program.symbols:
         ka, kb = rank[a], rank[b]
         ga, gb = group[ka], group[kb]
         if ga is None and gb is None:
@@ -206,6 +199,11 @@ def _parts(program: Program, looping: set) -> list:
     parts = list(parts.values()) or [[]]
     if inert:
         parts[0] = sorted(parts[0] + inert)
+    for k, (_, body) in enumerate(program.nodes):
+        for st in body:
+            if type(st) is For and st.count is INFINITE:
+                looping.add(k)
+                break
     return parts
 
 
@@ -258,8 +256,8 @@ def _run(program: Program, positions: list, max_states: int, looping: bool):
     when the run repeats a state first."""
     nodes = [program.nodes[k] for k in positions]
     rank = {nid: i for i, (nid, _) in enumerate(nodes)}
-    frames = [([(0, 1)], [body]) for _, body in nodes]
-    events = [_settle(*f) for f in frames]
+    frames = [([(-1, 1)], [body]) for _, body in nodes]
+    events = [_step(*f) for f in frames]
     ready = [e for i, e in enumerate(events) if e is not None
              and rank[e.src] == i and events[rank[e.dst]] == e]
     heapify(ready)

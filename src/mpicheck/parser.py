@@ -30,8 +30,9 @@ loop and node: a message to the node's own rank, an undeclared peer, a node
 declared twice, a "for inf" inside a loop, a count of 0, an empty loop body,
 loops nested past model.MAX_NESTING, and events per outermost iteration of
 MAX_COUNT_DIGITS digits or more.  When none holds, the Program comes back
-certified (model.certified), and validate returns it without a walk.  When
-one does, validate's walk runs as on any other Program and raises the
+certified (model.certified), and validate returns it without a walk; its
+``symbols`` table is the one the parser built, in text order.  When one
+does, validate's walk runs as on any other Program and raises the
 error, so each message keeps its one wording and order.
 """
 import re
@@ -243,7 +244,9 @@ def parse(text: str) -> Program:
     names = tuple(zip(ranks.values(), ranks))
     if len(names) > declared:       # a peer no node header declares
         ok = False
-    return (certified if ok else Program)(tuple(nodes), names)
+    if ok:
+        return certified(tuple(nodes), names, symbols)
+    return Program(tuple(nodes), names)
 
 
 def render(program: Program) -> str:

@@ -5,9 +5,10 @@ One node's state is its stack of loop frames (statement index, remaining
 iterations, None for an infinite loop), the outermost a count-1 frame over
 the node's body, or TERMINATED.  ``product_search`` searches every
 interleaving of the whole program breadth-first; ``greedy_run`` takes the
-one run ``explore`` takes through a one-part program.  ``mdg_stuck`` is the
-contracted message-dependence graph's verdict on an event-queue model, the
-method the queue matcher is held to.
+one run ``explore`` takes through a one-part program, and ``partition``
+gives the parts ``explore`` runs.  ``mdg_stuck`` is the contracted
+message-dependence graph's verdict on an event-queue model, the method the
+queue matcher is held to.
 """
 from collections import Counter, deque
 
@@ -137,6 +138,47 @@ def greedy_run(prog):
             return trace, visited, True
         visited.append(state)
         seen.add(state)
+
+
+def partition(program: Program):
+    """``explore``'s parts and looping nodes, from a full walk of every
+    body: the node positions connected by the messages that name two
+    nodes, each group sorted and the groups ordered by their first
+    position, with the positions no message names joining the first group;
+    and the positions whose body holds an infinite loop at any depth."""
+    rank = program.rank
+    links = [set() for _ in program.nodes]
+    looping = set()
+
+    def walk(k, body):
+        for st in body:
+            if isinstance(st, For):
+                if st.count is INFINITE:
+                    looping.add(k)
+                walk(k, st.body)
+            else:
+                a, b = rank[st.src], rank[st.dst]
+                links[a].add(b)
+                links[b].add(a)
+
+    for k, (_, body) in enumerate(program.nodes):
+        walk(k, body)
+    parts, placed = [], set()
+    for k, linked in enumerate(links):
+        if k in placed or not linked:
+            continue
+        group, todo = set(), [k]
+        while todo:
+            j = todo.pop()
+            if j not in group:
+                group.add(j)
+                todo += links[j]
+        placed |= group
+        parts.append(sorted(group))
+    parts = parts or [[]]
+    parts[0] = sorted(parts[0] + [k for k, linked in enumerate(links)
+                                  if not linked])
+    return parts, looping
 
 
 def mdg_stuck(queues) -> bool:

@@ -17,9 +17,9 @@ from mpicheck.model import (INFINITE, DanglingEndpoint, DuplicateNode, For,
                             Program, Symbol, make_program, validate)
 from mpicheck.oracle import (DeadlockFreeOracle, DeadlockReachable,
                              Inconclusive, TERMINATED, explore)
-from mpicheck.parser import parse
-from reference import (enabled, greedy_run, initial_state, product_search,
-                       replay, step)
+from mpicheck.parser import parse, render
+from reference import (enabled, greedy_run, initial_state, partition,
+                       product_search, replay, step)
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, PROGRAMS, load
 from test_parser import UNCERTIFIED
 
@@ -198,7 +198,8 @@ def test_sparse_unordered_node_ids():
 @pytest.fixture
 def advance_calls(monkeypatch):
     """Every local step the oracle settles, as ``(body, local state before
-    the step)``: one ``_step`` call per node moved by each fired
+    the step)``: one ``_step`` call per node of a part when its run starts,
+    from index -1 of the node's body, and one per node moved by each fired
     rendezvous, a transition taken again settled again."""
     calls = []
     original = oracle._step
@@ -221,12 +222,14 @@ def _reference_run(prog):
     """``explore``'s run from the reference stepper: ``greedy_run`` on each
     part in turn, up to the first part that repeats a state.  Returns the
     verdict, the states visited, and the local transitions fired: one per
-    node moved by each step, counted with multiplicity by (body, local
-    state before the step)."""
+    node of each part run, from index -1 of its body, and one per node
+    moved by each step, counted with multiplicity by (body, local state
+    before the step)."""
     visited = 0
     trace, merged = [], [None] * len(prog.nodes)
     fired = Counter()
     for part, sub in _part_programs(prog):
+        fired.update((prog.nodes[k][1], ((-1, 1),)) for k in part)
         steps, states, live = greedy_run(sub)
         visited += len(states)
         for sym, state in zip(steps, states):
@@ -249,9 +252,9 @@ def _projection(trace, nid):
 
 def _check_reference_run(prog, calls):
     """``explore`` on ``prog`` against the reference run: the same verdict,
-    one ``_step`` call per node moved by each fired rendezvous, and the
-    states the run visits exactly its bound.  Returns the verdict and the
-    states visited."""
+    one ``_step`` call per node of each part run and one per node moved by
+    each fired rendezvous, and the states the run visits exactly its bound.
+    Returns the verdict and the states visited."""
     calls.clear()
     got = explore(prog)
     want, visited, fired = _reference_run(prog)
@@ -289,8 +292,9 @@ def _check_run(prog, ref, stored, calls):
 def test_each_state_expanded_once_and_each_local_step_settled_once(
         advance_calls):
     # the run visits each state once, so it stops at its first repeat;
-    # each fired rendezvous settles its two nodes' steps once each, and a
-    # local transition the run takes again is settled again
+    # each node is settled once at the start, each fired rendezvous
+    # settles its two nodes' steps once each, and a local transition the
+    # run takes again is settled again
     g = Symbol("g", 1, 2)    # joins the two pairs into one part
     prog = make_program({0: [For(3, (A, B))], 1: [For(3, (A, B)), g],
                          2: [For(2, (C, D)), g], 3: [For(2, (C, D))]})
@@ -303,7 +307,8 @@ def test_each_state_expanded_once_and_each_local_step_settled_once(
         (DeadlockFreeOracle(12), 12)
     advance_calls.clear()
     explore(prog)
-    assert len(advance_calls) == len(set(advance_calls)) == 6 + 7 + 5 + 4
+    assert len(advance_calls) == len(set(advance_calls)) == \
+        4 + 6 + 7 + 5 + 4
     # a small lasso: node 0 sends a, a, c per round, node 1 takes a three
     # at a time, so the run fires 9 rendezvous before the initial state
     # repeats, each node's local transitions taken 3, 2 and 3 times
@@ -313,7 +318,8 @@ def test_each_state_expanded_once_and_each_local_step_settled_once(
                          2: [For(INFINITE, (c,))]})
     advance_calls.clear()
     assert explore(prog) == DeadlockFreeOracle(9)
-    assert len(advance_calls) == 2 * 9 and len(set(advance_calls)) == 3 + 3 + 1
+    assert len(advance_calls) == 3 + 2 * 9
+    assert len(set(advance_calls)) == 3 + 3 + 3 + 1
 
 
 def _union(progs, rng):
@@ -356,6 +362,34 @@ def test_per_part_search_matches_product_search(advance_calls):
         decided += 1
         multi += len(oracle._parts(prog, set())) > 1
     assert decided >= 450 and multi >= 200
+
+
+def _peeled(prog):
+    """``prog`` with one iteration of each top-level infinite loop peeled
+    off before it, so the loop is not its node's first statement."""
+    return make_program({n: [x for st in body for x in (
+        (For(1, st.body), st) if isinstance(st, For) and st.count is INFINITE
+        else (st,))] for n, body in prog.nodes})
+
+
+def test_parts_equal_the_reference_partition():
+    # the parts come from the program's symbol table and the looping nodes
+    # from the top level alone; a full walk of every body gives the same,
+    # on library-built programs (a walked table) and on parsed copies (the
+    # parser's table), each also rebuilt with make_program
+    progs = corpus(CORPUS_SEED, CORPUS_SIZE) + _unions(500) + \
+        list(fuzz.programs(1, 3000))
+    progs += [_peeled(prog) for prog in progs if partition(prog)[1]]
+    multi = 0
+    for prog in progs:
+        parsed = parse(render(prog))
+        assert "symbols" in parsed.__dict__, prog     # handed over
+        for copy in (prog, parsed, make_program(dict(parsed.nodes))):
+            looping = set()
+            parts = oracle._parts(copy, looping)
+            assert (parts, looping) == partition(copy), copy
+        multi += len(parts) > 1
+    assert multi >= 1000
 
 
 def _holds_infinite_loop(body):
@@ -412,8 +446,7 @@ def test_run_equals_reference_run_at_and_below_its_bound(advance_calls):
     for prog in progs:
         looping = set()
         parts = oracle._parts(prog, looping)
-        assert looping == {k for k, (_, body) in enumerate(prog.nodes)
-                           if _holds_infinite_loop(body)}, prog
+        assert (parts, looping) == partition(prog), prog
         cyclic += sum(bool(looping.intersection(part)) for part in parts)
         acyclic += sum(not looping.intersection(part) for part in parts)
         _check_reference_run(prog, advance_calls)
@@ -591,7 +624,8 @@ def test_wide_part_pushes_and_pops_one_heap_entry_per_fired_rendezvous(
         monkeypatch, advance_calls):
     # 1,024 pairs in one part of 2,048 nodes, up to 1,024 rendezvous
     # enabled at once: each step pops the rendezvous it fires and pushes
-    # only what its two moved nodes enable, whatever the part's width
+    # only what its two moved nodes enable, whatever the part's width;
+    # each node is settled once at the start and once per move
     prog = validate(parse(_pair_exchanges(1024, 3)))
     assert len(oracle._parts(prog, set())) == 1
     counts = Counter()
@@ -610,7 +644,7 @@ def test_wide_part_pushes_and_pops_one_heap_entry_per_fired_rendezvous(
     assert explore(prog) == DeadlockFreeOracle(fired + 1)
     assert counts["heappop"] == fired
     assert counts["heappush"] <= counts["heappop"]
-    assert len(advance_calls) == 2 * fired
+    assert len(advance_calls) == 2048 + 2 * fired
 
 
 def test_parts_cost_their_sum_not_their_product():
@@ -697,14 +731,14 @@ def test_long_lasso_takes_its_local_transitions_again(advance_calls):
     # P0's rounds of 104 events and P1's of 107 realign only after about a
     # hundred rounds, so the run takes each local transition about a
     # hundred times before the first repeated state, and settles it each
-    # time
+    # time, after settling each node once at the start
     prog = validate(parse(LASSO % (103, 107)))
     trace, states, live = greedy_run(prog)
     assert live and len(trace) == len(states) == 11128
     advance_calls.clear()
     assert explore(prog) == DeadlockFreeOracle(11128)
-    assert len(advance_calls) == 2 * 11128
-    assert len(set(advance_calls)) == 104 + 107 + 1
+    assert len(advance_calls) == 3 + 2 * 11128
+    assert len(set(advance_calls)) == 3 + 104 + 107 + 1
 
 
 def test_lasso_longer_than_the_bound_is_inconclusive():

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import fuzz
 from corpus import corpus, generate
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 from test_model import _counting_check
@@ -15,8 +16,8 @@ from test_smodel import schedule_queues
 from mpicheck import model, parser
 from mpicheck.model import (INFINITE, MAX_NESTING, DanglingEndpoint,
                             DuplicateNode, For, InvalidLoopCount,
-                            NestedInfinite, SelfMessage, SizeExceeded,
-                            Symbol, make_program, validate)
+                            NestedInfinite, Program, SelfMessage,
+                            SizeExceeded, Symbol, make_program, validate)
 from mpicheck.parser import (MAX_COUNT_DIGITS, MdlLexError, MdlSyntaxError,
                              parse, render)
 
@@ -409,6 +410,19 @@ def test_valid_text_is_certified(monkeypatch):
         assert validate(prog) is prog
         assert not calls, f"text {i} was not certified"
         walk(prog)                      # which the walk passes
+
+
+def test_certified_program_takes_the_walked_symbol_table():
+    # the parser hands its table of distinct symbols to the certified
+    # Program as ``symbols``; a walk of the bodies, which builds the table
+    # of any other Program, gives the same, in content and order
+    texts = _valid_texts() + [render(p) for seed in (1, 2, 3)
+                              for p in fuzz.programs(seed, 3000)]
+    for i, text in enumerate(texts):
+        prog = parse(text)
+        table = prog.__dict__["symbols"]    # handed over, not walked
+        walked = Program(prog.nodes, prog.names).symbols
+        assert list(table.items()) == list(walked.items()), i
 
 
 def _nested_for(depth):
